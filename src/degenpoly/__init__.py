@@ -6,7 +6,7 @@ generating functions with exact rational arithmetic.  See ``families``
 for the catalog of builders and ``identities`` for the verification suite.
 """
 
-from .bipoly import BiPoly, binomial, factorial, rational_str
+from .bipoly import BiPoly, binomial, factorial
 from .series import (
     BadConstantTerm,
     DivisionByNonUnit,
@@ -47,7 +47,6 @@ __all__ = [
     "BiPoly",
     "binomial",
     "factorial",
-    "rational_str",
     "EgfSeries",
     "SeriesError",
     "DivisionByNonUnit",

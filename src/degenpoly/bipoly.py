@@ -36,11 +36,6 @@ def binomial(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, k))
 
 
-def rational_str(q: Fraction) -> str:
-    """Render a rational as ``p/q`` with the sign on the numerator; ``3`` for denominator 1."""
-    return str(q)
-
-
 class BiPoly:
     """A polynomial in ``l`` and ``x`` with exact rational coefficients.
 
@@ -206,18 +201,6 @@ class BiPoly:
         out = {(dl, dx): coeff * c**dl for (dl, dx), coeff in self._terms.items()}
         return BiPoly._raw({key: v for key, v in out.items() if v})
 
-    def shift_lam(self, c: Scalar) -> "BiPoly":
-        """Substitute l -> l + c (exact)."""
-        c = Fraction(c)
-        if not c:
-            return self
-        out: dict[Term, Fraction] = {}
-        for (dl, dx), coeff in self._terms.items():
-            for j in range(dl + 1):
-                key = (j, dx)
-                out[key] = out.get(key, _ZERO) + coeff * binomial(dl, j) * c ** (dl - j)
-        return BiPoly._raw({key: v for key, v in out.items() if v})
-
     def subs_x(self, value: Scalar) -> "BiPoly":
         """Substitute x -> value (exact)."""
         c = Fraction(value)
@@ -225,12 +208,6 @@ class BiPoly:
         for (dl, dx), coeff in self._terms.items():
             key = (dl, 0)
             out[key] = out.get(key, _ZERO) + coeff * c**dx
-        return BiPoly._raw({key: v for key, v in out.items() if v})
-
-    def scale_x(self, c: Scalar) -> "BiPoly":
-        """Substitute x -> c*x (exact)."""
-        c = Fraction(c)
-        out = {(dl, dx): coeff * c**dx for (dl, dx), coeff in self._terms.items()}
         return BiPoly._raw({key: v for key, v in out.items() if v})
 
     def shift_x(self, c: Scalar) -> "BiPoly":
@@ -282,7 +259,7 @@ class BiPoly:
     def to_records(self) -> list[dict[str, object]]:
         """JSON-ready term list: [{"dl": int, "dx": int, "c": "p/q"}, ...]."""
         return [
-            {"dl": dl, "dx": dx, "c": rational_str(c)}
+            {"dl": dl, "dx": dx, "c": str(c)}
             for (dl, dx), c in self.sorted_terms()
         ]
 
@@ -295,11 +272,11 @@ class BiPoly:
             mono = "*".join(p for p in (_pow_str("l", dl), _pow_str("x", dx)) if p)
             mag = abs(c)
             if not mono:
-                body = rational_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{rational_str(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body

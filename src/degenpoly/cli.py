@@ -71,21 +71,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("--max-n", type=int, required=True, help="largest index, inclusive")
     comp.add_argument(
-        "--order", type=_rational, default=Fraction(1), help="order parameter (rational)"
+        "--order", type=_rational, default=None, help="order parameter (rational; default 1)"
     )
     comp.add_argument(
         "--lambda",
         dest="lam",
         type=_symbolic_or_rational,
-        default="symbolic",
-        help="'symbolic' or a rational literal",
+        default=None,
+        help="'symbolic' (default) or a rational literal",
     )
     comp.add_argument(
         "--x",
         dest="x_arg",
         type=_symbolic_or_rational,
-        default="symbolic",
-        help="'symbolic' or a rational literal",
+        default=None,
+        help="'symbolic' (default) or a rational literal",
     )
     comp.add_argument("--trunc", type=int, default=None, help="truncation order (>= max-n)")
     comp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -242,6 +242,22 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error("--max-n must be nonnegative")
         if args.trunc is not None and args.trunc < args.max_n:
             parser.error(f"--trunc {args.trunc} is below --max-n {args.max_n}")
+        info = CATALOG[FamilyId(args.family)]
+        sequence = info.kind == "sequence"
+        for flag, value, honoured in (
+            ("--order", args.order, sequence and info.order_domain != "none"),
+            ("--x", args.x_arg, info.takes_argument),
+            ("--lambda", args.lam, info.degenerate),
+            ("--trunc", args.trunc, sequence),
+        ):
+            if value is not None and not honoured:
+                parser.error(f"{flag} does not apply to {args.family}")
+        if args.order is None:
+            args.order = Fraction(1)
+        if args.lam is None:
+            args.lam = "symbolic"
+        if args.x_arg is None:
+            args.x_arg = "symbolic"
         try:
             kind, rows = _compute_rows(args)
         except (ValueError, ArithmeticError) as exc:
@@ -265,7 +281,10 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     except UnknownIdentity as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # An identity without an order parameter has no order in its ranges.
     d_max_n, d_order, d_trunc = default_ranges(identity, args.profile)
+    if args.order is not None and d_order is None:
+        parser.error(f"--order does not apply to identity {identity.value}")
     max_n = args.max_n if args.max_n is not None else d_max_n
     order = args.order if args.order is not None else d_order
     trunc = args.trunc if args.trunc is not None else max(d_trunc, max_n)
@@ -273,8 +292,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--max-n must be nonnegative")
     if trunc < max_n:
         parser.error(f"--trunc {trunc} is below --max-n {max_n}")
+    from_profile = (
+        args.max_n is None or args.trunc is None or (args.order is None and d_order is not None)
+    )
     try:
-        report = verify(identity, max_n, order, trunc)
+        report = verify(
+            identity, max_n, order, trunc, profile=args.profile if from_profile else None
+        )
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,18 +2,20 @@
 
 Each family is one generating-function recipe over the ring Q[l, x]; the
 catalog (``list_families`` / the CLI ``list-families`` command) documents
-every recipe.  ``l`` is the deformation parameter: classical families are
-the degenerate recipes with the deformation switched off, and coefficients
-are polynomial in ``l`` by construction, so the classical limit is the
-exact substitution l -> 0.
+every recipe next to the function that builds it.  ``l`` is the deformation
+parameter: a classical family runs the recipe of its degenerate twin with
+l = 0, and coefficients are polynomial in ``l`` by construction, so the
+classical limit is the exact substitution l -> 0.
 
-Two construction rules keep negative powers of ``l`` out of the ring:
+Every recipe is built from one primitive, the step product
+(a)_{n,s} = a*(a - s)*...*(a - (n-1)*s), through ``step_egf(a, s, N, lag)``,
+the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 
-* log_l(1+t) = ((1+t)^l - 1)/l is built from its closed coefficient
-  formula (value n is prod_{j=1..n-1}(l - j)), never by dividing a series
-  by l;
-* e_l^x(t) = (1 + l*t)^(x/l) is built from the degenerate falling-factorial
-  recurrence (x)_{n,l} = (x)_{n-1,l} * (x - (n-1)l).
+* e_l^a(t) = (1 + l*t)^(a/l) has values (a)_{n,l};
+* (1+t)^a = e_1^a(t) has values (a)_{n,1}, the classical falling factorial;
+* log_l(1+t) = ((1+t)^l - 1)/l has values (l - 1)_{n-1,1} for n >= 1,
+  so it is never built by dividing a series by l, and no negative power
+  of ``l`` enters the ring.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from .bipoly import BiPoly, factorial
 from .series import EgfSeries
@@ -158,103 +161,33 @@ class FamilySpec:
         object.__setattr__(self, "order", Fraction(self.order))
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
-    """Catalog entry: output kind, parameter surface, and the defining recipe."""
-
-    kind: str  # "sequence" | "triangle" | "polynomial"
-    order_domain: str  # "rational" | "integer" | "nonneg-integer" | "none"
-    takes_argument: bool
-    degenerate: bool
-    recipe: str
+# -- the step product ---------------------------------------------------------
 
 
-CATALOG: dict[FamilyId, FamilyInfo] = {
-    FamilyId.BERNOULLI_ORDER_R: FamilyInfo(
-        "sequence", "rational", True, False, "(t/(e^t - 1))^r * e^(x*t)"
-    ),
-    FamilyId.EULER: FamilyInfo("sequence", "none", True, False, "2/(e^t + 1) * e^(x*t)"),
-    FamilyId.TYPE2_BERNOULLI: FamilyInfo(
-        "sequence", "none", True, False, "t/(e^t - e^(-t)) * e^(x*t)"
-    ),
-    FamilyId.TYPE2_EULER: FamilyInfo(
-        "sequence", "none", True, False, "2/(e^t + e^(-t)) * e^(x*t)"
-    ),
-    FamilyId.STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * log(1+t)^k"
-    ),
-    FamilyId.STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^t - 1)^k"
-    ),
-    FamilyId.CENTRAL_FACTORIAL: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^(t/2) - e^(-t/2))^k"
-    ),
-    FamilyId.DAEHEE: FamilyInfo("sequence", "none", True, False, "(log(1+t)/t) * (1+t)^x"),
-    FamilyId.FALLING_FACTORIAL: FamilyInfo(
-        "sequence", "none", True, False, "(1+t)^x  [value n is (x)_n]"
-    ),
-    FamilyId.DEG_FALLING_FACTORIAL: FamilyInfo(
-        "sequence", "none", True, True, "e_l^x(t)  [value n is (x)_{n,l}]"
-    ),
-    FamilyId.DEG_EXP: FamilyInfo(
-        "sequence", "none", True, True, "e_l^x(t) = (1 + l*t)^(x/l)"
-    ),
-    FamilyId.DEG_LOG: FamilyInfo(
-        "sequence", "none", False, True, "log_l(1+t) = ((1+t)^l - 1)/l"
-    ),
-    FamilyId.DEG_BERNOULLI: FamilyInfo(
-        "sequence", "none", True, True, "t/(e_l(t) - 1) * e_l^x(t)"
-    ),
-    FamilyId.DEG_EULER: FamilyInfo(
-        "sequence", "none", True, True, "2/(e_l(t) + 1) * e_l^x(t)"
-    ),
-    FamilyId.DEG_CENTRAL_FACTORIAL: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k"
-    ),
-    FamilyId.DEG_DAEHEE: FamilyInfo(
-        "sequence", "none", True, True, "(log_l(1+t)/t) * (1+t)^x"
-    ),
-    FamilyId.DEG_BERNOULLI2: FamilyInfo(
-        "sequence", "rational", True, True, "(t/log_l(1+t))^a * (1+t)^x"
-    ),
-    FamilyId.TYPE2_DEG_BERNOULLI2: FamilyInfo(
-        "sequence", "integer", True, True, "(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x"
-    ),
-    FamilyId.TYPE2_DEG_BERNOULLI: FamilyInfo(
-        "sequence", "integer", True, True, "(t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)"
-    ),
-    FamilyId.DEG_STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * log_l(1+t)^k"
-    ),
-    FamilyId.DEG_STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l(t) - 1)^k"
-    ),
-    FamilyId.CENTRAL_FACTORIAL_POWER: FamilyInfo(
-        "polynomial", "none", False, False, "x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)"
-    ),
-}
-
-TRIANGLE_FAMILIES = frozenset(f for f, info in CATALOG.items() if info.kind == "triangle")
-
-
-# -- polynomial building blocks -------------------------------------------
-
-
-def _step_product(n: int, arg: BiPoly, step: BiPoly) -> BiPoly:
-    """arg * (arg - step) * ... * (arg - (n-1)*step); the empty product is 1."""
+def _step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
+    """The prefix products [1, arg, arg*(arg - step), ..., (arg)_{n,step}]."""
     if n < 0:
         raise ValueError(f"product length must be nonnegative, got {n}")
-    prod = _ONE
+    prods = [_ONE]
     for j in range(n):
-        prod = prod * (arg - step * j)
-    return prod
+        # Once a factor vanishes (integer arg, step 1), every later product is 0.
+        prods.append(prods[-1] * (arg - step * j) if prods[-1] else _ZERO)
+    return prods
+
+
+def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
+    """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag."""
+    prods = _step_products(arg, step, trunc - lag)
+    return EgfSeries(
+        [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
+    )
 
 
 def falling_factorial(n: int, arg: BiPoly | Fraction | int) -> BiPoly:
     """The classical falling factorial (arg)_n = arg*(arg-1)*...*(arg-n+1)."""
     if not isinstance(arg, BiPoly):
         arg = BiPoly.const(arg)
-    return _step_product(n, arg, _ONE)
+    return _step_products(arg, _ONE, n)[n]
 
 
 def deg_falling_factorial(
@@ -265,7 +198,7 @@ def deg_falling_factorial(
         arg = BiPoly.const(arg)
     if not isinstance(lam, BiPoly):
         lam = BiPoly.const(lam)
-    return _step_product(n, arg, lam)
+    return _step_products(arg, lam, n)[n]
 
 
 def central_factorial_power(n: int) -> BiPoly:
@@ -274,66 +207,200 @@ def central_factorial_power(n: int) -> BiPoly:
         raise ValueError(f"central factorial power needs n >= 0, got {n}")
     if n == 0:
         return _ONE
-    prod = _X
-    for j in range(1, n):
-        prod = prod * (_X + (Fraction(n, 2) - j))
-    return prod
+    return _X * _step_products(_X + (Fraction(n, 2) - 1), _ONE, n - 1)[-1]
 
 
-# -- series building blocks -------------------------------------------------
+# -- recipes -------------------------------------------------------------------
+#
+# A sequence recipe maps (order a, argument x, deformation l, truncation N)
+# to its series; a triangle recipe maps (l, N) to the kernel g(t) whose
+# column k is g(t)^k / k!.  A classical family shares the recipe of its
+# degenerate twin and receives l = 0.
 
 
-def deg_exp_egf(arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """e_lam^arg(t): the EGF whose value at n is (arg)_{n,lam}."""
-    coeffs = [_ONE]
-    prod = _ONE
-    for n in range(1, trunc + 1):
-        prod = prod * (arg - lam * (n - 1))
-        coeffs.append(prod * (1 / factorial(n)))
-    return EgfSeries(coeffs)
+def _log1p(lam: BiPoly, trunc: int) -> EgfSeries:
+    """log_l(1+t)."""
+    return step_egf(lam - 1, _ONE, trunc, lag=1)
 
 
-def deg_log1p_egf(lam: BiPoly, trunc: int) -> EgfSeries:
-    """log_lam(1+t): value at n >= 1 is prod_{j=1..n-1}(lam - j); value 0 at n = 0.
+def _expm1(lam: BiPoly, trunc: int) -> EgfSeries:
+    """e_l(t) - 1."""
+    return step_egf(_ONE, lam, trunc) - EgfSeries.one(trunc)
 
-    This closed form keeps every coefficient polynomial in the deformation
-    parameter, so the classical logarithm is the exact instance lam = 0.
+
+def _central_difference(lam: BiPoly, trunc: int) -> EgfSeries:
+    """e_l^(1/2)(t) - e_l^(-1/2)(t)."""
+    half = BiPoly.const(_HALF)
+    return step_egf(half, lam, trunc) - step_egf(-half, lam, trunc)
+
+
+def _deg_exp(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """e_l^x(t)."""
+    return step_egf(arg, lam, trunc)
+
+
+def _pow1p(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(1+t)^x."""
+    return step_egf(arg, _ONE, trunc)
+
+
+def _deg_log(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """log_l(1+t)."""
+    return _log1p(lam, trunc)
+
+
+def _bernoulli_like(
+    low: BiPoly, a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
+) -> EgfSeries:
+    """(t/(e_l(t) - e_l^low(t)))^a * e_l^x(t); e_l^0(t) is 1."""
+    diff = step_egf(_ONE, lam, trunc + 1) - step_egf(low, lam, trunc + 1)
+    return diff.shift_div_t(1).pow(-a) * step_egf(arg, lam, trunc)
+
+
+def _euler_like(
+    low: BiPoly, a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
+) -> EgfSeries:
+    """2/(e_l(t) + e_l^low(t)) * e_l^x(t)."""
+    denom = step_egf(_ONE, lam, trunc) + step_egf(low, lam, trunc)
+    return step_egf(arg, lam, trunc).scale(2).divide(denom)
+
+
+def _daehee(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(log_l(1+t)/t) * (1+t)^x."""
+    return _log1p(lam, trunc + 1).shift_div_t(1) * step_egf(arg, _ONE, trunc)
+
+
+def _bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(t/log_l(1+t))^a * (1+t)^x.
+
+    The normalized kernel has constant term 1, so any rational order is exact.
     """
-    coeffs = [_ZERO]
-    prod = _ONE
-    for n in range(1, trunc + 1):
-        if n > 1:
-            prod = prod * (lam - (n - 1))
-        coeffs.append(prod * (1 / factorial(n)))
-    return EgfSeries(coeffs)
+    kernel = _log1p(lam, trunc + 1).shift_div_t(1).pow(-a)
+    return kernel * step_egf(arg, _ONE, trunc)
 
 
-def pow1p_egf(exponent: BiPoly, trunc: int) -> EgfSeries:
-    """(1+t)^exponent for a polynomial exponent: coefficient n is (exponent)_n / n!."""
-    coeffs = [_ONE]
-    prod = _ONE
-    for n in range(1, trunc + 1):
-        prod = prod * (exponent - (n - 1))
-        coeffs.append(prod * (1 / factorial(n)))
-    return EgfSeries(coeffs)
+def _type2_bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x.
+
+    The kernel has constant term 2, so only integer orders stay inside Q[l, x].
+    """
+    numerator = step_egf(_ONE, _ONE, trunc + 1) - step_egf(-_ONE, _ONE, trunc + 1)
+    kernel = numerator.shift_div_t(1).divide(_log1p(lam, trunc + 1).shift_div_t(1))
+    return kernel.pow(a) * step_egf(arg, _ONE, trunc)
 
 
-def _one_plus_t(trunc: int) -> EgfSeries:
-    coeffs = [_ONE, _ONE] + [_ZERO] * (trunc - 1)
-    return EgfSeries(coeffs[: trunc + 1]) if trunc >= 1 else EgfSeries([_ONE])
+_bernoulli = partial(_bernoulli_like, _ZERO)
+_type2_bernoulli = partial(_bernoulli_like, -_ONE)
+_euler = partial(_euler_like, _ZERO)
+_type2_euler = partial(_euler_like, -_ONE)
 
 
-def _require_integer(order: Fraction, family: FamilyId) -> int:
-    if order.denominator != 1:
+@dataclass(frozen=True)
+class FamilyInfo:
+    """Catalog entry: output kind, parameter surface, the defining recipe and its builder."""
+
+    kind: str  # "sequence" | "triangle" | "polynomial"
+    order_domain: str  # "rational" | "integer" | "nonneg-integer" | "none"
+    takes_argument: bool
+    degenerate: bool
+    recipe: str
+    build: Callable[..., EgfSeries] | None = None
+
+
+CATALOG: dict[FamilyId, FamilyInfo] = {
+    FamilyId.BERNOULLI_ORDER_R: FamilyInfo(
+        "sequence", "rational", True, False, "(t/(e^t - 1))^r * e^(x*t)", _bernoulli
+    ),
+    FamilyId.EULER: FamilyInfo(
+        "sequence", "none", True, False, "2/(e^t + 1) * e^(x*t)", _euler
+    ),
+    FamilyId.TYPE2_BERNOULLI: FamilyInfo(
+        "sequence", "none", True, False, "t/(e^t - e^(-t)) * e^(x*t)", _type2_bernoulli
+    ),
+    FamilyId.TYPE2_EULER: FamilyInfo(
+        "sequence", "none", True, False, "2/(e^t + e^(-t)) * e^(x*t)", _type2_euler
+    ),
+    FamilyId.STIRLING1: FamilyInfo(
+        "triangle", "nonneg-integer", False, False, "(1/k!) * log(1+t)^k", _log1p
+    ),
+    FamilyId.STIRLING2: FamilyInfo(
+        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^t - 1)^k", _expm1
+    ),
+    FamilyId.CENTRAL_FACTORIAL: FamilyInfo(
+        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^(t/2) - e^(-t/2))^k",
+        _central_difference,
+    ),
+    FamilyId.DAEHEE: FamilyInfo(
+        "sequence", "none", True, False, "(log(1+t)/t) * (1+t)^x", _daehee
+    ),
+    FamilyId.FALLING_FACTORIAL: FamilyInfo(
+        "sequence", "none", True, False, "(1+t)^x  [value n is (x)_n]", _pow1p
+    ),
+    FamilyId.DEG_FALLING_FACTORIAL: FamilyInfo(
+        "sequence", "none", True, True, "e_l^x(t)  [value n is (x)_{n,l}]", _deg_exp
+    ),
+    FamilyId.DEG_EXP: FamilyInfo(
+        "sequence", "none", True, True, "e_l^x(t) = (1 + l*t)^(x/l)", _deg_exp
+    ),
+    FamilyId.DEG_LOG: FamilyInfo(
+        "sequence", "none", False, True, "log_l(1+t) = ((1+t)^l - 1)/l", _deg_log
+    ),
+    FamilyId.DEG_BERNOULLI: FamilyInfo(
+        "sequence", "none", True, True, "t/(e_l(t) - 1) * e_l^x(t)", _bernoulli
+    ),
+    FamilyId.DEG_EULER: FamilyInfo(
+        "sequence", "none", True, True, "2/(e_l(t) + 1) * e_l^x(t)", _euler
+    ),
+    FamilyId.DEG_CENTRAL_FACTORIAL: FamilyInfo(
+        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k",
+        _central_difference,
+    ),
+    FamilyId.DEG_DAEHEE: FamilyInfo(
+        "sequence", "none", True, True, "(log_l(1+t)/t) * (1+t)^x", _daehee
+    ),
+    FamilyId.DEG_BERNOULLI2: FamilyInfo(
+        "sequence", "rational", True, True, "(t/log_l(1+t))^a * (1+t)^x", _bernoulli2
+    ),
+    FamilyId.TYPE2_DEG_BERNOULLI2: FamilyInfo(
+        "sequence", "integer", True, True, "(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x",
+        _type2_bernoulli2,
+    ),
+    FamilyId.TYPE2_DEG_BERNOULLI: FamilyInfo(
+        "sequence", "integer", True, True, "(t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)",
+        _type2_bernoulli,
+    ),
+    FamilyId.DEG_STIRLING1: FamilyInfo(
+        "triangle", "nonneg-integer", False, True, "(1/k!) * log_l(1+t)^k", _log1p
+    ),
+    FamilyId.DEG_STIRLING2: FamilyInfo(
+        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l(t) - 1)^k", _expm1
+    ),
+    FamilyId.CENTRAL_FACTORIAL_POWER: FamilyInfo(
+        "polynomial", "none", False, False, "x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)"
+    ),
+}
+
+TRIANGLE_FAMILIES = frozenset(f for f, info in CATALOG.items() if info.kind == "triangle")
+
+
+def _check_order(family: FamilyId, order: Fraction) -> None:
+    """Reject an order outside the family's domain, before any work starts."""
+    domain = CATALOG[family].order_domain
+    if domain == "none" and order != 1:
+        raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
+    if domain in ("integer", "nonneg-integer") and order.denominator != 1:
         raise UnsupportedOrder(
             f"{family.value} needs an integer order for exact coefficients, got {order}"
         )
-    return order.numerator
+    if domain == "nonneg-integer" and order < 0:
+        raise UnsupportedOrder(
+            f"{family.value} needs a nonnegative column index, got {order.numerator}"
+        )
 
 
-def _require_unit_order(order: Fraction, family: FamilyId) -> None:
-    if order != 1:
-        raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
+def _deformation(family: FamilyId, mode: LambdaMode) -> BiPoly:
+    """The l a recipe receives: the mode's value, or 0 for a classical family."""
+    return mode.to_poly() if CATALOG[family].degenerate else _ZERO
 
 
 # -- EGF dispatch ------------------------------------------------------------
@@ -357,107 +424,13 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 @lru_cache(maxsize=1024)
 def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     fid = spec.family
-    order = spec.order
-    arg = spec.argument.to_poly()
-    lam = spec.lambda_mode.to_poly()
-    N = trunc
-
+    _check_order(fid, spec.order)
+    lam = _deformation(fid, spec.lambda_mode)
+    build = CATALOG[fid].build
     if fid in TRIANGLE_FAMILIES:
-        k = _require_integer(order, fid)
-        if k < 0:
-            raise UnsupportedOrder(f"{fid.value} needs a nonnegative column index, got {k}")
-        kernel = _triangle_kernel(fid, lam, N)
-        return kernel.pow(k).scale(1 / factorial(k))
-
-    if fid in (FamilyId.DEG_EXP, FamilyId.DEG_FALLING_FACTORIAL):
-        _require_unit_order(order, fid)
-        return deg_exp_egf(arg, lam, N)
-
-    if fid is FamilyId.FALLING_FACTORIAL:
-        _require_unit_order(order, fid)
-        return pow1p_egf(arg, N)
-
-    if fid is FamilyId.DEG_LOG:
-        _require_unit_order(order, fid)
-        return deg_log1p_egf(lam, N)
-
-    if fid in (FamilyId.DAEHEE, FamilyId.DEG_DAEHEE):
-        _require_unit_order(order, fid)
-        if fid is FamilyId.DAEHEE:
-            lam = _ZERO
-        kernel = deg_log1p_egf(lam, N + 1).shift_div_t(1)
-        return kernel * pow1p_egf(arg, N)
-
-    if fid is FamilyId.DEG_BERNOULLI2:
-        # (t/log_l(1+t))^a * (1+t)^x; any rational order a is exact because
-        # the normalized kernel has constant term 1.
-        kernel = deg_log1p_egf(lam, N + 1).shift_div_t(1).pow(-order)
-        return kernel * pow1p_egf(arg, N)
-
-    if fid is FamilyId.TYPE2_DEG_BERNOULLI2:
-        # (((1+t) - (1+t)^(-1)) / log_l(1+t))^a * (1+t)^x; the kernel has
-        # constant term 2, so only integer orders stay inside Q[l, x].
-        a = _require_integer(order, fid)
-        numerator = (_one_plus_t(N + 1) - pow1p_egf(-_ONE, N + 1)).shift_div_t(1)
-        kernel = numerator.divide(deg_log1p_egf(lam, N + 1).shift_div_t(1))
-        return kernel.pow(a) * pow1p_egf(arg, N)
-
-    if fid is FamilyId.TYPE2_DEG_BERNOULLI:
-        # (t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t); kernel constant term is 1/2,
-        # so only integer orders stay inside Q[l, x].
-        a = _require_integer(order, fid)
-        diff = deg_exp_egf(_ONE, lam, N + 1) - deg_exp_egf(-_ONE, lam, N + 1)
-        kernel = diff.shift_div_t(1).pow(-a)
-        return kernel * deg_exp_egf(arg, lam, N)
-
-    if fid is FamilyId.TYPE2_BERNOULLI:
-        _require_unit_order(order, fid)
-        diff = deg_exp_egf(_ONE, _ZERO, N + 1) - deg_exp_egf(-_ONE, _ZERO, N + 1)
-        kernel = diff.shift_div_t(1).pow(-1)
-        return kernel * deg_exp_egf(arg, _ZERO, N)
-
-    if fid is FamilyId.BERNOULLI_ORDER_R:
-        kernel = (deg_exp_egf(_ONE, _ZERO, N + 1) - EgfSeries.one(N + 1)).shift_div_t(1)
-        return kernel.pow(-order) * deg_exp_egf(arg, _ZERO, N)
-
-    if fid is FamilyId.DEG_BERNOULLI:
-        _require_unit_order(order, fid)
-        kernel = (deg_exp_egf(_ONE, lam, N + 1) - EgfSeries.one(N + 1)).shift_div_t(1)
-        return kernel.pow(-1) * deg_exp_egf(arg, lam, N)
-
-    if fid in (FamilyId.EULER, FamilyId.DEG_EULER):
-        _require_unit_order(order, fid)
-        if fid is FamilyId.EULER:
-            lam = _ZERO
-        denom = deg_exp_egf(_ONE, lam, N) + EgfSeries.one(N)
-        return deg_exp_egf(arg, lam, N).scale(2).divide(denom)
-
-    if fid is FamilyId.TYPE2_EULER:
-        _require_unit_order(order, fid)
-        denom = deg_exp_egf(_ONE, _ZERO, N) + deg_exp_egf(-_ONE, _ZERO, N)
-        return deg_exp_egf(arg, _ZERO, N).scale(2).divide(denom)
-
-    raise ValueError(f"no EGF recipe for family {fid!r}")
-
-
-def _triangle_kernel(fid: FamilyId, lam: BiPoly, trunc: int) -> EgfSeries:
-    if fid is FamilyId.STIRLING1:
-        return deg_log1p_egf(_ZERO, trunc)
-    if fid is FamilyId.DEG_STIRLING1:
-        return deg_log1p_egf(lam, trunc)
-    if fid is FamilyId.STIRLING2:
-        return deg_exp_egf(_ONE, _ZERO, trunc) - EgfSeries.one(trunc)
-    if fid is FamilyId.DEG_STIRLING2:
-        return deg_exp_egf(_ONE, lam, trunc) - EgfSeries.one(trunc)
-    if fid is FamilyId.CENTRAL_FACTORIAL:
-        return deg_exp_egf(BiPoly.const(_HALF), _ZERO, trunc) - deg_exp_egf(
-            BiPoly.const(-_HALF), _ZERO, trunc
-        )
-    if fid is FamilyId.DEG_CENTRAL_FACTORIAL:
-        return deg_exp_egf(BiPoly.const(_HALF), lam, trunc) - deg_exp_egf(
-            BiPoly.const(-_HALF), lam, trunc
-        )
-    raise ValueError(f"{fid!r} is not a triangle family")
+        k = spec.order.numerator
+        return build(lam, trunc).pow(k).scale(1 / factorial(k))
+    return build(spec.order, spec.argument.to_poly(), lam, trunc)
 
 
 # -- triangle tables ---------------------------------------------------------
@@ -491,7 +464,7 @@ def _triangle_table(
         if cached is not None and cached[0] >= nmax:
             return cached[1]
     size = max(nmax, 8, 2 * cached[0] if cached else 0)
-    kernel = _triangle_kernel(family, mode.to_poly(), size)
+    kernel = CATALOG[family].build(_deformation(family, mode), size)
     table = [[_ZERO] * (size + 1) for _ in range(size + 1)]
     power = EgfSeries.one(size)
     table[0][0] = _ONE
@@ -553,11 +526,11 @@ def deg_bernoulli2_alt_egf(
     argument = argument if argument is not None else Argument()
     lambda_mode = lambda_mode if lambda_mode is not None else LambdaMode()
     half_l = _L * _HALF
-    diff = pow1p_egf(half_l, trunc + 1) - pow1p_egf(-half_l, trunc + 1)
+    diff = step_egf(half_l, _ONE, trunc + 1) - step_egf(-half_l, _ONE, trunc + 1)
     normalized = EgfSeries([c.div_lam() for c in diff.shift_div_t(1).coefficients])
     kernel = normalized.pow(-order)
     exponent = argument.to_poly() - half_l * order
-    series = kernel * pow1p_egf(exponent, trunc)
+    series = kernel * step_egf(exponent, _ONE, trunc)
     if lambda_mode.kind == "numeric":
         return EgfSeries([c.subs_lam(lambda_mode.value) for c in series.coefficients])
     if lambda_mode.kind == "scaled":

@@ -12,7 +12,7 @@ exact in Q[l, x]; no rounding ever occurs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bipoly import BiPoly, factorial
 
@@ -77,11 +77,6 @@ class EgfSeries:
         coeffs[1] = _ONE
         return cls(coeffs)
 
-    @classmethod
-    def constant(cls, value: BiPoly | Fraction | int, order: int) -> "EgfSeries":
-        coeffs: list[BiPoly | Fraction | int] = [value] + [BiPoly.zero()] * order
-        return cls(coeffs)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -123,29 +118,23 @@ class EgfSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _aligned(self, other: "EgfSeries") -> tuple[int, "EgfSeries", "EgfSeries"]:
-        order = min(self.order, other.order)
-        return order, self, other
-
     def __add__(self, other: "EgfSeries") -> "EgfSeries":
-        order, f, g = self._aligned(other)
-        return EgfSeries([f._coeffs[n] + g._coeffs[n] for n in range(order + 1)])
+        return EgfSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
-        order, f, g = self._aligned(other)
-        return EgfSeries([f._coeffs[n] - g._coeffs[n] for n in range(order + 1)])
+        return EgfSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self) -> "EgfSeries":
         return EgfSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
-        order, f, g = self._aligned(other)
+        f, g = self._coeffs, other._coeffs
         out = []
-        for n in range(order + 1):
+        for n in range(min(len(f), len(g))):
             acc = BiPoly.zero()
             for j in range(n + 1):
-                fj = f._coeffs[j]
-                gk = g._coeffs[n - j]
+                fj = f[j]
+                gk = g[n - j]
                 if fj and gk:
                     acc = acc + fj * gk
             out.append(acc)
@@ -154,11 +143,6 @@ class EgfSeries:
     def scale(self, c: BiPoly | Fraction | int) -> "EgfSeries":
         """Multiply every coefficient by a scalar or polynomial."""
         return EgfSeries([coeff * c for coeff in self._coeffs])
-
-    def add_constant(self, c: BiPoly | Fraction | int) -> "EgfSeries":
-        coeffs = list(self._coeffs)
-        coeffs[0] = coeffs[0] + c
-        return EgfSeries(coeffs)
 
     def divide(self, g: "EgfSeries") -> "EgfSeries":
         """Exact division f/g; g must have a nonzero pure-rational constant term."""
@@ -191,16 +175,23 @@ class EgfSeries:
         return EgfSeries(self._coeffs[m:])
 
     def compose(self, inner: "EgfSeries") -> "EgfSeries":
-        """f(inner(t)) by Horner's scheme; the inner constant term must vanish."""
+        """f(inner(t)) by Horner's scheme; the inner constant term must vanish.
+
+        The accumulator after step k is multiplied by inner^k, which is
+        divisible by t^k, so step k only needs order N - k.  With
+        inner = t*h, each step is f_k + t*(h * acc) at one order more.
+        """
         if inner._coeffs[0]:
             raise NonzeroConstantInner(
                 f"inner series has nonzero constant term {inner._coeffs[0]!r}"
             )
         order = min(self.order, inner.order)
-        g = inner.truncate(order)
-        acc = EgfSeries.constant(self._coeffs[order], order)
+        acc = EgfSeries([self._coeffs[order]])
+        if order == 0:
+            return acc
+        h = inner.shift_div_t(1)
         for k in range(order - 1, -1, -1):
-            acc = (acc * g).add_constant(self._coeffs[k])
+            acc = EgfSeries([self._coeffs[k], *(h * acc)._coeffs])
         return acc
 
     def exp(self) -> "EgfSeries":
@@ -240,22 +231,37 @@ class EgfSeries:
     def pow(self, alpha: Fraction | int) -> "EgfSeries":
         """Raise to a rational power.
 
-        Integer exponents use repeated squaring (and one division when
-        negative), which only needs an invertible rational constant term.
-        Fractional exponents use exp(alpha * log f) and require constant
-        term exactly 1.
+        When the constant term f_0 is a nonzero rational, J.C.P. Miller's
+        recurrence (Knuth, TAOCP vol. 2, 4.7) gives every exponent in one pass:
+        g_n = (1/(n f_0)) * sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}.
+        A fractional exponent needs f_0 = 1, so that g_0 = 1 is rational.
+        Any other constant term admits only nonnegative integer exponents,
+        by repeated squaring.
         """
         alpha = Fraction(alpha)
-        if alpha.denominator == 1:
-            n = alpha.numerator
-            if n >= 0:
-                return self._int_pow(n)
-            return EgfSeries.one(self.order).divide(self._int_pow(-n))
-        if self._coeffs[0] != _ONE:
+        f0 = self._coeffs[0].constant()
+        if alpha.denominator != 1 and f0 != 1:
             raise BadConstantTerm(
                 f"fractional power needs constant term 1, got {self._coeffs[0]!r}"
             )
-        return self.log().scale(alpha).exp()
+        if not f0:
+            if alpha < 0:
+                raise DivisionByNonUnit(
+                    f"negative power needs a nonzero rational constant term, "
+                    f"got {self._coeffs[0]!r}"
+                )
+            return self._int_pow(alpha.numerator)
+        # Fraction ** Fraction may return a float, so g_0 is formed from ints.
+        out = [BiPoly.const(f0**alpha.numerator if alpha.denominator == 1 else 1)]
+        f = self._coeffs
+        for n in range(1, self.order + 1):
+            acc = BiPoly.zero()
+            for k in range(1, n + 1):
+                weight = (alpha + 1) * k - n
+                if weight and f[k] and out[n - k]:
+                    acc = acc + f[k] * weight * out[n - k]
+            out.append(acc * (1 / (n * f0)))
+        return EgfSeries(out)
 
     def _int_pow(self, n: int) -> "EgfSeries":
         result = EgfSeries.one(self.order)
@@ -267,13 +273,3 @@ class EgfSeries:
             if n:
                 base = base * base
         return result
-
-
-def from_values(values: Sequence[BiPoly | Fraction | int]) -> EgfSeries:
-    """Build a series from family values v_n, i.e. with coefficients v_n/n!."""
-    coeffs = []
-    for n, v in enumerate(values):
-        if not isinstance(v, BiPoly):
-            v = BiPoly.const(v)
-        coeffs.append(v * (1 / factorial(n)))
-    return EgfSeries(coeffs)

@@ -6,6 +6,7 @@ polynomial identities in Q[l, x] -- the pass condition is an identically
 zero residual, never a tolerance.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -137,11 +138,16 @@ def test_criterion_11_oracle_cross_checks():
     print("criterion 11 PASS: enumeration and recurrence oracles, n <= 12")
 
 
+FULL_SUITE_SHA256 = "699f0ff3a60d78c61ddd966098311c83a2bbefe61f0eec5f3e8ba06d1a0f57c1"
+
+
 def test_criterion_12_full_cli_suite_under_budget(capsys):
     start = time.perf_counter()
     code = cli.run(["verify", "--identity", "all", "--profile", "full"])
     elapsed = time.perf_counter() - start
-    capsys.readouterr()  # swallow the JSON payload
+    payload = capsys.readouterr().out
     assert code == 0
     assert elapsed < 600.0
+    # The full-suite JSON is byte-identical to the recorded output.
+    assert hashlib.sha256(payload.encode()).hexdigest() == FULL_SUITE_SHA256
     print(f"criterion 12 PASS: full suite exits 0 in {elapsed:.1f}s (< 600s)")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly.bipoly import BiPoly, binomial, factorial, rational_str
+from degenpoly.bipoly import BiPoly, binomial, factorial
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -110,14 +110,6 @@ def test_shift_x():
     assert (X * X).shift_x(-1) == X * X - X * 2 + 1
 
 
-def test_shift_lambda():
-    assert (L * L).shift_lam(1) == L * L + L * 2 + 1
-
-
-def test_scale_x():
-    assert (X * X + L).scale_x(3) == X * X * 9 + L
-
-
 def test_subs_x():
     assert (X * X + L * X).subs_x(frac(1, 2)) == BiPoly.const(frac(1, 4)) + L * frac(1, 2)
 
@@ -182,8 +174,3 @@ def test_render_conventions():
     assert (BiPoly.const(1) - L).render() == "1 - l"
     assert (L * 2).render() == "2*l"
     assert (L * L * X * frac(3, 4)).render() == "3/4*l^2*x"
-
-
-def test_rational_str():
-    assert rational_str(frac(3)) == "3"
-    assert rational_str(frac(-1, 2)) == "-1/2"

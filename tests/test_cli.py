@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from degenpoly import cli
 from degenpoly.bipoly import BiPoly
 from degenpoly.identities import Case, IdentityId, VerificationReport
@@ -38,6 +40,7 @@ def test_compute_sequence_json(capsys):
     payload = json.loads(out)
     assert payload["family"] == "deg-exp"
     assert payload["kind"] == "sequence"
+    assert (payload["order"], payload["lambda"], payload["x"]) == ("1", "symbolic", "symbolic")
     # value at n=2 is x^2 - l*x
     assert payload["values"][2]["value"] == [
         {"dl": 0, "dx": 2, "c": "1"},
@@ -97,6 +100,20 @@ def test_verify_single_identity_json(capsys):
     payload = json.loads(out)
     assert payload["identity"] == "thm3"
     assert all(case["status"] == "pass" for case in payload["cases"])
+
+
+def test_single_identity_reports_the_profile_that_chose_its_ranges(capsys):
+    _, out, _ = run_capture(
+        capsys, ["verify", "--identity", "eq23", "--max-n", "2", "--profile", "quick"]
+    )
+    assert json.loads(out)["profile"] == "quick"
+    _, out, _ = run_capture(capsys, ["verify", "--identity", "thm3", "--max-n", "2"])
+    assert json.loads(out)["profile"] == "full"
+    _, out, _ = run_capture(
+        capsys,
+        ["verify", "--identity", "thm3", "--max-n", "2", "--order", "1", "--trunc", "4"],
+    )
+    assert json.loads(out)["profile"] is None
 
 
 def test_verify_minimal_range(capsys):
@@ -208,6 +225,52 @@ def test_unsupported_order_is_usage_error(capsys):
     assert "integer order" in err
 
 
+@pytest.mark.parametrize(
+    "family, order", [("deg-exp", "1"), ("stirling2", "2"), ("central-factorial-power", "1")]
+)
+def test_order_without_order_parameter_is_usage_error(capsys, family, order):
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", family, "--max-n", "3", "--order", order]
+    )
+    assert code == 2
+    assert "--order does not apply" in err
+
+
+@pytest.mark.parametrize("family", ["deg-log", "deg-stirling1", "central-factorial-power"])
+def test_x_without_argument_is_usage_error(capsys, family):
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", family, "--max-n", "3", "--x", "1/2"]
+    )
+    assert code == 2
+    assert "--x does not apply" in err
+
+
+@pytest.mark.parametrize("family", ["euler", "stirling1", "central-factorial-power"])
+def test_lambda_on_classical_family_is_usage_error(capsys, family):
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", family, "--max-n", "3", "--lambda", "symbolic"]
+    )
+    assert code == 2
+    assert "--lambda does not apply" in err
+
+
+@pytest.mark.parametrize("family", ["deg-stirling2", "central-factorial-power"])
+def test_trunc_on_table_family_is_usage_error(capsys, family):
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", family, "--max-n", "3", "--trunc", "5"]
+    )
+    assert code == 2
+    assert "--trunc does not apply" in err
+
+
+def test_order_on_identity_without_order_is_usage_error(capsys):
+    code, _, err = run_capture(
+        capsys, ["verify", "--identity", "eq2", "--max-n", "2", "--order", "9"]
+    )
+    assert code == 2
+    assert "--order does not apply" in err
+
+
 def test_range_flags_rejected_with_all(capsys):
     code, _, _ = run_capture(
         capsys, ["verify", "--identity", "all", "--max-n", "4"]
@@ -218,10 +281,36 @@ def test_range_flags_rejected_with_all(capsys):
 # -- list-families ----------------------------------------------------------------------
 
 
+LIST_FAMILIES_TEXT = """\
+name                       kind        order           arg  recipe
+bernoulli-order-r          sequence    rational        x    (t/(e^t - 1))^r * e^(x*t)
+euler                      sequence    none            x    2/(e^t + 1) * e^(x*t)
+type2-bernoulli            sequence    none            x    t/(e^t - e^(-t)) * e^(x*t)
+type2-euler                sequence    none            x    2/(e^t + e^(-t)) * e^(x*t)
+stirling1                  triangle    nonneg-integer  -    (1/k!) * log(1+t)^k
+stirling2                  triangle    nonneg-integer  -    (1/k!) * (e^t - 1)^k
+central-factorial          triangle    nonneg-integer  -    (1/k!) * (e^(t/2) - e^(-t/2))^k
+daehee                     sequence    none            x    (log(1+t)/t) * (1+t)^x
+falling-factorial          sequence    none            x    (1+t)^x  [value n is (x)_n]
+deg-falling-factorial      sequence    none            x    e_l^x(t)  [value n is (x)_{n,l}]
+deg-exp                    sequence    none            x    e_l^x(t) = (1 + l*t)^(x/l)
+deg-log                    sequence    none            -    log_l(1+t) = ((1+t)^l - 1)/l
+deg-bernoulli              sequence    none            x    t/(e_l(t) - 1) * e_l^x(t)
+deg-euler                  sequence    none            x    2/(e_l(t) + 1) * e_l^x(t)
+deg-central-factorial      triangle    nonneg-integer  -    (1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k
+deg-daehee                 sequence    none            x    (log_l(1+t)/t) * (1+t)^x
+deg-bernoulli2             sequence    rational        x    (t/log_l(1+t))^a * (1+t)^x
+type2-deg-bernoulli2       sequence    integer         x    (((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x
+type2-deg-bernoulli        sequence    integer         x    (t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)
+deg-stirling1              triangle    nonneg-integer  -    (1/k!) * log_l(1+t)^k
+deg-stirling2              triangle    nonneg-integer  -    (1/k!) * (e_l(t) - 1)^k
+central-factorial-power    polynomial  none            -    x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)
+"""
+
+
 def test_list_families_output(capsys):
     code, out, _ = run_capture(capsys, ["list-families"])
     assert code == 0
-    assert "deg-stirling2" in out
-    assert "(1/k!) * (e_l(t) - 1)^k" in out
+    assert out == LIST_FAMILIES_TEXT
     _, second, _ = run_capture(capsys, ["list-families"])
     assert out == second

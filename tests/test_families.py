@@ -11,6 +11,7 @@ from degenpoly.families import (
     Argument,
     FamilyId,
     FamilySpec,
+    TRIANGLE_FAMILIES,
     LambdaMode,
     UnsupportedOrder,
     build_egf,
@@ -18,10 +19,9 @@ from degenpoly.families import (
     classical_value,
     deg_bernoulli2_alt_egf,
     deg_falling_factorial,
-    deg_log1p_egf,
     falling_factorial,
     list_families,
-    pow1p_egf,
+    step_egf,
     triangular_numbers,
 )
 
@@ -174,6 +174,16 @@ def test_triangle_normalization():
         assert triangular_numbers(family, 3, -1) == BiPoly.zero()
 
 
+def test_triangle_column_series_matches_table():
+    # build_egf raises the kernel to the k-th power; the table multiplies
+    # the kernel in one column at a time.
+    for family in sorted(TRIANGLE_FAMILIES, key=lambda f: f.value):
+        for k in range(5):
+            column = build_egf(FamilySpec(family, Fraction(k)), 8)
+            for n in range(9):
+                assert column.value(n) == triangular_numbers(family, n, k), (family, n, k)
+
+
 def test_triangle_requires_triangle_family():
     with pytest.raises(ValueError):
         triangular_numbers(FamilyId.EULER, 2, 1)
@@ -262,8 +272,9 @@ def test_classical_value_equals_lambda_zero_build():
 def test_binomial_power_equals_exp_log_route():
     # Closed product form of (1+t)^c against exp(c * log(1+t)).
     exponent = X - L * Fraction(1, 2)
-    direct = pow1p_egf(exponent, 10)
-    via_exp = deg_log1p_egf(BiPoly.zero(), 10).scale(exponent).exp()
+    direct = step_egf(exponent, BiPoly.const(1), 10)
+    log1p = step_egf(BiPoly.const(-1), BiPoly.const(1), 10, lag=1)
+    via_exp = log1p.scale(exponent).exp()
     assert direct == via_exp
 
 

@@ -171,6 +171,28 @@ def test_compose_rejects_nonzero_inner_constant():
         EgfSeries([1, 1]).compose(EgfSeries([1, 1]))
 
 
+def test_compose_with_unequal_orders():
+    # Oracle: sum_k f_k g^k by repeated multiplication, at the smaller order.
+    def naive(f, g):
+        order = min(f.order, g.order)
+        acc = EgfSeries.zero(order)
+        power = EgfSeries.one(order)
+        for c in f.coefficients[: order + 1]:
+            acc = acc + power.scale(c)
+            power = power * g
+        return acc
+
+    long_inner = EgfSeries([0, 1, L, X, 2, Fraction(1, 3), L * X])
+    short_inner = EgfSeries([0, X, 1, L])
+    outer = EgfSeries([1, 2, L, Fraction(-1, 2), X, 3, 1])
+    short_outer = outer.truncate(2)
+    for f, g in ((outer, short_inner), (short_outer, long_inner), (outer, long_inner)):
+        result = f.compose(g)
+        assert result.order == min(f.order, g.order)
+        assert result == naive(f, g)
+    assert EgfSeries([5]).compose(long_inner) == EgfSeries([5])
+
+
 @settings(max_examples=20)
 @given(series_of(BiPoly.const(1)), series_of(BiPoly.zero()), series_of(BiPoly.zero()))
 def test_compose_associativity(f, g, h):
@@ -230,6 +252,40 @@ def test_integer_pow_matches_repeated_multiplication(f, k):
 def test_fractional_pow_needs_unit_constant():
     with pytest.raises(BadConstantTerm):
         EgfSeries([2, 1, 0]).pow(Fraction(1, 2))
+    with pytest.raises(BadConstantTerm):
+        EgfSeries([L, 1, 0]).pow(Fraction(-1, 2))
+    with pytest.raises(BadConstantTerm):
+        EgfSeries([0, 1, 0]).pow(Fraction(3, 2))
+
+
+def test_negative_pow_needs_rational_unit():
+    with pytest.raises(DivisionByNonUnit):
+        EgfSeries([0, 1, 0]).pow(-1)
+    with pytest.raises(DivisionByNonUnit):
+        EgfSeries([L, 1, 0]).pow(-2)
+
+
+def test_pow_without_rational_unit():
+    # A zero or symbolic constant term still admits nonnegative integer powers.
+    for f in (EgfSeries([0, 1, L, 0, X]), EgfSeries([L, 1, 0, X])):
+        assert f.pow(0) == EgfSeries.one(f.order)
+        assert f.pow(3) == f * f * f
+
+
+def test_pow_constant_term_stays_rational():
+    assert EgfSeries([2, 1, 0]).pow(-1) == EgfSeries.one(2).divide(EgfSeries([2, 1, 0]))
+    assert EgfSeries([2, 1]).pow(-3).coefficient(0) == BiPoly.const(Fraction(1, 8))
+    root = EgfSeries([1, L, X]).pow(Fraction(-1, 2))
+    assert isinstance(root.coefficient(0).constant(), Fraction)
+
+
+@settings(max_examples=30)
+@given(
+    series_of(BiPoly.const(1)),
+    st.sampled_from([-3, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]),
+)
+def test_pow_matches_exp_log_route(f, alpha):
+    assert f.pow(alpha) == f.log().scale(alpha).exp()
 
 
 # -- extraction and truncation -------------------------------------------------------
