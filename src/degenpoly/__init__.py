@@ -26,8 +26,6 @@ from .families import (
     central_factorial_power,
     classical_value,
     deg_bernoulli2_alt_egf,
-    deg_falling_factorial,
-    falling_factorial,
     list_families,
     triangular_numbers,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "UnsupportedOrder",
     "build_egf",
     "triangular_numbers",
-    "falling_factorial",
-    "deg_falling_factorial",
     "central_factorial_power",
     "classical_value",
     "deg_bernoulli2_alt_egf",

@@ -210,18 +210,6 @@ class BiPoly:
             out[key] = out.get(key, _ZERO) + coeff * c**dx
         return BiPoly._raw({key: v for key, v in out.items() if v})
 
-    def shift_x(self, c: Scalar) -> "BiPoly":
-        """Substitute x -> x + c (exact)."""
-        c = Fraction(c)
-        if not c:
-            return self
-        out: dict[Term, Fraction] = {}
-        for (dl, dx), coeff in self._terms.items():
-            for j in range(dx + 1):
-                key = (dl, j)
-                out[key] = out.get(key, _ZERO) + coeff * binomial(dx, j) * c ** (dx - j)
-        return BiPoly._raw({key: v for key, v in out.items() if v})
-
     def subs_x_poly(self, q: "BiPoly") -> "BiPoly":
         """Substitute x -> q for an arbitrary polynomial q, by Horner's scheme."""
         if not self._terms:

@@ -41,6 +41,11 @@ from .identities import (
 )
 
 
+#: Largest accepted --max-n and --trunc: twice the largest triangle table
+#: (32 rows) that the tests and the benchmark build.
+SIZE_LIMIT = 64
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -238,10 +243,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compute":
-        if args.max_n < 0:
-            parser.error("--max-n must be nonnegative")
-        if args.trunc is not None and args.trunc < args.max_n:
-            parser.error(f"--trunc {args.trunc} is below --max-n {args.max_n}")
+        _check_sizes(parser, args.max_n, args.trunc)
         info = CATALOG[FamilyId(args.family)]
         sequence = info.kind == "sequence"
         for flag, value, honoured in (
@@ -288,10 +290,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     max_n = args.max_n if args.max_n is not None else d_max_n
     order = args.order if args.order is not None else d_order
     trunc = args.trunc if args.trunc is not None else max(d_trunc, max_n)
-    if max_n < 0:
-        parser.error("--max-n must be nonnegative")
-    if trunc < max_n:
-        parser.error(f"--trunc {trunc} is below --max-n {max_n}")
+    _check_sizes(parser, max_n, trunc)
     from_profile = (
         args.max_n is None or args.trunc is None or (args.order is None and d_order is not None)
     )
@@ -304,6 +303,17 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 2
     _emit(args.output, _render_reports([report], args.format, None, args.timings))
     return 0 if report.all_pass else 1
+
+
+def _check_sizes(parser: argparse.ArgumentParser, max_n: int, trunc: int | None) -> None:
+    """Reject a size range before any work starts."""
+    if max_n < 0:
+        parser.error("--max-n must be nonnegative")
+    if trunc is not None and trunc < max_n:
+        parser.error(f"--trunc {trunc} is below --max-n {max_n}")
+    for flag, value in (("--max-n", max_n), ("--trunc", trunc)):
+        if value is not None and value > SIZE_LIMIT:
+            parser.error(f"{flag} {value} is above the limit {SIZE_LIMIT}")
 
 
 def _emit(path: str | None, text: str) -> None:

@@ -20,7 +20,6 @@ the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -99,15 +98,6 @@ class Argument:
             return BiPoly.const(self.value)
         return _X + self.value
 
-    def label(self) -> str:
-        if self.kind == "symbolic":
-            return "x"
-        if self.kind == "numeric":
-            return str(self.value)
-        if self.value < 0:
-            return f"x-{-self.value}"
-        return f"x+{self.value}"
-
 
 @dataclass(frozen=True)
 class LambdaMode:
@@ -139,13 +129,6 @@ class LambdaMode:
         if self.kind == "numeric":
             return BiPoly.const(self.value)
         return _L * self.value
-
-    def label(self) -> str:
-        if self.kind == "symbolic":
-            return "symbolic"
-        if self.kind == "numeric":
-            return str(self.value)
-        return f"{self.value}*l"
 
 
 @dataclass(frozen=True)
@@ -181,24 +164,6 @@ def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     return EgfSeries(
         [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
     )
-
-
-def falling_factorial(n: int, arg: BiPoly | Fraction | int) -> BiPoly:
-    """The classical falling factorial (arg)_n = arg*(arg-1)*...*(arg-n+1)."""
-    if not isinstance(arg, BiPoly):
-        arg = BiPoly.const(arg)
-    return _step_products(arg, _ONE, n)[n]
-
-
-def deg_falling_factorial(
-    n: int, arg: BiPoly | Fraction | int, lam: BiPoly | Fraction | int = _L
-) -> BiPoly:
-    """The degenerate falling factorial (arg)_{n,lam} with step lam instead of 1."""
-    if not isinstance(arg, BiPoly):
-        arg = BiPoly.const(arg)
-    if not isinstance(lam, BiPoly):
-        lam = BiPoly.const(lam)
-    return _step_products(arg, lam, n)[n]
 
 
 def central_factorial_power(n: int) -> BiPoly:
@@ -425,18 +390,18 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     fid = spec.family
     _check_order(fid, spec.order)
-    lam = _deformation(fid, spec.lambda_mode)
-    build = CATALOG[fid].build
     if fid in TRIANGLE_FAMILIES:
+        # Column k of the triangle: value n is T(n, k), zero above the diagonal.
         k = spec.order.numerator
-        return build(lam, trunc).pow(k).scale(1 / factorial(k))
-    return build(spec.order, spec.argument.to_poly(), lam, trunc)
+        table = _triangle_table(fid, spec.lambda_mode, _table_size(trunc))
+        return EgfSeries(
+            [table[n][k] * (1 / factorial(n)) if k <= n else _ZERO for n in range(trunc + 1)]
+        )
+    lam = _deformation(fid, spec.lambda_mode)
+    return CATALOG[fid].build(spec.order, spec.argument.to_poly(), lam, trunc)
 
 
 # -- triangle tables ---------------------------------------------------------
-
-_triangle_cache: dict[tuple[FamilyId, LambdaMode], tuple[int, list[list[BiPoly]]]] = {}
-_triangle_lock = threading.Lock()
 
 
 def triangular_numbers(
@@ -445,97 +410,70 @@ def triangular_numbers(
     """Entry (n, k) of a connection-coefficient triangle.
 
     Outside the triangle 0 <= k <= n the value is the zero polynomial.
-    Tables are memoized per (family, lambda mode) and grown on demand;
-    cached values are immutable and safe to share across threads.
+    Entries come from the smallest memoized table of 8, 16, 32, ... rows
+    that holds row n; the tables are immutable and safe to share across
+    threads.
     """
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
     if n < 0 or k < 0 or k > n:
         return _ZERO
-    return _triangle_table(family, lambda_mode, n)[n][k]
+    return _triangle_table(family, lambda_mode, _table_size(n))[n][k]
 
 
+def _table_size(n: int) -> int:
+    """The smallest of 8, 16, 32, ... that is at least n."""
+    size = 8
+    while size < n:
+        size *= 2
+    return size
+
+
+@lru_cache(maxsize=64)
 def _triangle_table(
-    family: FamilyId, mode: LambdaMode, nmax: int
-) -> list[list[BiPoly]]:
-    key = (family, mode)
-    with _triangle_lock:
-        cached = _triangle_cache.get(key)
-        if cached is not None and cached[0] >= nmax:
-            return cached[1]
-    size = max(nmax, 8, 2 * cached[0] if cached else 0)
+    family: FamilyId, mode: LambdaMode, size: int
+) -> tuple[tuple[BiPoly, ...], ...]:
+    """Rows 0..size of a triangle: column k is kernel^k / k!, one kernel product per column."""
     kernel = CATALOG[family].build(_deformation(family, mode), size)
-    table = [[_ZERO] * (size + 1) for _ in range(size + 1)]
+    rows = [[_ZERO] * (size + 1) for _ in range(size + 1)]
+    rows[0][0] = _ONE
     power = EgfSeries.one(size)
-    table[0][0] = _ONE
     for k in range(1, size + 1):
         power = (power * kernel).scale(Fraction(1, k))
         for n in range(k, size + 1):
-            table[n][k] = power.value(n)
-    with _triangle_lock:
-        existing = _triangle_cache.get(key)
-        if existing is None or existing[0] < size:
-            _triangle_cache[key] = (size, table)
-        else:
-            table = existing[1]
-    return table
+            rows[n][k] = power.value(n)
+    return tuple(map(tuple, rows))
 
 
 def clear_caches() -> None:
     """Drop all memoized tables and series (mainly for tests)."""
-    with _triangle_lock:
-        _triangle_cache.clear()
+    _triangle_table.cache_clear()
     _build_egf_cached.cache_clear()
 
 
 # -- classical values and the alternative second-kind route ------------------
 
 
-def classical_value(
-    family: FamilyId,
-    n: int,
-    argument: Argument | None = None,
-    order: Fraction | int = 1,
-) -> BiPoly:
-    """The classical (deformation switched off) family value at index n."""
-    spec = FamilySpec(
-        family,
-        Fraction(order),
-        argument if argument is not None else Argument(),
-        LambdaMode.numeric(0),
-    )
+def classical_value(family: FamilyId, n: int, order: Fraction | int = 1) -> BiPoly:
+    """The classical (deformation switched off) family value at index n, symbolic x."""
+    spec = FamilySpec(family, Fraction(order), Argument(), LambdaMode.numeric(0))
     return build_egf(spec, n).value(n)
 
 
-def deg_bernoulli2_alt_egf(
-    order: Fraction | int,
-    argument: Argument | None = None,
-    lambda_mode: LambdaMode | None = None,
-    trunc: int = 16,
-) -> EgfSeries:
+def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int = 16) -> EgfSeries:
     """Alternative route to the order-a degenerate Bernoulli polynomials of
-    the second kind:
+    the second kind, at symbolic l and x:
 
         (l*t / ((1+t)^(l/2) - (1+t)^(-l/2)))^a * (1+t)^(x - l*a/2)
 
     The denominator's coefficients are odd polynomials in ``l``, so dividing
-    by ``l*t`` is exact polynomial division.  The series is built at symbolic
-    ``l`` and the lambda mode is substituted coefficient-wise afterwards.
+    by ``l*t`` is exact polynomial division.
     """
     order = Fraction(order)
-    argument = argument if argument is not None else Argument()
-    lambda_mode = lambda_mode if lambda_mode is not None else LambdaMode()
     half_l = _L * _HALF
     diff = step_egf(half_l, _ONE, trunc + 1) - step_egf(-half_l, _ONE, trunc + 1)
     normalized = EgfSeries([c.div_lam() for c in diff.shift_div_t(1).coefficients])
-    kernel = normalized.pow(-order)
-    exponent = argument.to_poly() - half_l * order
-    series = kernel * step_egf(exponent, _ONE, trunc)
-    if lambda_mode.kind == "numeric":
-        return EgfSeries([c.subs_lam(lambda_mode.value) for c in series.coefficients])
-    if lambda_mode.kind == "scaled":
-        return EgfSeries([c.scale_lam(lambda_mode.value) for c in series.coefficients])
-    return series
+    return normalized.pow(-order) * step_egf(_X - half_l * order, _ONE, trunc)
 
 
 def list_families() -> list[dict[str, str]]:

@@ -26,8 +26,7 @@ from .families import (
     central_factorial_power,
     classical_value,
     deg_bernoulli2_alt_egf,
-    deg_falling_factorial,
-    falling_factorial,
+    step_egf,
     triangular_numbers,
 )
 from enum import Enum
@@ -209,7 +208,7 @@ def _check_eq25(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     number_values = _series(
         FamilyId.TYPE2_DEG_BERNOULLI2, trunc, argument=Argument.numeric(0)
     )
-    ff = [falling_factorial(n, _X) for n in range(max_n + 1)]
+    ff = step_egf(_X, _ONE, max_n).values()
     cases = []
     for n in range(max_n + 1):
         rhs = BiPoly.zero()
@@ -226,6 +225,7 @@ def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     cases = []
     for k in range(1, (max_order or 1) + 1):
         bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
+        ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
         for n in range(max_n + 1):
             lhs = BiPoly.zero()
             for m in range(n + 1):
@@ -235,7 +235,7 @@ def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
                 weight = binomial(n, m) * _TWO ** (m + k) / binomial(m + k, k)
                 rhs = rhs + (
                     triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, half)
-                    * deg_falling_factorial(n - m, _X - k)
+                    * ff[n - m]
                     * weight
                 )
             cases.append(Case({"n": n, "k": k}, lhs - rhs))
@@ -286,6 +286,7 @@ def _check_thm4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
         b_k = _series(
             FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0)
         )
+        ff = step_egf(BiPoly.const(Fraction(k, 2)), _ONE, max_n).values()  # (k/2)_j
         for n in range(k, max_n + 1):
             lhs = BiPoly.zero()
             for m in range(k, n + 1):
@@ -295,7 +296,7 @@ def _check_thm4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
                         triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k)
                         * triangular_numbers(FamilyId.DEG_STIRLING1, m, j)
                     )
-                lhs = lhs + inner * falling_factorial(n - m, Fraction(k, 2)) * binomial(n, m)
+                lhs = lhs + inner * ff[n - m] * binomial(n, m)
             rhs = BiPoly.zero()
             for m in range(k, n + 1):
                 rhs = rhs + (
@@ -378,8 +379,8 @@ def _check_b_second_kind(max_n: int, max_order: int | None, trunc: int) -> list[
     return cases
 
 
-#: Classical-limit catalog: (family, extra index, degenerate spec, classical spec).
-def _limit_pairs(trunc: int) -> list[tuple[dict[str, object], FamilySpec, FamilySpec]]:
+def _limit_pairs() -> list[tuple[dict[str, object], FamilySpec, FamilySpec]]:
+    """The classical-limit catalog: (case indices, degenerate spec, classical spec)."""
     lam0 = LambdaMode.numeric(0)
     pairs: list[tuple[dict[str, object], FamilySpec, FamilySpec]] = []
 
@@ -412,7 +413,7 @@ def _check_limits(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # Substituting l = 0 in each degenerate family reproduces its classical
     # counterpart -- the assertable form of every classical-limit statement.
     cases = []
-    for extra, deg_spec, classical_spec in _limit_pairs(trunc):
+    for extra, deg_spec, classical_spec in _limit_pairs():
         deg_values = build_egf(deg_spec, trunc).values()
         classical_values = build_egf(classical_spec, trunc).values()
         for n in range(max_n + 1):
@@ -475,34 +476,29 @@ def _check_compositional_inverse(max_n: int, max_order: int | None, trunc: int) 
 @dataclass(frozen=True)
 class _Entry:
     checker: Callable[[int, int | None, int], list[Case]]
-    uses_order: bool
     quick: tuple[int, int | None, int]  # (max_n, max_order, trunc)
-    full: tuple[int, int | None, int]
+    full: tuple[int, int | None, int]  # max_order is None iff the identity has no order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
-    IdentityId.EQ2: _Entry(_check_eq2, False, (8, None, 12), (20, None, 20)),
-    IdentityId.EQ4: _Entry(_check_eq4, False, (8, None, 12), (20, None, 20)),
-    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, False, (8, None, 12), (10, None, 16)),
-    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, False, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ21: _Entry(_check_eq21, True, (8, 3, 12), (12, 4, 16)),
-    IdentityId.EQ23: _Entry(_check_eq23, False, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ25: _Entry(_check_eq25, False, (8, None, 12), (12, None, 16)),
-    IdentityId.THM2: _Entry(_check_thm2, True, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM2_COROLLARY: _Entry(
-        _check_thm2_corollary, True, (8, 3, 12), (12, 4, 16)
-    ),
-    IdentityId.THM3: _Entry(_check_thm3, True, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM4: _Entry(_check_thm4, True, (8, 3, 12), (12, 6, 16)),
-    IdentityId.B_SECOND_KIND_RELATION: _Entry(
-        _check_b_second_kind, True, (8, 3, 12), (10, 5, 16)
-    ),
-    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, False, (8, None, 12), (12, None, 16)),
+    IdentityId.EQ2: _Entry(_check_eq2, (8, None, 12), (20, None, 20)),
+    IdentityId.EQ4: _Entry(_check_eq4, (8, None, 12), (20, None, 20)),
+    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (8, None, 12), (10, None, 16)),
+    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (8, None, 12), (12, None, 16)),
+    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16)),
+    IdentityId.EQ23: _Entry(_check_eq23, (8, None, 12), (12, None, 16)),
+    IdentityId.EQ25: _Entry(_check_eq25, (8, None, 12), (12, None, 16)),
+    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16)),
+    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16)),
+    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16)),
+    IdentityId.THM4: _Entry(_check_thm4, (8, 3, 12), (12, 6, 16)),
+    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16)),
+    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (8, None, 12), (12, None, 16)),
     IdentityId.STIRLING_INVERSION: _Entry(
-        _check_stirling_inversion, False, (8, None, 12), (12, None, 16)
+        _check_stirling_inversion, (8, None, 12), (12, None, 16)
     ),
     IdentityId.COMPOSITIONAL_INVERSE: _Entry(
-        _check_compositional_inverse, False, (8, None, 12), (16, None, 16)
+        _check_compositional_inverse, (8, None, 12), (16, None, 16)
     ),
 }
 
@@ -540,11 +536,12 @@ def verify(
     """Verify one identity over inclusive index ranges, returning exact residuals."""
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
+    uses_order = entry.full[1] is not None
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if trunc < max_n:
         raise ValueError(f"truncation order {trunc} is below max_n {max_n}")
-    if entry.uses_order:
+    if uses_order:
         if max_order is None:
             max_order = entry.full[1]
         if max_order is None or max_order < 0:
@@ -555,7 +552,7 @@ def verify(
     return VerificationReport(
         identity=identity,
         max_n=max_n,
-        max_order=max_order if entry.uses_order else None,
+        max_order=max_order if uses_order else None,
         trunc=trunc,
         profile=profile,
         cases=tuple(cases),

@@ -229,14 +229,12 @@ class EgfSeries:
         return EgfSeries(out)
 
     def pow(self, alpha: Fraction | int) -> "EgfSeries":
-        """Raise to a rational power.
-
-        When the constant term f_0 is a nonzero rational, J.C.P. Miller's
-        recurrence (Knuth, TAOCP vol. 2, 4.7) gives every exponent in one pass:
+        """Raise to a rational power by J.C.P. Miller's recurrence (Knuth,
+        TAOCP vol. 2, 4.7), one pass for every exponent:
         g_n = (1/(n f_0)) * sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}.
-        A fractional exponent needs f_0 = 1, so that g_0 = 1 is rational.
-        Any other constant term admits only nonnegative integer exponents,
-        by repeated squaring.
+
+        The constant term f_0 must be a nonzero rational, and 1 for a
+        fractional exponent, so that g_0 is rational.
         """
         alpha = Fraction(alpha)
         f0 = self._coeffs[0].constant()
@@ -245,12 +243,11 @@ class EgfSeries:
                 f"fractional power needs constant term 1, got {self._coeffs[0]!r}"
             )
         if not f0:
-            if alpha < 0:
-                raise DivisionByNonUnit(
-                    f"negative power needs a nonzero rational constant term, "
-                    f"got {self._coeffs[0]!r}"
-                )
-            return self._int_pow(alpha.numerator)
+            raise DivisionByNonUnit(
+                f"power needs a nonzero rational constant term, got {self._coeffs[0]!r}"
+            )
+        if alpha == 1:
+            return self
         # Fraction ** Fraction may return a float, so g_0 is formed from ints.
         out = [BiPoly.const(f0**alpha.numerator if alpha.denominator == 1 else 1)]
         f = self._coeffs
@@ -262,14 +259,3 @@ class EgfSeries:
                     acc = acc + f[k] * weight * out[n - k]
             out.append(acc * (1 / (n * f0)))
         return EgfSeries(out)
-
-    def _int_pow(self, n: int) -> "EgfSeries":
-        result = EgfSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result

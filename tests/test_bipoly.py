@@ -106,10 +106,6 @@ def test_subs_lambda_at_zero():
     assert (X * X - L * X).subs_lam(0) == X * X
 
 
-def test_shift_x():
-    assert (X * X).shift_x(-1) == X * X - X * 2 + 1
-
-
 def test_subs_x():
     assert (X * X + L * X).subs_x(frac(1, 2)) == BiPoly.const(frac(1, 4)) + L * frac(1, 2)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from degenpoly import cli
+from degenpoly import cli, families
 from degenpoly.bipoly import BiPoly
 from degenpoly.identities import Case, IdentityId, VerificationReport
 
@@ -269,6 +269,41 @@ def test_order_on_identity_without_order_is_usage_error(capsys):
     )
     assert code == 2
     assert "--order does not apply" in err
+
+
+def test_max_n_above_size_limit_is_usage_error(capsys):
+    families.clear_caches()
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", "deg-stirling2", "--max-n", str(cli.SIZE_LIMIT + 1)]
+    )
+    assert code == 2
+    assert "--max-n 65 is above the limit 64" in err
+    assert families._triangle_table.cache_info().misses == 0  # rejected before any work
+    code, _, err = run_capture(
+        capsys, ["verify", "--identity", "eq23", "--max-n", str(cli.SIZE_LIMIT + 1)]
+    )
+    assert code == 2
+    assert "--max-n 65 is above the limit" in err
+    # The limit itself is accepted.
+    code, out, _ = run_capture(
+        capsys,
+        ["compute", "--family", "falling-factorial", "--max-n", "64", "--x", "1"],
+    )
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 65
+
+
+def test_trunc_above_size_limit_is_usage_error(capsys):
+    code, _, err = run_capture(
+        capsys, ["compute", "--family", "deg-exp", "--max-n", "2", "--trunc", "65"]
+    )
+    assert code == 2
+    assert "--trunc 65 is above the limit 64" in err
+    code, _, err = run_capture(
+        capsys, ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "65"]
+    )
+    assert code == 2
+    assert "--trunc 65 is above the limit 64" in err
 
 
 def test_range_flags_rejected_with_all(capsys):

@@ -6,27 +6,29 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import cli
 from degenpoly.bipoly import BiPoly, binomial, factorial
 from degenpoly.families import (
     Argument,
     FamilyId,
     FamilySpec,
-    TRIANGLE_FAMILIES,
     LambdaMode,
     UnsupportedOrder,
+    _triangle_table,
     build_egf,
     central_factorial_power,
     classical_value,
+    clear_caches,
     deg_bernoulli2_alt_egf,
-    deg_falling_factorial,
-    falling_factorial,
     list_families,
     step_egf,
     triangular_numbers,
 )
+from degenpoly.series import EgfSeries
 
 L = BiPoly.lam()
 X = BiPoly.x()
+ONE = BiPoly.const(1)
 SYM = Argument.symbolic()
 AT0 = Argument.numeric(0)
 
@@ -90,7 +92,7 @@ def test_deg_log_values():
 def test_deg_exp_symbolic_values():
     vals = values(FamilyId.DEG_EXP, 3)
     assert vals[2] == X * X - L * X
-    assert vals[3] == deg_falling_factorial(3, X)
+    assert vals[3] == X * (X - L) * (X - L * 2)
 
 
 def test_deg_exp_exponent_additivity():
@@ -174,14 +176,94 @@ def test_triangle_normalization():
         assert triangular_numbers(family, 3, -1) == BiPoly.zero()
 
 
-def test_triangle_column_series_matches_table():
-    # build_egf raises the kernel to the k-th power; the table multiplies
-    # the kernel in one column at a time.
-    for family in sorted(TRIANGLE_FAMILIES, key=lambda f: f.value):
-        for k in range(5):
-            column = build_egf(FamilySpec(family, Fraction(k)), 8)
-            for n in range(9):
-                assert column.value(n) == triangular_numbers(family, n, k), (family, n, k)
+def triangle_by_recurrence(nmax, weight):
+    # T(n+1, k) = T(n, k-1) + weight(n, k) * T(n, k), with T(0, 0) = 1.
+    table = [[BiPoly.zero()] * (nmax + 1) for _ in range(nmax + 1)]
+    table[0][0] = ONE
+    for n in range(nmax):
+        for k in range(n + 2):
+            above = table[n][k - 1] if k >= 1 else BiPoly.zero()
+            table[n + 1][k] = above + weight(n, k) * table[n][k]
+    return table
+
+
+@pytest.mark.parametrize(
+    "family, weight",
+    [
+        (FamilyId.DEG_STIRLING2, lambda n, k: L * -n + k),
+        (FamilyId.DEG_STIRLING1, lambda n, k: L * k - n),
+    ],
+)
+def test_degenerate_stirling_recurrences(family, weight):
+    # S2_l(n+1,k) = S2_l(n,k-1) + (k - n*l) S2_l(n,k)
+    # S1_l(n+1,k) = S1_l(n,k-1) + (k*l - n) S1_l(n,k)
+    table = triangle_by_recurrence(12, weight)
+    for n in range(13):
+        for k in range(n + 1):
+            assert triangular_numbers(family, n, k) == table[n][k], (n, k)
+
+
+def test_degenerate_central_factorial_expands_degenerate_falling_factorial():
+    # (x)_{n,l} = sum_k T_l(n,k) x^[k], with x^[k] = x (x + k/2 - 1) ... (x - k/2 + 1).
+    def central_power(k):
+        acc = X if k else ONE
+        for j in range(1, k):
+            acc = acc * (X + Fraction(k, 2) - j)
+        return acc
+
+    falling = ONE
+    for n in range(11):
+        acc = BiPoly.zero()
+        for k in range(n + 1):
+            t = triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, n, k)
+            acc = acc + t * central_power(k)
+        assert acc == falling, n
+        falling = falling * (X - L * n)
+
+
+def test_central_factorial_recurrence():
+    # T(n+2,k) = T(n,k-2) + (k/2)^2 T(n,k), from rows T(0,.) and T(1,.).
+    nmax = 12
+    table = [[Fraction(0)] * (nmax + 1) for _ in range(nmax + 1)]
+    table[0][0] = table[1][1] = Fraction(1)
+    for n in range(nmax - 1):
+        for k in range(n + 3):
+            below = table[n][k - 2] if k >= 2 else Fraction(0)
+            table[n + 2][k] = below + Fraction(k, 2) ** 2 * table[n][k]
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            expected = BiPoly.const(table[n][k])
+            assert triangular_numbers(FamilyId.CENTRAL_FACTORIAL, n, k) == expected, (n, k)
+
+
+def test_triangle_column_edge_cases():
+    # A column beyond the truncation order is the zero series.
+    assert build_egf(FamilySpec(FamilyId.DEG_STIRLING2, Fraction(5)), 3) == EgfSeries.zero(3)
+    # A numeric-l column holds the substituted symbolic entries, zero above the diagonal.
+    third = Fraction(1, 3)
+    for family in (FamilyId.DEG_STIRLING1, FamilyId.DEG_CENTRAL_FACTORIAL):
+        spec = FamilySpec(family, Fraction(3), lambda_mode=LambdaMode.numeric(third))
+        column = build_egf(spec, 12)
+        for n in range(13):
+            expected = triangular_numbers(family, n, 3).subs_lam(third)
+            assert column.value(n) == expected, (family, n)
+
+
+def test_triangle_tables_come_in_size_classes(capsys):
+    # Rows 0-8, 9-16 and 17-24 come from the 8-, 16- and 32-row tables.
+    clear_caches()
+    assert cli.run(["compute", "--family", "deg-stirling2", "--max-n", "24"]) == 0
+    capsys.readouterr()
+    assert _triangle_table.cache_info().misses == 3
+
+
+def test_triangle_table_cache_is_bounded():
+    clear_caches()
+    for j in range(1, 101):
+        triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, LambdaMode.numeric(Fraction(j, 101)))
+    info = _triangle_table.cache_info()
+    assert info.misses == 100
+    assert info.currsize <= info.maxsize
 
 
 def test_triangle_requires_triangle_family():
@@ -215,15 +297,16 @@ def test_triangle_table_thread_safety_smoke():
 
 
 def test_classical_falling_factorial():
-    assert falling_factorial(3, X) == X**3 - X * X * 3 + X * 2
-    assert falling_factorial(2, Fraction(3, 2)) == BiPoly.const(Fraction(3, 4))
-    assert falling_factorial(0, X) == BiPoly.const(1)
+    falling = step_egf(X, ONE, 3).values()
+    assert falling[3] == X**3 - X * X * 3 + X * 2
+    assert falling[0] == ONE
+    assert step_egf(BiPoly.const(Fraction(3, 2)), ONE, 2).value(2) == BiPoly.const(Fraction(3, 4))
 
 
 def test_degenerate_falling_factorial_collapses_at_lambda_zero():
-    assert deg_falling_factorial(2, X).subs_lam(0) == X * X
+    assert step_egf(X, L, 2).value(2).subs_lam(0) == X * X
     # Step 1 recovers the classical product.
-    assert deg_falling_factorial(4, X, BiPoly.const(1)) == falling_factorial(4, X)
+    assert step_egf(X, L, 4).value(4).subs_lam(1) == step_egf(X, ONE, 4).value(4)
 
 
 def test_central_factorial_powers():

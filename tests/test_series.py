@@ -265,11 +265,17 @@ def test_negative_pow_needs_rational_unit():
         EgfSeries([L, 1, 0]).pow(-2)
 
 
-def test_pow_without_rational_unit():
-    # A zero or symbolic constant term still admits nonnegative integer powers.
-    for f in (EgfSeries([0, 1, L, 0, X]), EgfSeries([L, 1, 0, X])):
-        assert f.pow(0) == EgfSeries.one(f.order)
-        assert f.pow(3) == f * f * f
+def test_nonnegative_pow_needs_rational_unit():
+    for alpha in (0, 1, 3):
+        with pytest.raises(DivisionByNonUnit):
+            EgfSeries([0, 1, L, 0, X]).pow(alpha)
+        with pytest.raises(DivisionByNonUnit):
+            EgfSeries([L, 1, 0, X]).pow(alpha)
+
+
+def test_first_power_is_the_series_itself():
+    f = EgfSeries([2, L, X, 1])
+    assert f.pow(1) is f
 
 
 def test_pow_constant_term_stays_rational():
