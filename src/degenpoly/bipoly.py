@@ -120,6 +120,11 @@ class BiPoly:
             return self == BiPoly.const(other)
         return NotImplemented
 
+    def __hash__(self) -> int:
+        # A constant equals its rational, so it must hash like one.
+        c = self.constant()
+        return hash(c) if c is not None else hash(frozenset(self._terms.items()))
+
     # -- ring arithmetic -------------------------------------------------
 
     @staticmethod
@@ -193,12 +198,6 @@ class BiPoly:
         for (dl, dx), coeff in self._terms.items():
             key = (0, dx)
             out[key] = out.get(key, _ZERO) + coeff * c**dl
-        return BiPoly._raw({key: v for key, v in out.items() if v})
-
-    def scale_lam(self, c: Scalar) -> "BiPoly":
-        """Substitute l -> c*l (exact)."""
-        c = Fraction(c)
-        out = {(dl, dx): coeff * c**dl for (dl, dx), coeff in self._terms.items()}
         return BiPoly._raw({key: v for key, v in out.items() if v})
 
     def subs_x(self, value: Scalar) -> "BiPoly":

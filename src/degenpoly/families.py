@@ -7,7 +7,7 @@ parameter: a classical family runs the recipe of its degenerate twin with
 l = 0, and coefficients are polynomial in ``l`` by construction, so the
 classical limit is the exact substitution l -> 0.
 
-Every recipe is built from one primitive, the step product
+Every sequence recipe is built from one primitive, the step product
 (a)_{n,s} = a*(a - s)*...*(a - (n-1)*s), through ``step_egf(a, s, N, lag)``,
 the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 
@@ -16,6 +16,11 @@ the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 * log_l(1+t) = ((1+t)^l - 1)/l has values (l - 1)_{n-1,1} for n >= 1,
   so it is never built by dividing a series by l, and no negative power
   of ``l`` enters the ring.
+
+A triangle's column k has the EGF g(t)^k / k! for its kernel g (the catalog
+recipe), but its table is built row by row: each triangle pair has one step
+rule that gives row n+1 from rows n-1 and n, a recurrence that follows from
+the kernel, so no series is multiplied.
 """
 
 from __future__ import annotations
@@ -178,9 +183,10 @@ def central_factorial_power(n: int) -> BiPoly:
 # -- recipes -------------------------------------------------------------------
 #
 # A sequence recipe maps (order a, argument x, deformation l, truncation N)
-# to its series; a triangle recipe maps (l, N) to the kernel g(t) whose
-# column k is g(t)^k / k!.  A classical family shares the recipe of its
-# degenerate twin and receives l = 0.
+# to its series.  A triangle rule maps (l, n, k, row n-1, row n) to entry
+# (n+1, k) for 1 <= n and 1 <= k <= n+1; rows are indexed by k and hold
+# zeros right of the diagonal.  A classical family shares the recipe or rule
+# of its degenerate twin and receives l = 0.
 
 
 def _log1p(lam: BiPoly, trunc: int) -> EgfSeries:
@@ -188,15 +194,33 @@ def _log1p(lam: BiPoly, trunc: int) -> EgfSeries:
     return step_egf(lam - 1, _ONE, trunc, lag=1)
 
 
-def _expm1(lam: BiPoly, trunc: int) -> EgfSeries:
-    """e_l(t) - 1."""
-    return step_egf(_ONE, lam, trunc) - EgfSeries.one(trunc)
+def _stirling1_step(
+    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
+) -> BiPoly:
+    """S1_l(n+1,k) = S1_l(n,k-1) + (k*l - n)*S1_l(n,k), column k of log_l(1+t)^k/k!."""
+    return row[k - 1] + (lam * k - n) * row[k]
 
 
-def _central_difference(lam: BiPoly, trunc: int) -> EgfSeries:
-    """e_l^(1/2)(t) - e_l^(-1/2)(t)."""
-    half = BiPoly.const(_HALF)
-    return step_egf(half, lam, trunc) - step_egf(-half, lam, trunc)
+def _stirling2_step(
+    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
+) -> BiPoly:
+    """S2_l(n+1,k) = S2_l(n,k-1) + (k - n*l)*S2_l(n,k), column k of (e_l(t) - 1)^k/k!."""
+    return row[k - 1] + (k - lam * n) * row[k]
+
+
+def _central_factorial_step(
+    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
+) -> BiPoly:
+    """T_l(n+1,k) = T_l(n-1,k-2) + (k^2/4 - l^2*(n-1)^2)*T_l(n-1,k)
+                    - l*(2n-1)*T_l(n,k), column k of f^k/k!.
+
+    With D = (1 + l*t)*d/dt and f = e_l^(1/2)(t) - e_l^(-1/2)(t), D^2 f = f/4
+    and (D f)^2 = (f^2 + 4)/4, so D^2 (f^k/k!) = (k^2/4)*f^k/k! + f^(k-2)/(k-2)!.
+    On EGF coefficients D^2 is c_{n+2} + l*(2n+1)*c_{n+1} + l^2*n^2*c_n.
+    """
+    below = older[k - 2] if k >= 2 else _ZERO
+    weight = Fraction(k * k, 4) - lam * lam * (n - 1) ** 2
+    return below + weight * older[k] - lam * (2 * n - 1) * row[k]
 
 
 def _deg_exp(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
@@ -269,7 +293,8 @@ class FamilyInfo:
     takes_argument: bool
     degenerate: bool
     recipe: str
-    build: Callable[..., EgfSeries] | None = None
+    # A sequence family's series recipe, or a triangle family's step rule.
+    build: Callable[..., EgfSeries | BiPoly] | None = None
 
 
 CATALOG: dict[FamilyId, FamilyInfo] = {
@@ -286,14 +311,14 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
         "sequence", "none", True, False, "2/(e^t + e^(-t)) * e^(x*t)", _type2_euler
     ),
     FamilyId.STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * log(1+t)^k", _log1p
+        "triangle", "nonneg-integer", False, False, "(1/k!) * log(1+t)^k", _stirling1_step
     ),
     FamilyId.STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^t - 1)^k", _expm1
+        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^t - 1)^k", _stirling2_step
     ),
     FamilyId.CENTRAL_FACTORIAL: FamilyInfo(
         "triangle", "nonneg-integer", False, False, "(1/k!) * (e^(t/2) - e^(-t/2))^k",
-        _central_difference,
+        _central_factorial_step,
     ),
     FamilyId.DAEHEE: FamilyInfo(
         "sequence", "none", True, False, "(log(1+t)/t) * (1+t)^x", _daehee
@@ -318,7 +343,7 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
     ),
     FamilyId.DEG_CENTRAL_FACTORIAL: FamilyInfo(
         "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k",
-        _central_difference,
+        _central_factorial_step,
     ),
     FamilyId.DEG_DAEHEE: FamilyInfo(
         "sequence", "none", True, True, "(log_l(1+t)/t) * (1+t)^x", _daehee
@@ -335,10 +360,10 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
         _type2_bernoulli,
     ),
     FamilyId.DEG_STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * log_l(1+t)^k", _log1p
+        "triangle", "nonneg-integer", False, True, "(1/k!) * log_l(1+t)^k", _stirling1_step
     ),
     FamilyId.DEG_STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l(t) - 1)^k", _expm1
+        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l(t) - 1)^k", _stirling2_step
     ),
     FamilyId.CENTRAL_FACTORIAL_POWER: FamilyInfo(
         "polynomial", "none", False, False, "x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)"
@@ -411,8 +436,8 @@ def triangular_numbers(
 
     Outside the triangle 0 <= k <= n the value is the zero polynomial.
     Entries come from the smallest memoized table of 8, 16, 32, ... rows
-    that holds row n; the tables are immutable and safe to share across
-    threads.
+    that holds row n, built by the family's row recurrence; the tables are
+    immutable and safe to share across threads.
     """
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
@@ -433,15 +458,19 @@ def _table_size(n: int) -> int:
 def _triangle_table(
     family: FamilyId, mode: LambdaMode, size: int
 ) -> tuple[tuple[BiPoly, ...], ...]:
-    """Rows 0..size of a triangle: column k is kernel^k / k!, one kernel product per column."""
-    kernel = CATALOG[family].build(_deformation(family, mode), size)
+    """Rows 0..size (size >= 1) of a triangle; row n+1 comes from rows n-1 and n by the step rule.
+
+    Every triangle starts from T(0,0) = T(1,1) = 1, and column 0 is zero
+    below row 0.
+    """
+    step = CATALOG[family].build
+    lam = _deformation(family, mode)
     rows = [[_ZERO] * (size + 1) for _ in range(size + 1)]
-    rows[0][0] = _ONE
-    power = EgfSeries.one(size)
-    for k in range(1, size + 1):
-        power = (power * kernel).scale(Fraction(1, k))
-        for n in range(k, size + 1):
-            rows[n][k] = power.value(n)
+    rows[0][0] = rows[1][1] = _ONE
+    for n in range(1, size):
+        older, row, new = rows[n - 1], rows[n], rows[n + 1]
+        for k in range(1, n + 2):
+            new[k] = step(lam, n, k, older, row)
     return tuple(map(tuple, rows))
 
 

@@ -95,11 +95,25 @@ def test_ring_axioms(a, b, c):
     assert a * BiPoly.const(1) == a
 
 
+@given(bipolys, bipolys, rationals)
+def test_equal_polynomials_hash_equally(p, q, c):
+    # The same polynomial reached by another route, with another term order.
+    same = (q + p) - q
+    assert same == p and hash(same) == hash(p)
+    assert {p: 1}[same] == 1
+    assert len({p, same, p * 1}) == 1
+    # A constant equals its rational, so it hashes like one.
+    assert hash(BiPoly.const(c)) == hash(c)
+    assert {c: "c"}[BiPoly.const(c)] == "c"
+
+
+def test_hash_of_zero_and_integer_constants():
+    assert hash(BiPoly.zero()) == 0
+    assert hash(BiPoly.const(3)) == hash(3)
+    assert len({L, X, L * 1, BiPoly.const(2), 2}) == 3
+
+
 # -- substitutions ---------------------------------------------------------------
-
-
-def test_scale_lambda():
-    assert (L * X).scale_lam(frac(1, 2)) == L * X * frac(1, 2)
 
 
 def test_subs_lambda_at_zero():

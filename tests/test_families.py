@@ -236,6 +236,77 @@ def test_central_factorial_recurrence():
             assert triangular_numbers(FamilyId.CENTRAL_FACTORIAL, n, k) == expected, (n, k)
 
 
+def test_degenerate_central_factorial_recurrence():
+    # T_l(n+1,k) = T_l(n-1,k-2) + (k^2/4 - l^2 (n-1)^2) T_l(n-1,k) - l(2n-1) T_l(n,k).
+    nmax = 12
+    table = [[BiPoly.zero()] * (nmax + 1) for _ in range(nmax + 1)]
+    table[0][0] = table[1][1] = ONE
+    for n in range(1, nmax):
+        for k in range(n + 2):
+            below = table[n - 1][k - 2] if k >= 2 else BiPoly.zero()
+            weight = L * L * -((n - 1) ** 2) + Fraction(k, 2) ** 2
+            table[n + 1][k] = below + weight * table[n - 1][k] - L * (2 * n - 1) * table[n][k]
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            expected = table[n][k]
+            assert triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, n, k) == expected, (n, k)
+
+
+# The EGF route: column k of a triangle is kernel(l)^k / k!.  It shares no code
+# with the row recurrences that build the tables, only step_egf and the series.
+
+
+def expm1_kernel(lam, trunc):
+    """e_l(t) - 1."""
+    return step_egf(ONE, lam, trunc) - EgfSeries.one(trunc)
+
+
+def log1p_kernel(lam, trunc):
+    """log_l(1+t)."""
+    return step_egf(lam - 1, ONE, trunc, lag=1)
+
+
+def central_difference_kernel(lam, trunc):
+    """e_l^(1/2)(t) - e_l^(-1/2)(t)."""
+    half = BiPoly.const(Fraction(1, 2))
+    return step_egf(half, lam, trunc) - step_egf(-half, lam, trunc)
+
+
+def triangle_by_egf_powers(kernel, size):
+    rows = [[BiPoly.zero()] * (size + 1) for _ in range(size + 1)]
+    rows[0][0] = ONE
+    power = EgfSeries.one(size)
+    for k in range(1, size + 1):
+        power = (power * kernel).scale(Fraction(1, k))
+        for n in range(k, size + 1):
+            rows[n][k] = power.value(n)
+    return tuple(map(tuple, rows))
+
+
+# family -> (kernel, whether the kernel sees the lambda mode's l)
+TRIANGLE_KERNELS = {
+    FamilyId.STIRLING1: (log1p_kernel, False),
+    FamilyId.STIRLING2: (expm1_kernel, False),
+    FamilyId.CENTRAL_FACTORIAL: (central_difference_kernel, False),
+    FamilyId.DEG_STIRLING1: (log1p_kernel, True),
+    FamilyId.DEG_STIRLING2: (expm1_kernel, True),
+    FamilyId.DEG_CENTRAL_FACTORIAL: (central_difference_kernel, True),
+}
+
+
+@pytest.mark.parametrize("family", list(TRIANGLE_KERNELS), ids=lambda f: f.value)
+@pytest.mark.parametrize(
+    "mode",
+    [LambdaMode.symbolic(), LambdaMode.numeric(Fraction(-37, 42)), LambdaMode.scaled(Fraction(3, 2))],
+    ids=lambda mode: mode.kind,
+)
+def test_triangle_tables_match_egf_powers(family, mode):
+    size = 16
+    kernel, degenerate = TRIANGLE_KERNELS[family]
+    lam = mode.to_poly() if degenerate else BiPoly.zero()
+    assert _triangle_table(family, mode, size) == triangle_by_egf_powers(kernel(lam, size), size)
+
+
 def test_triangle_column_edge_cases():
     # A column beyond the truncation order is the zero series.
     assert build_egf(FamilySpec(FamilyId.DEG_STIRLING2, Fraction(5)), 3) == EgfSeries.zero(3)
@@ -369,12 +440,14 @@ def test_numeric_lambda_matches_substituted_symbolic():
 
 
 def test_scaled_lambda_matches_substituted_symbolic():
-    half = LambdaMode.scaled(Fraction(1, 2))
+    s = Fraction(1, 2)
     for n in range(7):
         for k in range(n + 1):
-            scaled = triangular_numbers(FamilyId.DEG_STIRLING2, n, k, half)
+            scaled = triangular_numbers(FamilyId.DEG_STIRLING2, n, k, LambdaMode.scaled(s))
             symbolic = triangular_numbers(FamilyId.DEG_STIRLING2, n, k)
-            assert scaled == symbolic.scale_lam(Fraction(1, 2))
+            # l -> s*l multiplies the coefficient of l^dl by s^dl.
+            expected = BiPoly({(dl, dx): c * s**dl for (dl, dx), c in symbolic.terms().items()})
+            assert scaled == expected
 
 
 def test_alt_second_kind_route_matches_direct_at_order_one():
