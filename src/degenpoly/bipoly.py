@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Scalar = Fraction | int
 Term = tuple[int, int]  # (degree in l, degree in x)
@@ -104,14 +104,6 @@ class BiPoly:
         if set(self._terms) == {(0, 0)}:
             return self._terms[(0, 0)]
         return None
-
-    def degree_lam(self) -> int:
-        """Largest power of ``l``; -1 for the zero polynomial."""
-        return max((dl for dl, _ in self._terms), default=-1)
-
-    def degree_x(self) -> int:
-        """Largest power of ``x``; -1 for the zero polynomial."""
-        return max((dx for _, dx in self._terms), default=-1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
@@ -276,9 +268,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.render()})"
-
-    def __iter__(self) -> Iterator[tuple[Term, Fraction]]:
-        return iter(self.sorted_terms())
 
 
 def _pow_str(name: str, d: int) -> str:

@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'symbolic' (default) or a rational literal",
     )
-    comp.add_argument("--trunc", type=int, default=None, help="truncation order (>= max-n)")
     comp.add_argument("--format", choices=["json", "csv"], default="json")
     comp.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
@@ -142,8 +141,7 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[dict[str, object]
                 )
         return "triangle", rows
 
-    trunc = args.trunc if args.trunc is not None else max_n
-    series = build_egf(FamilySpec(family, args.order, argument, lam_mode), trunc)
+    series = build_egf(FamilySpec(family, args.order, argument, lam_mode), max_n)
     rows = [{"n": n, "value": series.value(n)} for n in range(max_n + 1)]
     return "sequence", rows
 
@@ -243,14 +241,12 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compute":
-        _check_sizes(parser, args.max_n, args.trunc)
+        _check_sizes(parser, args.max_n, None)
         info = CATALOG[FamilyId(args.family)]
-        sequence = info.kind == "sequence"
         for flag, value, honoured in (
-            ("--order", args.order, sequence and info.order_domain != "none"),
+            ("--order", args.order, info.kind == "sequence" and info.order_domain != "none"),
             ("--x", args.x_arg, info.takes_argument),
             ("--lambda", args.lam, info.degenerate),
-            ("--trunc", args.trunc, sequence),
         ):
             if value is not None and not honoured:
                 parser.error(f"{flag} does not apply to {args.family}")

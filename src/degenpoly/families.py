@@ -251,7 +251,7 @@ def _euler_like(
 ) -> EgfSeries:
     """2/(e_l(t) + e_l^low(t)) * e_l^x(t)."""
     denom = step_egf(_ONE, lam, trunc) + step_egf(low, lam, trunc)
-    return step_egf(arg, lam, trunc).scale(2).divide(denom)
+    return EgfSeries.one(trunc).scale(2).divide(denom) * step_egf(arg, lam, trunc)
 
 
 def _daehee(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:

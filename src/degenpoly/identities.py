@@ -135,34 +135,41 @@ def _series(family: FamilyId, trunc: int, order: Fraction | int = 1,
     ).values()
 
 
-def eq21_rhs_term(n: int, m: int, r: int) -> BiPoly:
-    """The weight l^(n-m) * B2*_(n-m)^(r)(2x/l - r) expanded as a polynomial.
+def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
+    """The triangle transform sum_{m<=n} values[m] * T(n, m) of one value list."""
+    acc = BiPoly.zero()
+    for m in range(n + 1):
+        acc = acc + values[m] * triangular_numbers(family, n, m)
+    return acc
 
-    Writing the order-r type 2 Bernoulli polynomial of degree j = n - m as
-    sum_i c_i y^i, the weight is sum_i c_i (2x - r*l)^i l^(j-i); every power
+
+def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
+    """The binomial convolution sum_{m<=n} C(n,m) a[m] b[n-m]: value n of an EGF product."""
+    acc = BiPoly.zero()
+    for m in range(n + 1):
+        acc = acc + a[m] * binomial(n, m) * b[n - m]
+    return acc
+
+
+def eq21_rhs_term(j: int, r: int) -> BiPoly:
+    """The weight l^j * B2*_j^(r)(2x/l - r) expanded as a polynomial.
+
+    Writing the order-r type 2 Bernoulli polynomial of degree j as
+    sum_i c_i y^i, the weight is sum_i c_i (2x - r*l)^i l^(j-i): the
+    homogenized polynomial {(j-i, i): c_i} at x -> 2x - r*l.  Every power
     of l is nonnegative because i <= j, so the result lives in Q[l, x].
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+    if j < 0:
+        raise ValueError(f"degree must be nonnegative, got {j}")
     if r < 1:
         raise ValueError(f"order must be a positive integer, got {r}")
-    j = n - m
     poly = classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r)
-    by_degree: dict[int, Fraction] = {}
+    homogenized: dict[tuple[int, int], Fraction] = {}
     for (dl, dx), c in poly.terms().items():
         if dl != 0:
             raise AssertionError("classical value unexpectedly contains l")
-        by_degree[dx] = c
-    replacement = _X * 2 - _L * r
-    acc = BiPoly.zero()
-    power = _ONE
-    for i in range(j + 1):
-        c = by_degree.get(i)
-        if c:
-            acc = acc + power * BiPoly({(j - i, 0): c})
-        if i < j:
-            power = power * replacement
-    return acc
+        homogenized[(j - dx, dx)] = c
+    return BiPoly(homogenized).subs_x_poly(_X * 2 - _L * r)
 
 
 # -- identity checkers --------------------------------------------------------
@@ -184,21 +191,14 @@ def _check_eq21(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     cases = []
     for r in range(1, (max_order or 1) + 1):
         b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
+        s2_weights = [
+            triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
+            for m in range(max_n + 1)
+        ]
+        terms = [eq21_rhs_term(j, r) * _TWO ** (r - j) for j in range(max_n + 1)]
         for n in range(max_n + 1):
-            lhs = BiPoly.zero()
-            for m in range(n + 1):
-                s2 = triangular_numbers(FamilyId.STIRLING2, n, m).constant()
-                if s2:
-                    lhs = lhs + b_r[m] * s2
-            rhs = BiPoly.zero()
-            for m in range(n + 1):
-                s2 = triangular_numbers(FamilyId.STIRLING2, m + r, r).constant()
-                factor = (
-                    binomial(n, m) * s2 / binomial(m + r, r) * _TWO ** (m + r - n)
-                )
-                if factor:
-                    rhs = rhs + eq21_rhs_term(n, m, r) * factor
-            cases.append(Case({"n": n, "r": r}, lhs - rhs))
+            residual = _transform(b_r, FamilyId.STIRLING2, n) - _convolve(s2_weights, terms, n)
+            cases.append(Case({"n": n, "r": r}, residual))
     return cases
 
 
@@ -209,13 +209,10 @@ def _check_eq25(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
         FamilyId.TYPE2_DEG_BERNOULLI2, trunc, argument=Argument.numeric(0)
     )
     ff = step_egf(_X, _ONE, max_n).values()
-    cases = []
-    for n in range(max_n + 1):
-        rhs = BiPoly.zero()
-        for m in range(n + 1):
-            rhs = rhs + number_values[m] * ff[n - m] * binomial(n, m)
-        cases.append(Case({"n": n}, poly_values[n] - rhs))
-    return cases
+    return [
+        Case({"n": n}, poly_values[n] - _convolve(number_values, ff, n))
+        for n in range(max_n + 1)
+    ]
 
 
 def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
@@ -226,19 +223,14 @@ def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     for k in range(1, (max_order or 1) + 1):
         bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
         ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
+        weights = [
+            triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, half)
+            * (_TWO ** (m + k) / binomial(m + k, k))
+            for m in range(max_n + 1)
+        ]
         for n in range(max_n + 1):
-            lhs = BiPoly.zero()
-            for m in range(n + 1):
-                lhs = lhs + bstar[m] * triangular_numbers(FamilyId.DEG_STIRLING2, n, m)
-            rhs = BiPoly.zero()
-            for m in range(n + 1):
-                weight = binomial(n, m) * _TWO ** (m + k) / binomial(m + k, k)
-                rhs = rhs + (
-                    triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, half)
-                    * ff[n - m]
-                    * weight
-                )
-            cases.append(Case({"n": n, "k": k}, lhs - rhs))
+            residual = _transform(bstar, FamilyId.DEG_STIRLING2, n) - _convolve(weights, ff, n)
+            cases.append(Case({"n": n, "k": k}, residual))
     return cases
 
 
@@ -254,12 +246,7 @@ def _check_thm2_corollary(max_n: int, max_order: int | None, trunc: int) -> list
             lhs = triangular_numbers(FamilyId.DEG_STIRLING2, n + k, k, half) * (
                 _TWO ** (n + k)
             )
-            acc = BiPoly.zero()
-            for m in range(n + 1):
-                acc = acc + bstar_at_k[m] * triangular_numbers(
-                    FamilyId.DEG_STIRLING2, n, m
-                )
-            rhs = acc * binomial(n + k, k)
+            rhs = _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * binomial(n + k, k)
             cases.append(Case({"n": n, "k": k}, lhs - rhs))
     return cases
 
@@ -271,40 +258,29 @@ def _check_thm3(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
         bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
         beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, trunc, order=-k)
         for n in range(max_n + 1):
-            rhs = BiPoly.zero()
-            for m in range(n + 1):
-                rhs = rhs + beta[m] * triangular_numbers(FamilyId.DEG_STIRLING1, n, m)
-            cases.append(Case({"n": n, "k": k}, bstar[n] - rhs))
+            residual = bstar[n] - _transform(beta, FamilyId.DEG_STIRLING1, n)
+            cases.append(Case({"n": n, "k": k}, residual))
     return cases
 
 
 def _check_thm4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # sum_{m=k..n} sum_{l=k..m} T_l(l,k) S1_l(m,l) C(n,m) (k/2)_{n-m}
     #   = sum_{m=k..n} S1_l(m,k) b_{n-m,l}^(k) C(n,m)
+    # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
     cases = []
     for k in range(0, (max_order or 0) + 1):
         b_k = _series(
             FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0)
         )
         ff = step_egf(BiPoly.const(Fraction(k, 2)), _ONE, max_n).values()  # (k/2)_j
+        t_col = [
+            triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)
+        ]
+        inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
+        s1_col = [triangular_numbers(FamilyId.DEG_STIRLING1, m, k) for m in range(max_n + 1)]
         for n in range(k, max_n + 1):
-            lhs = BiPoly.zero()
-            for m in range(k, n + 1):
-                inner = BiPoly.zero()
-                for j in range(k, m + 1):
-                    inner = inner + (
-                        triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k)
-                        * triangular_numbers(FamilyId.DEG_STIRLING1, m, j)
-                    )
-                lhs = lhs + inner * ff[n - m] * binomial(n, m)
-            rhs = BiPoly.zero()
-            for m in range(k, n + 1):
-                rhs = rhs + (
-                    triangular_numbers(FamilyId.DEG_STIRLING1, m, k)
-                    * b_k[n - m]
-                    * binomial(n, m)
-                )
-            cases.append(Case({"n": n, "k": k}, lhs - rhs))
+            residual = _convolve(inner, ff, n) - _convolve(s1_col, b_k, n)
+            cases.append(Case({"n": n, "k": k}, residual))
     return cases
 
 
@@ -335,15 +311,10 @@ def _check_eq4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
 def _check_eq5_recon(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # x^n = sum_k T(n,k) x^[k]
     powers = [central_factorial_power(k) for k in range(max_n + 1)]
-    cases = []
-    for n in range(max_n + 1):
-        acc = BiPoly.zero()
-        for k in range(n + 1):
-            t = triangular_numbers(FamilyId.CENTRAL_FACTORIAL, n, k)
-            if t:
-                acc = acc + t * powers[k]
-        cases.append(Case({"n": n}, acc - _X**n))
-    return cases
+    return [
+        Case({"n": n}, _transform(powers, FamilyId.CENTRAL_FACTORIAL, n) - _X**n)
+        for n in range(max_n + 1)
+    ]
 
 
 def _check_eq18_equiv(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
@@ -431,17 +402,16 @@ def _check_limits(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
 
 def _check_stirling_inversion(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # sum_l S2_l(n,l) S1_l(l,m) = delta(n,m), symbolic l
+    s1_cols = [
+        [triangular_numbers(FamilyId.DEG_STIRLING1, j, m) for j in range(max_n + 1)]
+        for m in range(max_n + 1)
+    ]
     cases = []
     for n in range(max_n + 1):
         for m in range(n + 1):
-            acc = BiPoly.zero()
-            for j in range(m, n + 1):
-                acc = acc + (
-                    triangular_numbers(FamilyId.DEG_STIRLING2, n, j)
-                    * triangular_numbers(FamilyId.DEG_STIRLING1, j, m)
-                )
             delta = _ONE if n == m else BiPoly.zero()
-            cases.append(Case({"n": n, "m": m}, acc - delta))
+            residual = _transform(s1_cols[m], FamilyId.DEG_STIRLING2, n) - delta
+            cases.append(Case({"n": n, "m": m}, residual))
     return cases
 
 
@@ -544,15 +514,17 @@ def verify(
     if uses_order:
         if max_order is None:
             max_order = entry.full[1]
-        if max_order is None or max_order < 0:
+        if max_order < 0:
             raise ValueError(f"identity {identity.value} needs a nonnegative order bound")
+    elif max_order is not None:
+        raise ValueError(f"identity {identity.value} has no order parameter")
     start = time.perf_counter()
     cases = entry.checker(max_n, max_order, trunc)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         identity=identity,
         max_n=max_n,
-        max_order=max_order if uses_order else None,
+        max_order=max_order,
         trunc=trunc,
         profile=profile,
         cases=tuple(cases),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import identities
 from degenpoly.bipoly import BiPoly, binomial
 from degenpoly.families import (
     Argument,
@@ -24,6 +25,7 @@ from degenpoly.identities import (
     verify,
     verify_all,
 )
+from degenpoly.series import EgfSeries
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -70,26 +72,26 @@ def test_minimal_range_single_case():
 
 def test_weight_at_diagonal_is_two_to_minus_r():
     for r in (1, 2, 3):
-        assert eq21_rhs_term(5, 5, r) == BiPoly.const(Fraction(1, 2**r))
+        assert eq21_rhs_term(0, r) == BiPoly.const(Fraction(1, 2**r))
 
 
 def test_weight_degree_one_case():
     # Order 1, j = 1: the degree-1 polynomial y/2 at y = 2x/l - 1, times l.
-    assert eq21_rhs_term(1, 0, 1) == X - L * Fraction(1, 2)
+    assert eq21_rhs_term(1, 1) == X - L * Fraction(1, 2)
 
 
 def test_weight_is_a_genuine_polynomial():
     for r in (1, 2, 3):
         for j in (0, 1, 2, 3, 4):
-            weight = eq21_rhs_term(j, 0, r)
+            weight = eq21_rhs_term(j, r)
             assert all(dl >= 0 and dx >= 0 for (dl, dx) in weight.terms())
 
 
 def test_weight_argument_validation():
     with pytest.raises(ValueError):
-        eq21_rhs_term(1, 2, 1)
+        eq21_rhs_term(-1, 1)
     with pytest.raises(ValueError):
-        eq21_rhs_term(3, 1, 0)
+        eq21_rhs_term(2, 0)
 
 
 def test_eq21_weight_needs_the_order_superscript():
@@ -106,8 +108,71 @@ def test_eq21_weight_needs_the_order_superscript():
     assert lhs == BiPoly.const(1)
     assert rhs_without_order == BiPoly.const(2)
     # With the order threaded through, the same case balances.
-    rhs = eq21_rhs_term(n, 0, r) * (binomial(n, 0) * s2 / binomial(r, r) * Fraction(2) ** (r - n))
+    rhs = eq21_rhs_term(n, r) * (binomial(n, 0) * s2 / binomial(r, r) * Fraction(2) ** (r - n))
     assert rhs == lhs
+
+
+# -- the verifier can fail ---------------------------------------------------------------
+#
+# Each mutant adds l to one triangle entry or one family value as the checkers
+# see it (the module-level names in ``identities``); every checker that reads
+# the perturbed entry must then report a nonzero residual.  Entries are chosen
+# so that only one side of the identity reads them.
+
+
+@pytest.mark.parametrize(
+    "identity,family,entry,kwargs",
+    [
+        (IdentityId.EQ21, FamilyId.STIRLING2, (3, 2), dict(max_n=5, max_order=1)),
+        (IdentityId.THM2, FamilyId.DEG_STIRLING2, (3, 2), dict(max_n=5, max_order=1)),
+        (IdentityId.THM2_COROLLARY, FamilyId.DEG_STIRLING2, (3, 2),
+         dict(max_n=5, max_order=1)),
+        (IdentityId.THM3, FamilyId.DEG_STIRLING1, (3, 2), dict(max_n=5, max_order=1)),
+        (IdentityId.THM4, FamilyId.DEG_CENTRAL_FACTORIAL, (4, 2),
+         dict(max_n=6, max_order=2)),
+        (IdentityId.STIRLING_INVERSION, FamilyId.DEG_STIRLING2, (3, 2), dict(max_n=5)),
+        (IdentityId.STIRLING_INVERSION, FamilyId.DEG_STIRLING1, (3, 2), dict(max_n=5)),
+        (IdentityId.EQ5_RECON, FamilyId.CENTRAL_FACTORIAL, (4, 2), dict(max_n=5)),
+    ],
+)
+def test_perturbed_triangle_entry_fails(monkeypatch, identity, family, entry, kwargs):
+    original = identities.triangular_numbers
+
+    def perturbed(fam, n, k, *args, **kw):
+        value = original(fam, n, k, *args, **kw)
+        return value + L if (fam, n, k) == (family, *entry) else value
+
+    monkeypatch.setattr(identities, "triangular_numbers", perturbed)
+    report = verify(identity, trunc=8, **kwargs)
+    assert not report.all_pass
+
+
+@pytest.mark.parametrize(
+    "identity,family,kwargs",
+    [
+        (IdentityId.EQ21, FamilyId.DEG_BERNOULLI2, dict(max_n=5, max_order=1)),
+        (IdentityId.EQ25, FamilyId.TYPE2_DEG_BERNOULLI2, dict(max_n=5)),
+        (IdentityId.THM2, FamilyId.TYPE2_DEG_BERNOULLI2, dict(max_n=5, max_order=1)),
+        (IdentityId.THM2_COROLLARY, FamilyId.TYPE2_DEG_BERNOULLI2,
+         dict(max_n=5, max_order=1)),
+        (IdentityId.THM3, FamilyId.TYPE2_DEG_BERNOULLI, dict(max_n=5, max_order=1)),
+        (IdentityId.THM4, FamilyId.DEG_BERNOULLI2, dict(max_n=6, max_order=2)),
+    ],
+)
+def test_perturbed_family_value_fails(monkeypatch, identity, family, kwargs):
+    original = identities.build_egf
+
+    def perturbed(spec, trunc):
+        series = original(spec, trunc)
+        if spec.family != family:
+            return series
+        coeffs = list(series.coefficients)
+        coeffs[2] = coeffs[2] + L * Fraction(1, 2)  # value 2 is 2! * coefficient 2
+        return EgfSeries(coeffs)
+
+    monkeypatch.setattr(identities, "build_egf", perturbed)
+    report = verify(identity, trunc=8, **kwargs)
+    assert not report.all_pass
 
 
 # -- cross-checks between identities ---------------------------------------------------
@@ -182,6 +247,12 @@ def test_aliases_resolve():
 def test_trunc_below_max_n_rejected():
     with pytest.raises(ValueError):
         verify(IdentityId.EQ23, 8, trunc=4)
+
+
+def test_order_on_identity_without_order_rejected():
+    with pytest.raises(ValueError, match="has no order parameter"):
+        verify(IdentityId.EQ23, 2, max_order=5, trunc=4)
+    assert verify(IdentityId.EQ23, 2, trunc=4).max_order is None
 
 
 def test_default_ranges_profiles():
