@@ -1,11 +1,20 @@
 """Exact sparse bivariate polynomials over the rationals.
 
 Every coefficient in this package lives in the ring Q[l, x]: polynomials
-in the deformation parameter (printed ``l``) and the argument ``x``, with
-``fractions.Fraction`` coefficients.  Instances are immutable and stored
-in canonical form (no zero terms), so ``==`` decides polynomial identity
-exactly.  Serialization and printing order is graded-lexicographic:
-ascending total degree, then ascending degree in ``l``.
+in the deformation parameter (printed ``l``) and the argument ``x``.  A
+polynomial is stored as integer numerators over one common denominator,
+the layout of FLINT's ``fmpq_poly``: ``_terms`` maps exponent pairs
+``(dl, dx)`` to ``int`` numerators and ``_den`` is a positive ``int``, so
+the coefficient of l^dl x^dx is ``_terms[(dl, dx)] / _den``.  Arithmetic
+runs on plain ints and reduces each result once, by a single gcd over its
+denominator and numerators.
+
+Instances are immutable and kept in canonical form: no zero numerator,
+``_den > 0`` and ``gcd(_den, *numerators) == 1``; the zero polynomial is
+``({}, 1)``.  Equal polynomials therefore have equal storage, and ``==``
+decides polynomial identity exactly.  Coefficients leave the class as
+``fractions.Fraction`` values.  Serialization and printing order is
+graded-lexicographic: ascending total degree, then ascending degree in ``l``.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Mapping
 Scalar = Fraction | int
 Term = tuple[int, int]  # (degree in l, degree in x)
 
-_ZERO = Fraction(0)
+_gcd = math.gcd
 
 
 def factorial(n: int) -> Fraction:
@@ -36,60 +45,79 @@ def binomial(n: int, k: int) -> Fraction:
     return Fraction(math.comb(n, k))
 
 
+def _raw(nums: dict[Term, int], den: int) -> "BiPoly":
+    """A BiPoly from numerators and denominator already in canonical form."""
+    p = object.__new__(BiPoly)
+    p._terms = nums
+    p._den = den
+    return p
+
+
+def _make(nums: dict[Term, int], den: int) -> "BiPoly":
+    """A BiPoly from nonzero numerators over ``den > 0``, reduced by one gcd pass."""
+    if not nums:
+        return _raw(nums, 1)
+    if den != 1:
+        g = _gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: v // g for key, v in nums.items()}
+    return _raw(nums, den)
+
+
 class BiPoly:
     """A polynomial in ``l`` and ``x`` with exact rational coefficients.
 
-    Terms map exponent pairs ``(dl, dx)`` to nonzero coefficients; the zero
-    polynomial is the empty map.  All operations return new instances.
+    ``_terms`` maps exponent pairs ``(dl, dx)`` to nonzero integer
+    numerators over the common denominator ``_den`` (see the module
+    docstring for the canonical form).  All operations return new instances.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Term, Scalar] | None = None):
-        clean: dict[Term, Fraction] = {}
+        coeffs: dict[Term, Fraction] = {}
         if terms:
             for (dl, dx), c in terms.items():
                 if dl < 0 or dx < 0:
                     raise ValueError(f"negative exponent in term ({dl}, {dx})")
                 c = Fraction(c)
                 if c:
-                    clean[(int(dl), int(dx))] = c
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict[Term, Fraction]) -> "BiPoly":
-        # Internal constructor for terms already known to be canonical.
-        p = object.__new__(cls)
-        p._terms = terms
-        return p
+                    coeffs[(int(dl), int(dx))] = c
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls._raw({})
+        return _raw({}, 1)
 
     @classmethod
     def const(cls, c: Scalar) -> "BiPoly":
-        c = Fraction(c)
-        return cls._raw({(0, 0): c} if c else {})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _raw({(0, 0): c.numerator}, c.denominator) if c else _raw({}, 1)
 
     @classmethod
     def lam(cls) -> "BiPoly":
         """The variable ``l``."""
-        return cls._raw({(1, 0): Fraction(1)})
+        return _raw({(1, 0): 1}, 1)
 
     @classmethod
     def x(cls) -> "BiPoly":
         """The variable ``x``."""
-        return cls._raw({(0, 1): Fraction(1)})
+        return _raw({(0, 1): 1}, 1)
 
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> dict[Term, Fraction]:
-        """A copy of the canonical term map."""
-        return dict(self._terms)
+        """The canonical term map, with ``Fraction`` coefficients."""
+        den = self._den
+        return {key: Fraction(v, den) for key, v in self._terms.items()}
 
     def coeff(self, dl: int, dx: int) -> Fraction:
-        return self._terms.get((dl, dx), _ZERO)
+        return Fraction(self._terms.get((dl, dx), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -99,15 +127,16 @@ class BiPoly:
 
     def constant(self) -> Fraction | None:
         """The polynomial as a plain rational, or None if ``l`` or ``x`` occurs."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return Fraction(0)
-        if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
+        if len(terms) == 1 and (0, 0) in terms:
+            return Fraction(terms[(0, 0)], self._den)
         return None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == BiPoly.const(other)
         return NotImplemented
@@ -115,7 +144,9 @@ class BiPoly:
     def __hash__(self) -> int:
         # A constant equals its rational, so it must hash like one.
         c = self.constant()
-        return hash(c) if c is not None else hash(frozenset(self._terms.items()))
+        if c is not None:
+            return hash(c)
+        return hash((self._den, frozenset(self._terms.items())))
 
     # -- ring arithmetic -------------------------------------------------
 
@@ -131,19 +162,33 @@ class BiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in o._terms.items():
-            s = out.get(key, _ZERO) + c
+        a, b = self._terms, o._terms
+        if not b:
+            return self
+        if not a:
+            return o
+        # Over the lcm of the denominators: scale a by ma and b by mb.
+        da, db = self._den, o._den
+        if da == db:
+            ma = mb = 1
+            out = dict(a)
+        else:
+            g = _gcd(da, db)
+            ma, mb = db // g, da // g
+            out = {key: v * ma for key, v in a.items()}
+        get = out.get
+        for key, v in b.items():
+            s = get(key, 0) + v * mb
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
-        return BiPoly._raw(out)
+                del out[key]
+        return _make(out, da * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._raw({key: -c for key, c in self._terms.items()})
+        return _raw({key: -v for key, v in self._terms.items()}, self._den)
 
     def __sub__(self, other: object) -> "BiPoly":
         o = self._coerce(other)
@@ -155,17 +200,29 @@ class BiPoly:
         return (-self) + other
 
     def __mul__(self, other: object) -> "BiPoly":
+        if isinstance(other, (int, Fraction)):
+            # A rational scalar p/q scales the numerators and the denominator.
+            p = other.numerator
+            if not p or not self._terms:
+                return _raw({}, 1)
+            return _make({key: v * p for key, v in self._terms.items()},
+                         self._den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return BiPoly._raw({})
-        out: dict[Term, Fraction] = {}
-        for (al, ax), ac in self._terms.items():
-            for (bl, bx), bc in o._terms.items():
+        a, b = self._terms, o._terms
+        if not a or not b:
+            return _raw({}, 1)
+        out: dict[Term, int] = {}
+        get = out.get
+        b_items = list(b.items())
+        for (al, ax), ac in a.items():
+            for (bl, bx), bc in b_items:
                 key = (al + bl, ax + bx)
-                out[key] = out.get(key, _ZERO) + ac * bc
-        return BiPoly._raw({key: c for key, c in out.items() if c})
+                out[key] = get(key, 0) + ac * bc
+        if len(out) < len(a) * len(b):
+            out = {key: v for key, v in out.items() if v}
+        return _make(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -183,35 +240,48 @@ class BiPoly:
 
     # -- substitutions ---------------------------------------------------
 
+    def _subs(self, value: Scalar, axis: int) -> "BiPoly":
+        # Substitute p/q for the variable at position ``axis`` of the exponent
+        # pair: a term n * v^d over den becomes n * p^d * q^(top - d) over
+        # den * q^top, with top the largest degree d present.
+        c = Fraction(value)
+        p, q = c.numerator, c.denominator
+        terms = self._terms
+        if not terms:
+            return self
+        top = max(key[axis] for key in terms)
+        p_pow = [1]
+        q_pow = [1]
+        for _ in range(top):
+            p_pow.append(p_pow[-1] * p)
+            q_pow.append(q_pow[-1] * q)
+        out: dict[Term, int] = {}
+        for key, v in terms.items():
+            d = key[axis]
+            rest = (0, key[1]) if axis == 0 else (key[0], 0)
+            out[rest] = out.get(rest, 0) + v * p_pow[d] * q_pow[top - d]
+        return _make({key: v for key, v in out.items() if v}, self._den * q_pow[top])
+
     def subs_lam(self, value: Scalar) -> "BiPoly":
         """Substitute l -> value (exact)."""
-        c = Fraction(value)
-        out: dict[Term, Fraction] = {}
-        for (dl, dx), coeff in self._terms.items():
-            key = (0, dx)
-            out[key] = out.get(key, _ZERO) + coeff * c**dl
-        return BiPoly._raw({key: v for key, v in out.items() if v})
+        return self._subs(value, 0)
 
     def subs_x(self, value: Scalar) -> "BiPoly":
         """Substitute x -> value (exact)."""
-        c = Fraction(value)
-        out: dict[Term, Fraction] = {}
-        for (dl, dx), coeff in self._terms.items():
-            key = (dl, 0)
-            out[key] = out.get(key, _ZERO) + coeff * c**dx
-        return BiPoly._raw({key: v for key, v in out.items() if v})
+        return self._subs(value, 1)
 
     def subs_x_poly(self, q: "BiPoly") -> "BiPoly":
         """Substitute x -> q for an arbitrary polynomial q, by Horner's scheme."""
         if not self._terms:
             return self
-        buckets: dict[int, dict[Term, Fraction]] = {}
-        for (dl, dx), coeff in self._terms.items():
-            buckets.setdefault(dx, {})[(dl, 0)] = coeff
+        buckets: dict[int, dict[Term, int]] = {}
+        for (dl, dx), v in self._terms.items():
+            buckets.setdefault(dx, {})[(dl, 0)] = v
+        den = self._den
         top = max(buckets)
-        acc = BiPoly._raw(buckets.get(top, {}))
+        acc = _make(buckets[top], den)
         for d in range(top - 1, -1, -1):
-            acc = acc * q + BiPoly._raw(buckets.get(d, {}))
+            acc = acc * q + _make(buckets.get(d, {}), den)
         return acc
 
     def div_lam(self) -> "BiPoly":
@@ -219,21 +289,17 @@ class BiPoly:
         for (dl, _dx) in self._terms:
             if dl == 0:
                 raise ValueError("polynomial is not divisible by l")
-        return BiPoly._raw({(dl - 1, dx): c for (dl, dx), c in self._terms.items()})
-
-    def evaluate(self, lam_value: Scalar, x_value: Scalar) -> Fraction:
-        """Evaluate at a rational point (exact)."""
-        lv, xv = Fraction(lam_value), Fraction(x_value)
-        total = Fraction(0)
-        for (dl, dx), coeff in self._terms.items():
-            total += coeff * lv**dl * xv**dx
-        return total
+        return _raw({(dl - 1, dx): v for (dl, dx), v in self._terms.items()}, self._den)
 
     # -- serialization and printing --------------------------------------
 
     def sorted_terms(self) -> list[tuple[Term, Fraction]]:
         """Terms in graded-lex order: total degree ascending, then l-degree."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        den = self._den
+        return [
+            (key, Fraction(v, den))
+            for key, v in sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        ]
 
     def to_records(self) -> list[dict[str, object]]:
         """JSON-ready term list: [{"dl": int, "dx": int, "c": "p/q"}, ...]."""

@@ -189,7 +189,7 @@ def _check_eq21(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # sum_m b_{m,l}^(r)(x) S2(n,m)
     #   = sum_m C(n,m) [l^(n-m) B2*_(n-m)^(r)(2x/l - r)] S2(m+r,r)/C(m+r,r) 2^(m+r-n)
     cases = []
-    for r in range(1, (max_order or 1) + 1):
+    for r in range(1, max_order + 1):
         b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
         s2_weights = [
             triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
@@ -220,7 +220,7 @@ def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
     half = LambdaMode.scaled(Fraction(1, 2))
     cases = []
-    for k in range(1, (max_order or 1) + 1):
+    for k in range(1, max_order + 1):
         bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
         ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
         weights = [
@@ -238,7 +238,7 @@ def _check_thm2_corollary(max_n: int, max_order: int | None, trunc: int) -> list
     # 2^(n+k) S2_{l/2}(n+k,k) = C(n+k,k) sum_l b2*_{l,l}^(k)(k) S2_l(n,l)
     half = LambdaMode.scaled(Fraction(1, 2))
     cases = []
-    for k in range(1, (max_order or 1) + 1):
+    for k in range(1, max_order + 1):
         bstar_at_k = _series(
             FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(k)
         )
@@ -254,7 +254,7 @@ def _check_thm2_corollary(max_n: int, max_order: int | None, trunc: int) -> list
 def _check_thm3(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     # b2*_{n,l}^(k)(x) = sum_l beta2*_{l,l}^(-k)(x) S1_l(n,l)
     cases = []
-    for k in range(1, (max_order or 1) + 1):
+    for k in range(1, max_order + 1):
         bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
         beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, trunc, order=-k)
         for n in range(max_n + 1):
@@ -268,7 +268,7 @@ def _check_thm4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     #   = sum_{m=k..n} S1_l(m,k) b_{n-m,l}^(k) C(n,m)
     # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
     cases = []
-    for k in range(0, (max_order or 0) + 1):
+    for k in range(0, max_order + 1):
         b_k = _series(
             FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0)
         )
@@ -332,7 +332,7 @@ def _check_b_second_kind(max_n: int, max_order: int | None, trunc: int) -> list[
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
     shifted = Argument.shifted(1)
     cases = []
-    for r in range(1, (max_order or 1) + 1):
+    for r in range(1, max_order + 1):
         classical_b = _series(
             FamilyId.DEG_BERNOULLI2, trunc, order=r, lambda_mode=LambdaMode.numeric(0)
         )
@@ -448,6 +448,7 @@ class _Entry:
     checker: Callable[[int, int | None, int], list[Case]]
     quick: tuple[int, int | None, int]  # (max_n, max_order, trunc)
     full: tuple[int, int | None, int]  # max_order is None iff the identity has no order
+    min_order: int | None = None  # the checker's first order; None iff it has no order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
@@ -455,14 +456,14 @@ _CATALOG: dict[IdentityId, _Entry] = {
     IdentityId.EQ4: _Entry(_check_eq4, (8, None, 12), (20, None, 20)),
     IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (8, None, 12), (10, None, 16)),
     IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16)),
+    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16), 1),
     IdentityId.EQ23: _Entry(_check_eq23, (8, None, 12), (12, None, 16)),
     IdentityId.EQ25: _Entry(_check_eq25, (8, None, 12), (12, None, 16)),
-    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM4: _Entry(_check_thm4, (8, 3, 12), (12, 6, 16)),
-    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16)),
+    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16), 1),
+    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16), 1),
+    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16), 1),
+    IdentityId.THM4: _Entry(_check_thm4, (8, 3, 12), (12, 6, 16), 0),
+    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16), 1),
     IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (8, None, 12), (12, None, 16)),
     IdentityId.STIRLING_INVERSION: _Entry(
         _check_stirling_inversion, (8, None, 12), (12, None, 16)
@@ -506,7 +507,7 @@ def verify(
     """Verify one identity over inclusive index ranges, returning exact residuals."""
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
-    uses_order = entry.full[1] is not None
+    uses_order = entry.min_order is not None
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if trunc < max_n:
@@ -514,8 +515,10 @@ def verify(
     if uses_order:
         if max_order is None:
             max_order = entry.full[1]
-        if max_order < 0:
-            raise ValueError(f"identity {identity.value} needs a nonnegative order bound")
+        if max_order < entry.min_order:
+            raise ValueError(
+                f"identity {identity.value} starts at order {entry.min_order}, got {max_order}"
+            )
     elif max_order is not None:
         raise ValueError(f"identity {identity.value} has no order parameter")
     start = time.perf_counter()

@@ -36,7 +36,7 @@ class NonzeroConstantInner(SeriesError):
 
 
 class BadConstantTerm(SeriesError):
-    """Constant term violates the precondition of exp/log/fractional power."""
+    """Constant term violates the precondition of a fractional power."""
 
 
 class IndexBeyondTruncation(SeriesError):
@@ -68,15 +68,6 @@ class EgfSeries:
     def one(cls, order: int) -> "EgfSeries":
         return cls([_ONE] + [BiPoly.zero()] * order)
 
-    @classmethod
-    def t(cls, order: int) -> "EgfSeries":
-        """The identity series t (requires order >= 1)."""
-        if order < 1:
-            raise ValueError("the series t needs truncation order >= 1")
-        coeffs = [BiPoly.zero()] * (order + 1)
-        coeffs[1] = _ONE
-        return cls(coeffs)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -99,12 +90,6 @@ class EgfSeries:
 
     def values(self) -> list[BiPoly]:
         return [self.value(n) for n in range(self.order + 1)]
-
-    def truncate(self, order: int) -> "EgfSeries":
-        """Discard coefficients above ``order`` (which must not exceed the current order)."""
-        if order < 0 or order > self.order:
-            raise IndexBeyondTruncation(f"cannot truncate order-{self.order} series to {order}")
-        return EgfSeries(self._coeffs[: order + 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EgfSeries):
@@ -193,40 +178,6 @@ class EgfSeries:
         for k in range(order - 1, -1, -1):
             acc = EgfSeries([self._coeffs[k], *(h * acc)._coeffs])
         return acc
-
-    def exp(self) -> "EgfSeries":
-        """Formal exponential; requires a vanishing constant term.
-
-        Uses the derivative recurrence g_n = (1/n) * sum_{k=1..n} k f_k g_{n-k}.
-        """
-        if self._coeffs[0]:
-            raise BadConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]!r}")
-        out = [_ONE]
-        for n in range(1, self.order + 1):
-            acc = BiPoly.zero()
-            for k in range(1, n + 1):
-                fk = self._coeffs[k]
-                if fk:
-                    acc = acc + fk * out[n - k] * k
-            out.append(acc * Fraction(1, n))
-        return EgfSeries(out)
-
-    def log(self) -> "EgfSeries":
-        """Formal logarithm; requires constant term 1.
-
-        Uses L_n = f_n - (1/n) * sum_{k=1..n-1} k L_k f_{n-k}.
-        """
-        if self._coeffs[0] != _ONE:
-            raise BadConstantTerm(f"log needs constant term 1, got {self._coeffs[0]!r}")
-        out = [BiPoly.zero()]
-        for n in range(1, self.order + 1):
-            corr = BiPoly.zero()
-            for k in range(1, n):
-                fk = self._coeffs[n - k]
-                if out[k] and fk:
-                    corr = corr + out[k] * fk * k
-            out.append(self._coeffs[n] - corr * Fraction(1, n))
-        return EgfSeries(out)
 
     def pow(self, alpha: Fraction | int) -> "EgfSeries":
         """Raise to a rational power by J.C.P. Miller's recurrence (Knuth,

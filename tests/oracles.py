@@ -1,0 +1,62 @@
+"""Series operations that only tests use, kept as oracles for the package.
+
+They use nothing of ``EgfSeries`` beyond its public constructor and
+coefficients, so a test can compare a package route (Miller's power
+recurrence, the closed product forms, Horner composition) with the
+exp/log route written here.
+"""
+
+from fractions import Fraction
+
+from degenpoly.bipoly import BiPoly
+from degenpoly.series import BadConstantTerm, EgfSeries, IndexBeyondTruncation
+
+_ONE = BiPoly.const(1)
+
+
+def series_t(order: int) -> EgfSeries:
+    """The identity series t at truncation order ``order`` >= 1."""
+    if order < 1:
+        raise ValueError("the series t needs truncation order >= 1")
+    coeffs = [BiPoly.zero()] * (order + 1)
+    coeffs[1] = _ONE
+    return EgfSeries(coeffs)
+
+
+def truncate(f: EgfSeries, order: int) -> EgfSeries:
+    """Discard coefficients above ``order``, which must not exceed f's order."""
+    if order < 0 or order > f.order:
+        raise IndexBeyondTruncation(f"cannot truncate order-{f.order} series to {order}")
+    return EgfSeries(f.coefficients[: order + 1])
+
+
+def series_exp(f: EgfSeries) -> EgfSeries:
+    """Formal exponential of a series with vanishing constant term, by
+    g_n = (1/n) * sum_{k=1..n} k f_k g_{n-k}."""
+    c = f.coefficients
+    if c[0]:
+        raise BadConstantTerm(f"exp needs constant term 0, got {c[0]!r}")
+    out = [_ONE]
+    for n in range(1, f.order + 1):
+        acc = BiPoly.zero()
+        for k in range(1, n + 1):
+            if c[k]:
+                acc = acc + c[k] * out[n - k] * k
+        out.append(acc * Fraction(1, n))
+    return EgfSeries(out)
+
+
+def series_log(f: EgfSeries) -> EgfSeries:
+    """Formal logarithm of a series with constant term 1, by
+    L_n = f_n - (1/n) * sum_{k=1..n-1} k L_k f_{n-k}."""
+    c = f.coefficients
+    if c[0] != _ONE:
+        raise BadConstantTerm(f"log needs constant term 1, got {c[0]!r}")
+    out = [BiPoly.zero()]
+    for n in range(1, f.order + 1):
+        corr = BiPoly.zero()
+        for k in range(1, n):
+            if out[k] and c[n - k]:
+                corr = corr + out[k] * c[n - k] * k
+        out.append(c[n] - corr * Fraction(1, n))
+    return EgfSeries(out)

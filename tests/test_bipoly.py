@@ -1,5 +1,11 @@
-"""Core tests for exact bivariate polynomial arithmetic."""
+"""Core tests for exact bivariate polynomial arithmetic.
 
+``RefPoly`` is the package's earlier coefficient layout, a dict of
+``Fraction`` coefficients, kept here as the reference that the
+integer-numerator ``BiPoly`` must agree with on every operation.
+"""
+
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +34,107 @@ bipolys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     rationals,
     max_size=4,
+).map(BiPoly)
+
+
+
+class RefPoly:
+    """Sparse Q[l, x] as {(dl, dx): Fraction}, no zero values; the reference."""
+
+    def __init__(self, terms):
+        self.terms = {key: Fraction(c) for key, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, p: BiPoly) -> "RefPoly":
+        return cls(p.terms())
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for (al, ax), ac in self.terms.items():
+            for (bl, bx), bc in other.terms.items():
+                key = (al + bl, ax + bx)
+                out[key] = out.get(key, Fraction(0)) + ac * bc
+        return RefPoly(out)
+
+    def __pow__(self, n):
+        result = RefPoly({(0, 0): 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def subs_lam(self, value):
+        c = Fraction(value)
+        return sum(
+            (RefPoly({(0, dx): coeff * c**dl}) for (dl, dx), coeff in self.terms.items()),
+            RefPoly({}),
+        )
+
+    def subs_x(self, value):
+        c = Fraction(value)
+        return sum(
+            (RefPoly({(dl, 0): coeff * c**dx}) for (dl, dx), coeff in self.terms.items()),
+            RefPoly({}),
+        )
+
+    def subs_x_poly(self, q):
+        return sum(
+            (RefPoly({(dl, 0): coeff}) * q**dx for (dl, dx), coeff in self.terms.items()),
+            RefPoly({}),
+        )
+
+    def div_lam(self):
+        assert all(dl > 0 for dl, _ in self.terms)
+        return RefPoly({(dl - 1, dx): c for (dl, dx), c in self.terms.items()})
+
+    def evaluate(self, lam_value, x_value):
+        lv, xv = Fraction(lam_value), Fraction(x_value)
+        return sum((c * lv**dl * xv**dx for (dl, dx), c in self.terms.items()), Fraction(0))
+
+
+def assert_canonical(p: BiPoly) -> None:
+    # Integer numerators, none zero, over a positive denominator sharing no
+    # factor with all of them; the zero polynomial is ({}, 1).
+    assert type(p._den) is int and p._den > 0
+    assert all(type(v) is int and v for v in p._terms.values())
+    assert math.gcd(p._den, *p._terms.values()) == 1
+
+
+def agrees(p: BiPoly, ref: RefPoly) -> bool:
+    assert_canonical(p)
+    return p.terms() == ref.terms
+
+
+# Large numerators and denominators, and small denominators that share
+# factors, so results need the gcd pass and the rescaling in addition.
+big_rationals = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(min_value=-10**30, max_value=10**30),
+        st.integers(min_value=1, max_value=10**20),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-60, max_value=60),
+        st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 36, 720]),
+    ),
+)
+
+big_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    big_rationals,
+    max_size=6,
 ).map(BiPoly)
 
 
@@ -132,7 +239,7 @@ def test_subs_x_poly_affine():
 @settings(max_examples=60)
 @given(bipolys, rationals)
 def test_substitution_composes_to_evaluation(p, c):
-    assert p.subs_lam(0).subs_x(c).constant() == p.evaluate(0, c)
+    assert p.subs_lam(0).subs_x(c).constant() == RefPoly.of(p).evaluate(0, c)
 
 
 def test_div_lam():
@@ -184,3 +291,77 @@ def test_render_conventions():
     assert (BiPoly.const(1) - L).render() == "1 - l"
     assert (L * 2).render() == "2*l"
     assert (L * L * X * frac(3, 4)).render() == "3/4*l^2*x"
+
+
+# -- agreement with the Fraction-dict reference --------------------------------------
+
+
+@settings(max_examples=150)
+@given(big_bipolys, big_bipolys)
+def test_ring_operations_match_reference(a, b):
+    ra, rb = RefPoly.of(a), RefPoly.of(b)
+    assert agrees(a, ra) and agrees(b, rb)
+    assert agrees(a + b, ra + rb)
+    assert agrees(a - b, ra - rb)
+    assert agrees(a - a, RefPoly({}))
+    assert agrees(a * b, ra * rb)
+    assert agrees(-a, -ra)
+
+
+@settings(max_examples=100)
+@given(big_bipolys, big_rationals, st.integers(-10**12, 10**12))
+def test_scalar_operands_match_reference(a, c, k):
+    ra = RefPoly.of(a)
+    for scalar in (c, k):
+        rs = RefPoly({(0, 0): scalar})
+        assert agrees(a + scalar, ra + rs) and agrees(scalar + a, ra + rs)
+        assert agrees(a - scalar, ra - rs) and agrees(scalar - a, rs - ra)
+        assert agrees(a * scalar, ra * rs) and agrees(scalar * a, ra * rs)
+        assert (BiPoly.const(scalar) == scalar) and agrees(BiPoly.const(scalar), rs)
+
+
+@settings(max_examples=60)
+@given(big_bipolys, st.integers(0, 4))
+def test_power_matches_reference(a, n):
+    assert agrees(a**n, RefPoly.of(a) ** n)
+
+
+@settings(max_examples=100)
+@given(big_bipolys, big_rationals, bipolys)
+def test_substitutions_match_reference(a, c, q):
+    ra = RefPoly.of(a)
+    assert agrees(a.subs_lam(c), ra.subs_lam(c))
+    assert agrees(a.subs_x(c), ra.subs_x(c))
+    assert agrees(a.subs_lam(0), ra.subs_lam(0))
+    assert agrees(a.subs_x_poly(q), ra.subs_x_poly(RefPoly.of(q)))
+    assert agrees((a * L).div_lam(), (ra * RefPoly({(1, 0): 1})).div_lam())
+
+
+def test_product_cancellation_leaves_no_zero_terms():
+    prod = (L * frac(1, 2) + X) * (L * frac(1, 2) - X)
+    assert prod.terms() == {(2, 0): frac(1, 4), (0, 2): frac(-1)}
+    assert_canonical(prod)
+
+
+def test_common_denominator_is_reduced():
+    # 1/6 + 1/3 = 1/2 and (2/3) * (3/4) = 1/2: both need the gcd pass.
+    half = BiPoly.const(frac(1, 6)) + BiPoly.const(frac(1, 3))
+    assert (half._terms, half._den) == ({(0, 0): 1}, 2)
+    prod = (L * frac(2, 3)) * (X * frac(3, 4))
+    assert (prod._terms, prod._den) == ({(1, 1): 1}, 2)
+    mixed = BiPoly({(0, 0): frac(1, 4), (1, 0): frac(1, 6)})
+    assert (mixed._terms, mixed._den) == ({(0, 0): 3, (1, 0): 2}, 12)
+    assert_canonical(mixed - BiPoly.const(frac(1, 4)))
+    zero = mixed - mixed
+    assert (zero._terms, zero._den) == ({}, 1)
+
+
+@given(big_bipolys, big_bipolys, big_bipolys)
+def test_equal_values_by_different_routes_hash_equally(a, b, c):
+    left, right = a * (b + c), a * b + a * c
+    assert left == right and hash(left) == hash(right)
+
+
+def test_constant_hashes_like_its_fraction():
+    assert hash(BiPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(BiPoly.const(Fraction(-10**40, 3))) == hash(Fraction(-10**40, 3))

@@ -272,6 +272,14 @@ def test_order_on_identity_without_order_is_usage_error(capsys):
     assert "--order does not apply" in err
 
 
+def test_order_below_first_order_is_usage_error(capsys):
+    code, out, err = run_capture(
+        capsys, ["verify", "--identity", "thm2", "--max-n", "1", "--order", "0"]
+    )
+    assert code == 2 and out == ""
+    assert "starts at order 1" in err
+
+
 def test_max_n_above_size_limit_is_usage_error(capsys):
     families.clear_caches()
     code, _, err = run_capture(

@@ -25,6 +25,7 @@ from degenpoly.families import (
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
+from oracles import series_exp, truncate
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -428,7 +429,7 @@ def test_binomial_power_equals_exp_log_route():
     exponent = X - L * Fraction(1, 2)
     direct = step_egf(exponent, BiPoly.const(1), 10)
     log1p = step_egf(BiPoly.const(-1), BiPoly.const(1), 10, lag=1)
-    via_exp = log1p.scale(exponent).exp()
+    via_exp = series_exp(log1p.scale(exponent))
     assert direct == via_exp
 
 
@@ -460,7 +461,7 @@ def test_truncation_consistency():
     for family in (FamilyId.TYPE2_DEG_BERNOULLI2, FamilyId.DEG_BERNOULLI2, FamilyId.DEG_EULER):
         full = build_egf(FamilySpec(family), 12)
         small = build_egf(FamilySpec(family), 6)
-        assert full.truncate(6) == small
+        assert truncate(full, 6) == small
 
 
 # -- validation --------------------------------------------------------------------------

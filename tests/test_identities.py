@@ -255,6 +255,27 @@ def test_order_on_identity_without_order_rejected():
     assert verify(IdentityId.EQ23, 2, trunc=4).max_order is None
 
 
+@pytest.mark.parametrize(
+    "identity",
+    [IdentityId.EQ21, IdentityId.THM2, IdentityId.THM2_COROLLARY, IdentityId.THM3,
+     IdentityId.B_SECOND_KIND_RELATION],
+)
+def test_order_below_first_order_rejected(identity):
+    # These identities start at order 1; order 0 used to run as order 1.
+    with pytest.raises(ValueError, match="starts at order 1"):
+        verify(identity, 2, max_order=0, trunc=4)
+    report = verify(identity, 2, max_order=1, trunc=4)
+    assert report.all_pass and report.cases
+
+
+def test_thm4_starts_at_order_zero():
+    report = verify(IdentityId.THM4, 2, max_order=0, trunc=4)
+    assert report.all_pass and report.cases
+    assert {case.indices["k"] for case in report.cases} == {0}
+    with pytest.raises(ValueError, match="starts at order 0"):
+        verify(IdentityId.THM4, 2, max_order=-1, trunc=4)
+
+
 def test_default_ranges_profiles():
     assert default_ranges(IdentityId.THM4, "full") == (12, 6, 16)
     assert default_ranges(IdentityId.THM4, "quick") == (8, 3, 12)
