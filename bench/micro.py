@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, naming another checkout to compare with:
 
-    python3 bench/micro.py --baseline PATH/TO/OTHER/CHECKOUT --out BENCH_6.json
+    python3 bench/micro.py --baseline PATH/TO/OTHER/CHECKOUT --out micro.json
 
 At N = 16 and 32, with symbolic l and x, it times one ``BiPoly`` product
 (coefficient N of the order-2 ``type2-deg-bernoulli2`` EGF times
@@ -12,7 +12,7 @@ e_l^x(log_l(1+t)), and a cold 32-row ``deg-central-factorial`` table.
 Inputs are built before timing, with the timed tree's own code.
 
 Each checkout is timed in its own child process that imports its ``src/``,
-first the baseline and then this checkout, ``--repeat`` times per entry.
+first the baseline and then this checkout, ``REPEAT`` times per entry.
 The JSON records the Python version, each checkout's git revision, the
 median and minimum seconds of each entry, the baseline-to-current ratio of
 the medians, and whether both checkouts produced the same result.  This
@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32)
+REPEAT = 5  # timed runs per entry
 TABLE_ROWS = 32
 
 
@@ -76,13 +77,13 @@ def _cases():
     return cases
 
 
-def child(src: str, repeat: int) -> dict:
+def child(src: str) -> dict:
     """Time every entry against the package under ``src``."""
     sys.path.insert(0, src)
     out = {}
     for name, thunk in _cases():
         times = []
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             result = thunk()
             times.append(time.perf_counter() - start)
@@ -105,9 +106,9 @@ def _revision(root: Path) -> str:
     return proc.stdout.strip()
 
 
-def _run_child(root: Path, repeat: int) -> dict:
+def _run_child(root: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(root / "src"), "--repeat", str(repeat)],
+        [sys.executable, __file__, "--child", str(root / "src")],
         stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -117,19 +118,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", type=Path, help="checkout to compare with")
     parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--repeat", type=int, default=5, help="timed runs per entry")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     if args.child:
-        json.dump(child(args.child, args.repeat), sys.stdout)
+        json.dump(child(args.child), sys.stdout)
         return
     if args.baseline is None or args.out is None:
         parser.error("--baseline and --out are required")
 
     trees = {"baseline": args.baseline.resolve(), "current": ROOT}
-    timings = {label: _run_child(root, args.repeat) for label, root in trees.items()}
+    timings = {label: _run_child(root) for label, root in trees.items()}
     entries = {}
     for name, cur in timings["current"].items():
         base = timings["baseline"][name]
@@ -144,7 +142,7 @@ def main() -> None:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "revisions": {label: _revision(root) for label, root in trees.items()},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "sizes": list(SIZES),
         "entries": entries,
     }

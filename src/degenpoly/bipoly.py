@@ -200,13 +200,6 @@ class BiPoly:
         return (-self) + other
 
     def __mul__(self, other: object) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            # A rational scalar p/q scales the numerators and the denominator.
-            p = other.numerator
-            if not p or not self._terms:
-                return _raw({}, 1)
-            return _make({key: v * p for key, v in self._terms.items()},
-                         self._den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -448,7 +448,7 @@ class _Entry:
     checker: Callable[[int, int | None, int], list[Case]]
     quick: tuple[int, int | None, int]  # (max_n, max_order, trunc)
     full: tuple[int, int | None, int]  # max_order is None iff the identity has no order
-    min_order: int | None = None  # the checker's first order; None iff it has no order
+    min_order: int = 1  # the checker's first order, read only when it has an order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
@@ -456,14 +456,14 @@ _CATALOG: dict[IdentityId, _Entry] = {
     IdentityId.EQ4: _Entry(_check_eq4, (8, None, 12), (20, None, 20)),
     IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (8, None, 12), (10, None, 16)),
     IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16), 1),
+    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16)),
     IdentityId.EQ23: _Entry(_check_eq23, (8, None, 12), (12, None, 16)),
     IdentityId.EQ25: _Entry(_check_eq25, (8, None, 12), (12, None, 16)),
-    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16), 1),
-    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16), 1),
-    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16), 1),
+    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16)),
+    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16)),
+    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16)),
     IdentityId.THM4: _Entry(_check_thm4, (8, 3, 12), (12, 6, 16), 0),
-    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16), 1),
+    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16)),
     IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (8, None, 12), (12, None, 16)),
     IdentityId.STIRLING_INVERSION: _Entry(
         _check_stirling_inversion, (8, None, 12), (12, None, 16)
@@ -507,7 +507,7 @@ def verify(
     """Verify one identity over inclusive index ranges, returning exact residuals."""
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
-    uses_order = entry.min_order is not None
+    uses_order = entry.full[1] is not None
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if trunc < max_n:
