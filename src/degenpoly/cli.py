@@ -41,13 +41,18 @@ from .identities import (
 )
 
 
-#: Largest accepted --max-n and --trunc: twice the largest triangle table
-#: (32 rows) that the tests and the benchmark build.
+#: Largest accepted --max-n and --trunc, well above the ranges of the profiles and the tests.
 SIZE_LIMIT = 64
+
+#: Longest rational literal, and largest exponent in one: Fraction("1e999999999") has no bound.
+LITERAL_LIMIT = 64
 
 
 def _rational(text: str) -> Fraction:
+    exponent = text.lower().partition("e")[2]
     try:
+        if len(text) > LITERAL_LIMIT or (exponent and abs(int(exponent)) > LITERAL_LIMIT):
+            raise argparse.ArgumentTypeError(f"rational literal above the limit {LITERAL_LIMIT}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}") from exc
@@ -227,6 +232,9 @@ def run(argv: list[str] | None = None) -> int:
         return _dispatch(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # only _emit does I/O: an --output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -258,10 +266,11 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             args.x_arg = "symbolic"
         try:
             kind, rows = _compute_rows(args)
+            text = _render_compute(args, kind, rows)  # str() refuses ints above 4300 digits
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        _emit(args.output, _render_compute(args, kind, rows))
+        _emit(args.output, text)
         return 0
 
     # verify

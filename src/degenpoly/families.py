@@ -18,9 +18,9 @@ the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
   of ``l`` enters the ring.
 
 A triangle's column k has the EGF g(t)^k / k! for its kernel g (the catalog
-recipe), but its table is built row by row: each triangle pair has one step
-rule that gives row n+1 from rows n-1 and n, a recurrence that follows from
-the kernel, so no series is multiplied.
+recipe), but its entries are built row by row: each triangle pair has one
+step rule that gives row n+1 from rows n-1 and n, a recurrence that follows
+from the kernel, so no series is multiplied.
 """
 
 from __future__ import annotations
@@ -418,15 +418,15 @@ def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     if fid in TRIANGLE_FAMILIES:
         # Column k of the triangle: value n is T(n, k), zero above the diagonal.
         k = spec.order.numerator
-        table = _triangle_table(fid, spec.lambda_mode, _table_size(trunc))
         return EgfSeries(
-            [table[n][k] * (1 / factorial(n)) if k <= n else _ZERO for n in range(trunc + 1)]
+            [_triangle_row(fid, spec.lambda_mode, n)[k] * (1 / factorial(n)) if k <= n else _ZERO
+             for n in range(trunc + 1)]
         )
     lam = _deformation(fid, spec.lambda_mode)
     return CATALOG[fid].build(spec.order, spec.argument.to_poly(), lam, trunc)
 
 
-# -- triangle tables ---------------------------------------------------------
+# -- triangle rows -----------------------------------------------------------
 
 
 def triangular_numbers(
@@ -435,48 +435,38 @@ def triangular_numbers(
     """Entry (n, k) of a connection-coefficient triangle.
 
     Outside the triangle 0 <= k <= n the value is the zero polynomial.
-    Entries come from the smallest memoized table of 8, 16, 32, ... rows
-    that holds row n, built by the family's row recurrence; the tables are
-    immutable and safe to share across threads.
+    Entries come from the memoized row n, built by the family's row
+    recurrence; rows are immutable and safe to share across threads.
     """
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
     if n < 0 or k < 0 or k > n:
         return _ZERO
-    return _triangle_table(family, lambda_mode, _table_size(n))[n][k]
+    return _triangle_row(family, lambda_mode, n)[k]
 
 
-def _table_size(n: int) -> int:
-    """The smallest of 8, 16, 32, ... that is at least n."""
-    size = 8
-    while size < n:
-        size *= 2
-    return size
-
-
-@lru_cache(maxsize=64)
-def _triangle_table(
-    family: FamilyId, mode: LambdaMode, size: int
-) -> tuple[tuple[BiPoly, ...], ...]:
-    """Rows 0..size (size >= 1) of a triangle; row n+1 comes from rows n-1 and n by the step rule.
+@lru_cache(maxsize=4096)
+def _triangle_row(family: FamilyId, mode: LambdaMode, n: int) -> tuple[BiPoly, ...]:
+    """Entries k = 0..n of row n >= 0; row n comes from rows n-2 and n-1 by the step rule.
 
     Every triangle starts from T(0,0) = T(1,1) = 1, and column 0 is zero
-    below row 0.
+    below row 0.  A miss first fetches row n-32, so a deep row recurses
+    about n/32 + 32 calls deep instead of n.
     """
+    if n < 2:
+        return (_ONE,) if n == 0 else (_ZERO, _ONE)
+    if n > 32:
+        _triangle_row(family, mode, n - 32)
+    older = _triangle_row(family, mode, n - 2) + (_ZERO, _ZERO)
+    row = _triangle_row(family, mode, n - 1) + (_ZERO,)
     step = CATALOG[family].build
     lam = _deformation(family, mode)
-    rows = [[_ZERO] * (size + 1) for _ in range(size + 1)]
-    rows[0][0] = rows[1][1] = _ONE
-    for n in range(1, size):
-        older, row, new = rows[n - 1], rows[n], rows[n + 1]
-        for k in range(1, n + 2):
-            new[k] = step(lam, n, k, older, row)
-    return tuple(map(tuple, rows))
+    return (_ZERO,) + tuple(step(lam, n - 1, k, older, row) for k in range(1, n + 1))
 
 
 def clear_caches() -> None:
-    """Drop all memoized tables and series (mainly for tests)."""
-    _triangle_table.cache_clear()
+    """Drop all memoized triangle rows and series (mainly for tests)."""
+    _triangle_row.cache_clear()
     _build_egf_cached.cache_clear()
 
 

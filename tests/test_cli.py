@@ -1,6 +1,8 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,16 @@ def test_compute_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["family"] == "stirling2"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_capture(
+        capsys, ["verify", "--identity", "eq2", "--max-n", "2", "-o", str(target)]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "out.json" in err
+    assert not target.exists()
 
 
 # -- verify -----------------------------------------------------------------------
@@ -215,6 +227,43 @@ def test_bad_rational_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "deg-stirling2", "--lambda=1e5000"],
+        ["--family", "deg-exp", "--x=1e5000"],
+        ["--family", "deg-stirling2", "--lambda=1e999999999"],
+        ["--family", "deg-exp", "--x=" + "7" * (cli.LITERAL_LIMIT + 1)],
+    ],
+    ids=["lambda-exponent", "x-exponent", "lambda-huge-exponent", "x-length"],
+)
+def test_oversized_rational_is_usage_error(capsys, argv):
+    families.clear_caches()
+    code, out, err = run_capture(capsys, ["compute", "--max-n", "3"] + argv)
+    assert code == 2 and out == ""
+    assert f"rational literal above the limit {cli.LITERAL_LIMIT}" in err
+    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
+    assert families._build_egf_cached.cache_info().misses == 0
+
+
+def test_rational_literals_within_the_limit():
+    assert cli._rational("-37/42") == Fraction(-37, 42)
+    assert cli._rational("2.5E-3") == Fraction(1, 400)
+    assert cli._rational("1e64") == 10**64
+    digits = "1" * cli.LITERAL_LIMIT
+    assert cli._rational(digits) == int(digits)
+
+
+def test_value_too_long_to_print_is_usage_error(capsys):
+    # Accepted literal, but x^n has a denominator of about 7800 digits at n = 64.
+    tiny = "9." + "9" * 58 + "e-64"
+    code, out, err = run_capture(
+        capsys, ["compute", "--family", "deg-exp", "--max-n", "64", f"--x={tiny}"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_unsupported_order_is_usage_error(capsys):
     code, _, err = run_capture(
         capsys,
@@ -287,7 +336,7 @@ def test_max_n_above_size_limit_is_usage_error(capsys):
     )
     assert code == 2
     assert "--max-n 65 is above the limit 64" in err
-    assert families._triangle_table.cache_info().misses == 0  # rejected before any work
+    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
     code, _, err = run_capture(
         capsys, ["verify", "--identity", "eq23", "--max-n", str(cli.SIZE_LIMIT + 1)]
     )
@@ -357,3 +406,22 @@ def test_list_families_output(capsys):
     assert out == LIST_FAMILIES_TEXT
     _, second, _ = run_capture(capsys, ["list-families"])
     assert out == second
+
+
+# -- console entry point ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compute", "--family", "deg-exp", "--max-n", "2"], 0),
+        (["compute", "--family", "deg-exp", "--max-n", "-1"], 2),
+    ],
+    ids=["success", "usage-error"],
+)
+def test_main_exits_with_the_run_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["degenpoly"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert bool(capsys.readouterr().out) == (code == 0)

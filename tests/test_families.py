@@ -1,6 +1,7 @@
 """Family builder tests: frozen values, independent combinatorial oracles,
 classical limits, and parameter validation."""
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from degenpoly.families import (
     FamilySpec,
     LambdaMode,
     UnsupportedOrder,
-    _triangle_table,
+    _triangle_row,
     build_egf,
     central_factorial_power,
     classical_value,
@@ -302,10 +303,13 @@ TRIANGLE_KERNELS = {
     ids=lambda mode: mode.kind,
 )
 def test_triangle_tables_match_egf_powers(family, mode):
-    size = 16
+    size = 13
     kernel, degenerate = TRIANGLE_KERNELS[family]
     lam = mode.to_poly() if degenerate else BiPoly.zero()
-    assert _triangle_table(family, mode, size) == triangle_by_egf_powers(kernel(lam, size), size)
+    expected = triangle_by_egf_powers(kernel(lam, size), size)
+    assert [_triangle_row(family, mode, n) for n in range(size + 1)] == [
+        row[: n + 1] for n, row in enumerate(expected)
+    ]
 
 
 def test_triangle_column_edge_cases():
@@ -321,21 +325,38 @@ def test_triangle_column_edge_cases():
             assert column.value(n) == expected, (family, n)
 
 
-def test_triangle_tables_come_in_size_classes(capsys):
-    # Rows 0-8, 9-16 and 17-24 come from the 8-, 16- and 32-row tables.
+def test_triangle_rows_are_built_once(capsys):
     clear_caches()
-    assert cli.run(["compute", "--family", "deg-stirling2", "--max-n", "24"]) == 0
-    capsys.readouterr()
-    assert _triangle_table.cache_info().misses == 3
+    for max_n, built in (("24", 25), ("30", 31), ("24", 31)):
+        assert cli.run(["compute", "--family", "deg-stirling2", "--max-n", max_n]) == 0
+        capsys.readouterr()
+        assert _triangle_row.cache_info().misses == built, max_n
+
+
+def test_deep_row_recursion_stays_shallow():
+    # Row n must not recurse n calls deep: read a row deeper than the limit.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    clear_caches()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        value = triangular_numbers(FamilyId.STIRLING2, 400, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+        clear_caches()
+    assert value == BiPoly.const(2**399 - 1)  # S2(n, 2) = 2^(n-1) - 1
 
 
 def test_triangle_table_cache_is_bounded():
     clear_caches()
-    for j in range(1, 101):
-        triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, LambdaMode.numeric(Fraction(j, 101)))
-    info = _triangle_table.cache_info()
-    assert info.misses == 100
-    assert info.currsize <= info.maxsize
+    for j in range(1, 1401):
+        triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, LambdaMode.numeric(Fraction(j, 1401)))
+    info = _triangle_row.cache_info()
+    assert info.misses == 4200  # rows 0, 1 and 2 for each l
+    assert info.currsize == info.maxsize == 4096
 
 
 def test_triangle_requires_triangle_family():
@@ -345,9 +366,9 @@ def test_triangle_requires_triangle_family():
 
 def test_triangle_cache_grows_consistently():
     small = triangular_numbers(FamilyId.DEG_STIRLING2, 3, 2)
-    triangular_numbers(FamilyId.DEG_STIRLING2, 12, 2)  # forces the table to grow
+    triangular_numbers(FamilyId.DEG_STIRLING2, 12, 2)  # reads a deeper row
     assert triangular_numbers(FamilyId.DEG_STIRLING2, 3, 2) == small
-    # S2(n, 2) = 2^(n-1) - 1 pins the grown classical table.
+    # S2(n, 2) = 2^(n-1) - 1 pins the classical row.
     assert triangular_numbers(FamilyId.STIRLING2, 12, 2).constant() == Fraction(2**11 - 1)
 
 
