@@ -7,7 +7,9 @@ the layout of FLINT's ``fmpq_poly``: ``_terms`` maps exponent pairs
 ``(dl, dx)`` to ``int`` numerators and ``_den`` is a positive ``int``, so
 the coefficient of l^dl x^dx is ``_terms[(dl, dx)] / _den``.  Arithmetic
 runs on plain ints and reduces each result once, by a single gcd over its
-denominator and numerators.
+denominator and numerators.  ``dot(xs, ys)``, the sum of x*y over paired
+polynomials, is the one product kernel: ``*`` is its one-pair case, and
+each sum of products in the series and identity layers is one call to it.
 
 Instances are immutable and kept in canonical form: no zero numerator,
 ``_den > 0`` and ``gcd(_den, *numerators) == 1``; the zero polynomial is
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 Scalar = Fraction | int
 Term = tuple[int, int]  # (degree in l, degree in x)
@@ -116,9 +118,6 @@ class BiPoly:
         den = self._den
         return {key: Fraction(v, den) for key, v in self._terms.items()}
 
-    def coeff(self, dl: int, dx: int) -> Fraction:
-        return Fraction(self._terms.get((dl, dx), 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -203,19 +202,7 @@ class BiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._terms, o._terms
-        if not a or not b:
-            return _raw({}, 1)
-        out: dict[Term, int] = {}
-        get = out.get
-        b_items = list(b.items())
-        for (al, ax), ac in a.items():
-            for (bl, bx), bc in b_items:
-                key = (al + bl, ax + bx)
-                out[key] = get(key, 0) + ac * bc
-        if len(out) < len(a) * len(b):
-            out = {key: v for key, v in out.items() if v}
-        return _make(out, self._den * o._den)
+        return dot((self,), (o,))
 
     __rmul__ = __mul__
 
@@ -327,6 +314,39 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.render()})"
+
+
+def dot(xs: Iterable[BiPoly], ys: Iterable[BiPoly]) -> BiPoly:
+    """The sum of x*y over ``zip(xs, ys, strict=True)``, reduced once.
+
+    Pairs with a zero factor are skipped.  Every product is accumulated
+    over the lcm of the pairs' denominator products, so the numerators
+    stay ints and the sum gets a single gcd pass.
+    """
+    pairs = []
+    den = 1
+    for x, y in zip(xs, ys, strict=True):
+        if x._terms and y._terms:
+            d = x._den * y._den
+            pairs.append((x._terms, y._terms, d))
+            den = math.lcm(den, d)
+    out: dict[Term, int] = {}
+    get = out.get
+    products = 0
+    for a, b, d in pairs:
+        # Scale a's numerators so that this product lands over ``den``.
+        scale = den // d
+        a_items = a.items() if scale == 1 else [(key, v * scale) for key, v in a.items()]
+        b_items = list(b.items())
+        products += len(a) * len(b_items)
+        for (al, ax), ac in a_items:
+            for (bl, bx), bc in b_items:
+                key = (al + bl, ax + bx)
+                out[key] = get(key, 0) + ac * bc
+    # Only a sum that merged some products can hold a zero numerator.
+    if len(out) < products:
+        out = {key: v for key, v in out.items() if v}
+    return _make(out, den)
 
 
 def _pow_str(name: str, d: int) -> str:

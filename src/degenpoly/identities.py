@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .bipoly import BiPoly, binomial
+from .bipoly import BiPoly, binomial, dot
 from .series import EgfSeries
 from .families import (
     Argument,
@@ -137,18 +137,12 @@ def _series(family: FamilyId, trunc: int, order: Fraction | int = 1,
 
 def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
     """The triangle transform sum_{m<=n} values[m] * T(n, m) of one value list."""
-    acc = BiPoly.zero()
-    for m in range(n + 1):
-        acc = acc + values[m] * triangular_numbers(family, n, m)
-    return acc
+    return dot(values[: n + 1], [triangular_numbers(family, n, m) for m in range(n + 1)])
 
 
 def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
     """The binomial convolution sum_{m<=n} C(n,m) a[m] b[n-m]: value n of an EGF product."""
-    acc = BiPoly.zero()
-    for m in range(n + 1):
-        acc = acc + a[m] * binomial(n, m) * b[n - m]
-    return acc
+    return dot([a[m] * binomial(n, m) for m in range(n + 1)], b[n::-1])
 
 
 def eq21_rhs_term(j: int, r: int) -> BiPoly:
@@ -446,31 +440,26 @@ def _check_compositional_inverse(max_n: int, max_order: int | None, trunc: int) 
 @dataclass(frozen=True)
 class _Entry:
     checker: Callable[[int, int | None, int], list[Case]]
-    quick: tuple[int, int | None, int]  # (max_n, max_order, trunc)
-    full: tuple[int, int | None, int]  # max_order is None iff the identity has no order
+    full: tuple[int, int | None, int]  # (max_n, max_order, trunc); max_order is None iff no order
     min_order: int = 1  # the checker's first order, read only when it has an order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
-    IdentityId.EQ2: _Entry(_check_eq2, (8, None, 12), (20, None, 20)),
-    IdentityId.EQ4: _Entry(_check_eq4, (8, None, 12), (20, None, 20)),
-    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (8, None, 12), (10, None, 16)),
-    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ21: _Entry(_check_eq21, (8, 3, 12), (12, 4, 16)),
-    IdentityId.EQ23: _Entry(_check_eq23, (8, None, 12), (12, None, 16)),
-    IdentityId.EQ25: _Entry(_check_eq25, (8, None, 12), (12, None, 16)),
-    IdentityId.THM2: _Entry(_check_thm2, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM3: _Entry(_check_thm3, (8, 3, 12), (12, 4, 16)),
-    IdentityId.THM4: _Entry(_check_thm4, (8, 3, 12), (12, 6, 16), 0),
-    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (8, 3, 12), (10, 5, 16)),
-    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (8, None, 12), (12, None, 16)),
-    IdentityId.STIRLING_INVERSION: _Entry(
-        _check_stirling_inversion, (8, None, 12), (12, None, 16)
-    ),
-    IdentityId.COMPOSITIONAL_INVERSE: _Entry(
-        _check_compositional_inverse, (8, None, 12), (16, None, 16)
-    ),
+    IdentityId.EQ2: _Entry(_check_eq2, (20, None, 20)),
+    IdentityId.EQ4: _Entry(_check_eq4, (20, None, 20)),
+    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (10, None, 16)),
+    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (12, None, 16)),
+    IdentityId.EQ21: _Entry(_check_eq21, (12, 4, 16)),
+    IdentityId.EQ23: _Entry(_check_eq23, (12, None, 16)),
+    IdentityId.EQ25: _Entry(_check_eq25, (12, None, 16)),
+    IdentityId.THM2: _Entry(_check_thm2, (12, 4, 16)),
+    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (12, 4, 16)),
+    IdentityId.THM3: _Entry(_check_thm3, (12, 4, 16)),
+    IdentityId.THM4: _Entry(_check_thm4, (12, 6, 16), 0),
+    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (10, 5, 16)),
+    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (12, None, 16)),
+    IdentityId.STIRLING_INVERSION: _Entry(_check_stirling_inversion, (12, None, 16)),
+    IdentityId.COMPOSITIONAL_INVERSE: _Entry(_check_compositional_inverse, (16, None, 16)),
 }
 
 
@@ -488,10 +477,14 @@ def coerce_identity(name: "IdentityId | str") -> IdentityId:
 
 
 def default_ranges(identity: "IdentityId | str", profile: str = "full") -> tuple[int, int | None, int]:
-    """The (max_n, max_order, trunc) ranges an identity gets under a profile."""
+    """The (max_n, max_order, trunc) ranges an identity gets under a profile.
+
+    ``full`` ranges are per identity; ``quick`` is n <= 8, orders <= 3 and
+    truncation 12 for every identity, with no order where it has none.
+    """
     entry = _CATALOG[coerce_identity(identity)]
     if profile == "quick":
-        return entry.quick
+        return (8, None if entry.full[1] is None else 3, 12)
     if profile == "full":
         return entry.full
     raise ValueError(f"unknown profile {profile!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .bipoly import BiPoly, factorial
+from .bipoly import BiPoly, dot, factorial
 
 _ONE = BiPoly.const(1)
 
@@ -114,16 +114,7 @@ class EgfSeries:
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         f, g = self._coeffs, other._coeffs
-        out = []
-        for n in range(min(len(f), len(g))):
-            acc = BiPoly.zero()
-            for j in range(n + 1):
-                fj = f[j]
-                gk = g[n - j]
-                if fj and gk:
-                    acc = acc + fj * gk
-            out.append(acc)
-        return EgfSeries(out)
+        return EgfSeries([dot(f[: n + 1], g[n::-1]) for n in range(min(len(f), len(g)))])
 
     def scale(self, c: BiPoly | Fraction | int) -> "EgfSeries":
         """Multiply every coefficient by a scalar or polynomial."""
@@ -138,14 +129,10 @@ class EgfSeries:
             )
         order = min(self.order, g.order)
         inv0 = 1 / g0
+        f, g = self._coeffs, g._coeffs
         out: list[BiPoly] = []
         for n in range(order + 1):
-            acc = self._coeffs[n]
-            for j in range(1, n + 1):
-                gj = g._coeffs[j]
-                if gj:
-                    acc = acc - gj * out[n - j]
-            out.append(acc * inv0)
+            out.append((f[n] - dot(g[1 : n + 1], out[::-1])) * inv0)
         return EgfSeries(out)
 
     def shift_div_t(self, m: int = 1) -> "EgfSeries":
@@ -203,10 +190,6 @@ class EgfSeries:
         out = [BiPoly.const(f0**alpha.numerator if alpha.denominator == 1 else 1)]
         f = self._coeffs
         for n in range(1, self.order + 1):
-            acc = BiPoly.zero()
-            for k in range(1, n + 1):
-                weight = (alpha + 1) * k - n
-                if weight and f[k] and out[n - k]:
-                    acc = acc + f[k] * weight * out[n - k]
-            out.append(acc * (1 / (n * f0)))
+            weighted = [f[k] * ((alpha + 1) * k - n) for k in range(1, n + 1)]
+            out.append(dot(weighted, out[::-1]) * (1 / (n * f0)))
         return EgfSeries(out)

@@ -139,6 +139,7 @@ def test_criterion_11_oracle_cross_checks():
 
 
 FULL_SUITE_SHA256 = "699f0ff3a60d78c61ddd966098311c83a2bbefe61f0eec5f3e8ba06d1a0f57c1"
+QUICK_CSV_SHA256 = "1ec4ffc443566a5d315386b7b2a05a65351f8288ba86dedd73aa140d37aa98ef"
 
 
 def test_criterion_12_full_cli_suite_under_budget(capsys):
@@ -151,3 +152,11 @@ def test_criterion_12_full_cli_suite_under_budget(capsys):
     # The full-suite JSON is byte-identical to the recorded output.
     assert hashlib.sha256(payload.encode()).hexdigest() == FULL_SUITE_SHA256
     print(f"criterion 12 PASS: full suite exits 0 in {elapsed:.1f}s (< 600s)")
+
+
+def test_quick_cli_suite_csv_is_pinned(capsys):
+    code = cli.run(["verify", "--identity", "all", "--profile", "quick", "--format", "csv"])
+    payload = capsys.readouterr().out
+    assert code == 0
+    # Byte-identical to the recorded output: pins the quick ranges and the arithmetic.
+    assert hashlib.sha256(payload.encode()).hexdigest() == QUICK_CSV_SHA256

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenpoly.bipoly import BiPoly, binomial, factorial
+from degenpoly.bipoly import BiPoly, binomial, dot, factorial
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -335,6 +335,46 @@ def test_substitutions_match_reference(a, c, q):
     assert agrees(a.subs_lam(0), ra.subs_lam(0))
     assert agrees(a.subs_x_poly(q), ra.subs_x_poly(RefPoly.of(q)))
     assert agrees((a * L).div_lam(), (ra * RefPoly({(1, 0): 1})).div_lam())
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(big_bipolys, big_bipolys), max_size=5))
+def test_dot_matches_reference(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    expected = sum((RefPoly.of(x) * RefPoly.of(y) for x, y in pairs), RefPoly({}))
+    assert agrees(dot(xs, ys), expected)
+    assert agrees(dot(iter(xs), iter(ys)), expected)
+
+
+def test_dot_of_nothing_is_canonical_zero():
+    zero = dot([], [])
+    assert (zero._terms, zero._den) == ({}, 1)
+
+
+def test_dot_skips_zero_factors():
+    half_l = L * frac(1, 2)
+    zero = BiPoly.zero()
+    assert dot([zero, half_l, X], [X, X * frac(2, 3), zero]) == L * X * frac(1, 3)
+    only_zeros = dot([zero, X], [L, zero])
+    assert (only_zeros._terms, only_zeros._den) == ({}, 1)
+
+
+def test_dot_cancelling_to_zero_is_canonical():
+    a, b = L * frac(1, 6) + X, X * frac(3, 4) - 1
+    cancelled = dot([a, -a, b], [b, b, BiPoly.zero()])
+    assert (cancelled._terms, cancelled._den) == ({}, 1)
+    # (1/2 l)(1/3) + (1/3 l)(1/2) - (l)(1/3): over the denominator 6, it cancels.
+    third = BiPoly.const(frac(1, 3))
+    cancelled = dot([L * frac(1, 2), L * frac(1, 3), -L], [third, BiPoly.const(frac(1, 2)), third])
+    assert (cancelled._terms, cancelled._den) == ({}, 1)
+
+
+def test_dot_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        dot([L, X], [X])
+    with pytest.raises(ValueError):
+        dot([], [L])
 
 
 def test_product_cancellation_leaves_no_zero_terms():
