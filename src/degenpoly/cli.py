@@ -41,7 +41,7 @@ from .identities import (
 )
 
 
-#: Largest accepted --max-n and --trunc, well above the ranges of the profiles and the tests.
+#: Largest accepted --max-n, --trunc and verify --order, well above the ranges of the profiles and the tests.
 SIZE_LIMIT = 64
 
 #: Longest rational literal, and largest exponent in one: Fraction("1e999999999") has no bound.
@@ -249,7 +249,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compute":
-        _check_sizes(parser, args.max_n, None)
+        _check_sizes(parser, args.max_n)
         info = CATALOG[FamilyId(args.family)]
         for flag, value, honoured in (
             ("--order", args.order, info.kind == "sequence" and info.order_domain != "none"),
@@ -295,7 +295,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     max_n = args.max_n if args.max_n is not None else d_max_n
     order = args.order if args.order is not None else d_order
     trunc = args.trunc if args.trunc is not None else max(d_trunc, max_n)
-    _check_sizes(parser, max_n, trunc)
+    _check_sizes(parser, max_n, trunc, order)
     from_profile = (
         args.max_n is None or args.trunc is None or (args.order is None and d_order is not None)
     )
@@ -310,13 +310,15 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
-def _check_sizes(parser: argparse.ArgumentParser, max_n: int, trunc: int | None) -> None:
+def _check_sizes(
+    parser: argparse.ArgumentParser, max_n: int, trunc: int | None = None, order: int | None = None
+) -> None:
     """Reject a size range before any work starts."""
     if max_n < 0:
         parser.error("--max-n must be nonnegative")
     if trunc is not None and trunc < max_n:
         parser.error(f"--trunc {trunc} is below --max-n {max_n}")
-    for flag, value in (("--max-n", max_n), ("--trunc", trunc)):
+    for flag, value in (("--max-n", max_n), ("--trunc", trunc), ("--order", order)):
         if value is not None and value > SIZE_LIMIT:
             parser.error(f"{flag} {value} is above the limit {SIZE_LIMIT}")
 

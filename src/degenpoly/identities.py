@@ -5,7 +5,9 @@ Both sides of every identity are assembled from the public family builders
 as an exact polynomial, and a case passes iff that residual is identically
 zero -- not small, zero.  ``x`` stays symbolic in every polynomial identity
 and ``l`` stays symbolic everywhere except the classical-limit checks,
-which substitute l = 0.
+which substitute l = 0.  A checker verifies one order of its identity;
+``verify()`` runs it for every order from the identity's first order
+(``thm4`` from 0, the others from 1) up to ``max_order``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
 from .bipoly import BiPoly, binomial, dot
@@ -36,6 +39,7 @@ _X = BiPoly.x()
 _ONE = BiPoly.const(1)
 _SYM = Argument.symbolic()
 _TWO = Fraction(2)
+_HALF_L = LambdaMode.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
 
 
 class UnknownIdentity(ValueError):
@@ -157,7 +161,11 @@ def eq21_rhs_term(j: int, r: int) -> BiPoly:
         raise ValueError(f"degree must be nonnegative, got {j}")
     if r < 1:
         raise ValueError(f"order must be a positive integer, got {r}")
-    poly = classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r)
+    return _eq21_weight(classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r), j, r)
+
+
+def _eq21_weight(poly: BiPoly, j: int, r: int) -> BiPoly:
+    """l^j * poly(2x/l - r) for a polynomial of degree at most j in x alone."""
     homogenized: dict[tuple[int, int], Fraction] = {}
     for (dl, dx), c in poly.terms().items():
         if dl != 0:
@@ -169,7 +177,7 @@ def eq21_rhs_term(j: int, r: int) -> BiPoly:
 # -- identity checkers --------------------------------------------------------
 
 
-def _check_eq23(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_eq23(max_n: int, order: None, trunc: int) -> list[Case]:
     # b2*_{n,l}(x) = b_{n,l}^(1)(x) + b_{n,l}^(1)(x - 1)
     lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
     rhs_a = _series(FamilyId.DEG_BERNOULLI2, trunc)
@@ -179,24 +187,26 @@ def _check_eq23(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     ]
 
 
-def _check_eq21(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_eq21(max_n: int, r: int, trunc: int) -> list[Case]:
     # sum_m b_{m,l}^(r)(x) S2(n,m)
     #   = sum_m C(n,m) [l^(n-m) B2*_(n-m)^(r)(2x/l - r)] S2(m+r,r)/C(m+r,r) 2^(m+r-n)
-    cases = []
-    for r in range(1, max_order + 1):
-        b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
-        s2_weights = [
-            triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
-            for m in range(max_n + 1)
-        ]
-        terms = [eq21_rhs_term(j, r) * _TWO ** (r - j) for j in range(max_n + 1)]
-        for n in range(max_n + 1):
-            residual = _transform(b_r, FamilyId.STIRLING2, n) - _convolve(s2_weights, terms, n)
-            cases.append(Case({"n": n, "r": r}, residual))
-    return cases
+    b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
+    classical = _series(
+        FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=LambdaMode.numeric(0)
+    )
+    s2_weights = [
+        triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
+        for m in range(max_n + 1)
+    ]
+    terms = [_eq21_weight(classical[j], j, r) * _TWO ** (r - j) for j in range(max_n + 1)]
+    return [
+        Case({"n": n, "r": r},
+             _transform(b_r, FamilyId.STIRLING2, n) - _convolve(s2_weights, terms, n))
+        for n in range(max_n + 1)
+    ]
 
 
-def _check_eq25(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_eq25(max_n: int, order: None, trunc: int) -> list[Case]:
     # b2*_{n,l}(x) = sum_l C(n,l) b2*_{l,l} (x)_{n-l}
     poly_values = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
     number_values = _series(
@@ -209,100 +219,74 @@ def _check_eq25(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     ]
 
 
-def _check_thm2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_thm2(max_n: int, k: int, trunc: int) -> list[Case]:
     # sum_l b2*_{l,l}^(k)(x) S2_l(n,l)
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
-    half = LambdaMode.scaled(Fraction(1, 2))
-    cases = []
-    for k in range(1, max_order + 1):
-        bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
-        ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
-        weights = [
-            triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, half)
-            * (_TWO ** (m + k) / binomial(m + k, k))
-            for m in range(max_n + 1)
-        ]
-        for n in range(max_n + 1):
-            residual = _transform(bstar, FamilyId.DEG_STIRLING2, n) - _convolve(weights, ff, n)
-            cases.append(Case({"n": n, "k": k}, residual))
-    return cases
+    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
+    ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
+    weights = [
+        triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, _HALF_L)
+        * (_TWO ** (m + k) / binomial(m + k, k))
+        for m in range(max_n + 1)
+    ]
+    return [
+        Case({"n": n, "k": k},
+             _transform(bstar, FamilyId.DEG_STIRLING2, n) - _convolve(weights, ff, n))
+        for n in range(max_n + 1)
+    ]
 
 
-def _check_thm2_corollary(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_thm2_corollary(max_n: int, k: int, trunc: int) -> list[Case]:
     # 2^(n+k) S2_{l/2}(n+k,k) = C(n+k,k) sum_l b2*_{l,l}^(k)(k) S2_l(n,l)
-    half = LambdaMode.scaled(Fraction(1, 2))
-    cases = []
-    for k in range(1, max_order + 1):
-        bstar_at_k = _series(
-            FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(k)
-        )
-        for n in range(max_n + 1):
-            lhs = triangular_numbers(FamilyId.DEG_STIRLING2, n + k, k, half) * (
-                _TWO ** (n + k)
-            )
-            rhs = _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * binomial(n + k, k)
-            cases.append(Case({"n": n, "k": k}, lhs - rhs))
-    return cases
+    bstar_at_k = _series(
+        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(k)
+    )
+    return [
+        Case({"n": n, "k": k},
+             triangular_numbers(FamilyId.DEG_STIRLING2, n + k, k, _HALF_L) * _TWO ** (n + k)
+             - _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * binomial(n + k, k))
+        for n in range(max_n + 1)
+    ]
 
 
-def _check_thm3(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_thm3(max_n: int, k: int, trunc: int) -> list[Case]:
     # b2*_{n,l}^(k)(x) = sum_l beta2*_{l,l}^(-k)(x) S1_l(n,l)
-    cases = []
-    for k in range(1, max_order + 1):
-        bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
-        beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, trunc, order=-k)
-        for n in range(max_n + 1):
-            residual = bstar[n] - _transform(beta, FamilyId.DEG_STIRLING1, n)
-            cases.append(Case({"n": n, "k": k}, residual))
-    return cases
+    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
+    beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, trunc, order=-k)
+    return [
+        Case({"n": n, "k": k}, bstar[n] - _transform(beta, FamilyId.DEG_STIRLING1, n))
+        for n in range(max_n + 1)
+    ]
 
 
-def _check_thm4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_thm4(max_n: int, k: int, trunc: int) -> list[Case]:
     # sum_{m=k..n} sum_{l=k..m} T_l(l,k) S1_l(m,l) C(n,m) (k/2)_{n-m}
     #   = sum_{m=k..n} S1_l(m,k) b_{n-m,l}^(k) C(n,m)
     # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
-    cases = []
-    for k in range(0, max_order + 1):
-        b_k = _series(
-            FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0)
-        )
-        ff = step_egf(BiPoly.const(Fraction(k, 2)), _ONE, max_n).values()  # (k/2)_j
-        t_col = [
-            triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)
-        ]
-        inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
-        s1_col = [triangular_numbers(FamilyId.DEG_STIRLING1, m, k) for m in range(max_n + 1)]
-        for n in range(k, max_n + 1):
-            residual = _convolve(inner, ff, n) - _convolve(s1_col, b_k, n)
-            cases.append(Case({"n": n, "k": k}, residual))
-    return cases
+    b_k = _series(FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0))
+    ff = step_egf(BiPoly.const(Fraction(k, 2)), _ONE, max_n).values()  # (k/2)_j
+    t_col = [triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)]
+    inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
+    s1_col = [triangular_numbers(FamilyId.DEG_STIRLING1, m, k) for m in range(max_n + 1)]
+    return [
+        Case({"n": n, "k": k}, _convolve(inner, ff, n) - _convolve(s1_col, b_k, n))
+        for n in range(k, max_n + 1)
+    ]
 
 
-def _check_eq2(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
-    # B2*_n(x) = 2^(n-1) B_n((x+1)/2)
-    type2 = _series(FamilyId.TYPE2_BERNOULLI, trunc)
-    bernoulli = _series(FamilyId.BERNOULLI_ORDER_R, trunc)
+def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
+                         max_n: int, order: None, trunc: int) -> list[Case]:
+    # B2*_n(x) = 2^(n-1) B_n((x+1)/2)  and  E2*_n(x) = 2^n E_n((x+1)/2)
+    lhs = _series(type2, trunc)
+    rhs = _series(classical, trunc)
     half_shift = (_X + 1) * Fraction(1, 2)
-    cases = []
-    for n in range(max_n + 1):
-        rhs = bernoulli[n].subs_x_poly(half_shift) * _TWO ** (n - 1)
-        cases.append(Case({"n": n}, type2[n] - rhs))
-    return cases
+    return [
+        Case({"n": n}, lhs[n] - rhs[n].subs_x_poly(half_shift) * _TWO ** (n + shift))
+        for n in range(max_n + 1)
+    ]
 
 
-def _check_eq4(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
-    # E2*_n(x) = 2^n E_n((x+1)/2)
-    type2 = _series(FamilyId.TYPE2_EULER, trunc)
-    euler = _series(FamilyId.EULER, trunc)
-    half_shift = (_X + 1) * Fraction(1, 2)
-    cases = []
-    for n in range(max_n + 1):
-        rhs = euler[n].subs_x_poly(half_shift) * _TWO**n
-        cases.append(Case({"n": n}, type2[n] - rhs))
-    return cases
-
-
-def _check_eq5_recon(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_eq5_recon(max_n: int, order: None, trunc: int) -> list[Case]:
     # x^n = sum_k T(n,k) x^[k]
     powers = [central_factorial_power(k) for k in range(max_n + 1)]
     return [
@@ -311,7 +295,7 @@ def _check_eq5_recon(max_n: int, max_order: int | None, trunc: int) -> list[Case
     ]
 
 
-def _check_eq18_equiv(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_eq18_equiv(max_n: int, order: None, trunc: int) -> list[Case]:
     # (t/log_l(1+t))^a (1+t)^x  ==  (l*t/((1+t)^(l/2)-(1+t)^(-l/2)))^a (1+t)^(x-l*a/2)
     cases = []
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)):
@@ -322,26 +306,17 @@ def _check_eq18_equiv(max_n: int, max_order: int | None, trunc: int) -> list[Cas
     return cases
 
 
-def _check_b_second_kind(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_b_second_kind(max_n: int, r: int, trunc: int) -> list[Case]:
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
-    shifted = Argument.shifted(1)
-    cases = []
-    for r in range(1, max_order + 1):
-        classical_b = _series(
-            FamilyId.DEG_BERNOULLI2, trunc, order=r, lambda_mode=LambdaMode.numeric(0)
-        )
-        for n in range(max_n + 1):
-            rhs = build_egf(
-                FamilySpec(
-                    FamilyId.BERNOULLI_ORDER_R,
-                    Fraction(n - r + 1),
-                    shifted,
-                    LambdaMode.numeric(0),
-                ),
-                trunc,
-            ).value(n)
-            cases.append(Case({"n": n, "r": r}, classical_b[n] - rhs))
-    return cases
+    lam0 = LambdaMode.numeric(0)
+    classical_b = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r, lambda_mode=lam0)
+    return [
+        Case({"n": n, "r": r}, classical_b[n] - build_egf(
+            FamilySpec(FamilyId.BERNOULLI_ORDER_R, Fraction(n - r + 1), Argument.shifted(1), lam0),
+            trunc,
+        ).value(n))
+        for n in range(max_n + 1)
+    ]
 
 
 def _limit_pairs() -> list[tuple[dict[str, object], FamilySpec, FamilySpec]]:
@@ -374,7 +349,7 @@ _LIMIT_TRIANGLES = [
 ]
 
 
-def _check_limits(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_limits(max_n: int, order: None, trunc: int) -> list[Case]:
     # Substituting l = 0 in each degenerate family reproduces its classical
     # counterpart -- the assertable form of every classical-limit statement.
     cases = []
@@ -394,7 +369,7 @@ def _check_limits(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
     return cases
 
 
-def _check_stirling_inversion(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_stirling_inversion(max_n: int, order: None, trunc: int) -> list[Case]:
     # sum_l S2_l(n,l) S1_l(l,m) = delta(n,m), symbolic l
     s1_cols = [
         [triangular_numbers(FamilyId.DEG_STIRLING1, j, m) for j in range(max_n + 1)]
@@ -409,7 +384,7 @@ def _check_stirling_inversion(max_n: int, max_order: int | None, trunc: int) -> 
     return cases
 
 
-def _check_compositional_inverse(max_n: int, max_order: int | None, trunc: int) -> list[Case]:
+def _check_compositional_inverse(max_n: int, order: None, trunc: int) -> list[Case]:
     # e_l(log_l(1+t)) = 1 + t  and  log_l(1 + (e_l(t) - 1)) = t, symbolic l
     e_series = build_egf(
         FamilySpec(FamilyId.DEG_EXP, Fraction(1), Argument.numeric(1), LambdaMode()),
@@ -439,14 +414,19 @@ def _check_compositional_inverse(max_n: int, max_order: int | None, trunc: int) 
 
 @dataclass(frozen=True)
 class _Entry:
-    checker: Callable[[int, int | None, int], list[Case]]
+    checker: Callable[[int, int | None, int], list[Case]]  # (max_n, order, trunc)
     full: tuple[int, int | None, int]  # (max_n, max_order, trunc); max_order is None iff no order
-    min_order: int = 1  # the checker's first order, read only when it has an order
+    min_order: int = 1  # the identity's first order, read only when it has an order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
-    IdentityId.EQ2: _Entry(_check_eq2, (20, None, 20)),
-    IdentityId.EQ4: _Entry(_check_eq4, (20, None, 20)),
+    IdentityId.EQ2: _Entry(
+        partial(_check_half_argument, FamilyId.TYPE2_BERNOULLI, FamilyId.BERNOULLI_ORDER_R, -1),
+        (20, None, 20),
+    ),
+    IdentityId.EQ4: _Entry(
+        partial(_check_half_argument, FamilyId.TYPE2_EULER, FamilyId.EULER, 0), (20, None, 20)
+    ),
     IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (10, None, 16)),
     IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (12, None, 16)),
     IdentityId.EQ21: _Entry(_check_eq21, (12, 4, 16)),
@@ -497,7 +477,10 @@ def verify(
     trunc: int = 16,
     profile: str | None = None,
 ) -> VerificationReport:
-    """Verify one identity over inclusive index ranges, returning exact residuals."""
+    """Verify one identity over inclusive index ranges, returning exact residuals.
+
+    Cases come order by order, from the identity's first order up to ``max_order``.
+    """
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
     uses_order = entry.full[1] is not None
@@ -514,8 +497,9 @@ def verify(
             )
     elif max_order is not None:
         raise ValueError(f"identity {identity.value} has no order parameter")
+    orders = range(entry.min_order, max_order + 1) if uses_order else (None,)
     start = time.perf_counter()
-    cases = entry.checker(max_n, max_order, trunc)
+    cases = tuple(case for order in orders for case in entry.checker(max_n, order, trunc))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         identity=identity,
@@ -523,7 +507,7 @@ def verify(
         max_order=max_order,
         trunc=trunc,
         profile=profile,
-        cases=tuple(cases),
+        cases=cases,
         wall_time_ms=elapsed_ms,
     )
 

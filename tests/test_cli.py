@@ -363,6 +363,25 @@ def test_trunc_above_size_limit_is_usage_error(capsys):
     assert "--trunc 65 is above the limit 64" in err
 
 
+def test_order_above_size_limit_is_usage_error(capsys):
+    families.clear_caches()
+    code, out, err = run_capture(
+        capsys,
+        ["verify", "--identity", "thm2", "--max-n", "0", "--trunc", "0",
+         "--order", str(cli.SIZE_LIMIT + 1)],
+    )
+    assert code == 2 and out == ""
+    assert "--order 65 is above the limit 64" in err
+    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
+    assert families._build_egf_cached.cache_info().misses == 0
+    # The limit itself is accepted.
+    code, out, _ = run_capture(
+        capsys, ["verify", "--identity", "thm4", "--max-n", "0", "--trunc", "0", "--order", "64"]
+    )
+    assert code == 0
+    assert json.loads(out)["ranges"]["max_order"] == 64
+
+
 def test_range_flags_rejected_with_all(capsys):
     code, _, _ = run_capture(
         capsys, ["verify", "--identity", "all", "--max-n", "4"]

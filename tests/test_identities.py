@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly import identities
+from degenpoly import families, identities
 from degenpoly.bipoly import BiPoly, binomial
 from degenpoly.families import (
     Argument,
@@ -268,12 +268,32 @@ def test_order_below_first_order_rejected(identity):
     assert report.all_pass and report.cases
 
 
-def test_thm4_starts_at_order_zero():
-    report = verify(IdentityId.THM4, 2, max_order=0, trunc=4)
-    assert report.all_pass and report.cases
-    assert {case.indices["k"] for case in report.cases} == {0}
-    with pytest.raises(ValueError, match="starts at order 0"):
-        verify(IdentityId.THM4, 2, max_order=-1, trunc=4)
+@pytest.mark.parametrize(
+    "identity,key,first",
+    [
+        ("eq21", "r", 1),
+        ("thm2", "k", 1),
+        ("thm2-corollary", "k", 1),
+        ("thm3", "k", 1),
+        ("thm4", "k", 0),
+        ("b-second-kind-relation", "r", 1),
+    ],
+)
+def test_order_range_starts_at_the_first_order(identity, key, first):
+    report = verify(identity, 2, max_order=first + 1, trunc=4)
+    assert report.all_pass
+    orders = [case.indices[key] for case in report.cases]
+    assert set(orders) == {first, first + 1}
+    assert orders == sorted(orders)  # all cases of one order before the next
+    with pytest.raises(ValueError, match=f"starts at order {first}"):
+        verify(identity, 2, max_order=first - 1, trunc=4)
+
+
+def test_eq21_builds_one_classical_series_per_order():
+    families.clear_caches()
+    verify(IdentityId.EQ21, 12, max_order=4, trunc=16)
+    # Per order: the order-r series b^(r) and the classical B2*^(r) it is weighed by.
+    assert families._build_egf_cached.cache_info().misses == 8
 
 
 def test_default_ranges_profiles():

@@ -1,0 +1,160 @@
+"""Cross-check of the family builders against sympy's ring series.
+
+Every expansion here is written from the catalog recipe with
+``sympy.polys.ring_series`` over QQ[t, l, x], with l and x symbolic, and
+shares no code with ``degenpoly.series``.  Three substitutions turn each
+recipe into exp, log, inversion and power of series in t:
+
+* (1+t)^a = exp(a*log(1+t));
+* log_l(1+t) = (exp(l*log(1+t)) - 1)/l, the division by l made term by term;
+* e_l^a(t) = exp(a*log(1+l*t)/l), the same division by l.
+
+A sequence family's value n is n! times the coefficient of t^n; column k of
+a triangle is kernel^k/k!, so entry (n, k) is n!/k! times the coefficient
+of t^n in kernel^k.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from sympy import QQ
+from sympy.polys.rings import ring
+from sympy.polys.ring_series import rs_exp, rs_log, rs_nth_root, rs_pow, rs_series_inversion
+
+from degenpoly import families
+from degenpoly.bipoly import BiPoly
+from degenpoly.families import FamilyId, FamilySpec, build_egf, triangular_numbers
+
+N = 8  # largest index compared
+PREC = N + 2  # terms kept, one more than a division by t uses
+
+R, t, l, x = ring("t, l, x", QQ)
+
+
+def _divide_by(p, generator: int):
+    """p divided term by term by the generator at ``generator`` (0 is t, 1 is l)."""
+    out = {}
+    for monom, c in p.items():
+        assert monom[generator] > 0, "the division must be exact"
+        lowered = list(monom)
+        lowered[generator] -= 1
+        out[tuple(lowered)] = c
+    return R(out)
+
+
+def _power(p, a: Fraction):
+    """p^a; a root needs p to have constant term 1."""
+    if a.denominator != 1:
+        p = rs_nth_root(p, a.denominator, t, PREC)
+    return rs_pow(p, a.numerator, t, PREC)
+
+
+def _pow1p(a):
+    """(1+t)^a."""
+    return rs_exp(a * rs_log(1 + t, t, PREC), t, PREC)
+
+
+def _deg_exp(a):
+    """e_l^a(t) = (1 + l*t)^(a/l)."""
+    return rs_exp(a * _divide_by(rs_log(1 + l * t, t, PREC), 1), t, PREC)
+
+
+def _log_l():
+    """log_l(1+t) = ((1+t)^l - 1)/l."""
+    return _divide_by(_pow1p(l) - 1, 1)
+
+
+def _deg_bernoulli2(a):
+    """(t/log_l(1+t))^a * (1+t)^x."""
+    return _power(_divide_by(_log_l(), 0), -a) * _pow1p(x)
+
+
+def _type2_deg_bernoulli2(a):
+    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x."""
+    numerator = _divide_by(1 + t - rs_series_inversion(1 + t, t, PREC), 0)
+    kernel = numerator * rs_series_inversion(_divide_by(_log_l(), 0), t, PREC)
+    return _power(kernel, a) * _pow1p(x)
+
+
+def _type2_deg_bernoulli(a):
+    """(t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)."""
+    kernel = _divide_by(_deg_exp(1) - _deg_exp(-1), 0)
+    return _power(kernel, -a) * _deg_exp(x)
+
+
+_TRIANGLE_KERNELS = {
+    FamilyId.DEG_STIRLING1: _log_l,
+    FamilyId.DEG_STIRLING2: lambda: _deg_exp(1) - 1,
+    FamilyId.DEG_CENTRAL_FACTORIAL: lambda: _deg_exp(QQ(1, 2)) - _deg_exp(QQ(-1, 2)),
+}
+
+
+def _value(p, n: int, scale: int) -> BiPoly:
+    """scale times the coefficient of t^n in p, as a polynomial in l and x."""
+    return BiPoly({
+        (dl, dx): Fraction(int(c.numerator), int(c.denominator)) * scale
+        for (dt, dl, dx), c in p.items()
+        if dt == n
+    })
+
+
+SEQUENCE_CASES = [
+    (FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(1), _type2_deg_bernoulli2),
+    (FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2), _type2_deg_bernoulli2),
+    (FamilyId.DEG_BERNOULLI2, Fraction(1), _deg_bernoulli2),
+    (FamilyId.DEG_BERNOULLI2, Fraction(2), _deg_bernoulli2),
+    (FamilyId.DEG_BERNOULLI2, Fraction(1, 2), _deg_bernoulli2),
+    (FamilyId.TYPE2_DEG_BERNOULLI, Fraction(1), _type2_deg_bernoulli),
+    (FamilyId.TYPE2_DEG_BERNOULLI, Fraction(-1), _type2_deg_bernoulli),
+]
+
+
+def _sequence_mismatches(family: FamilyId, order: Fraction, expansion) -> list[int]:
+    """The indices n <= N at which the package value differs from the oracle."""
+    values = build_egf(FamilySpec(family, order), N).values()
+    oracle = expansion(order)
+    return [
+        n for n in range(N + 1)
+        if values[n] != _value(oracle, n, factorial(n))
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,order,expansion", SEQUENCE_CASES,
+    ids=[f"{family.value}-order-{order}" for family, order, _ in SEQUENCE_CASES],
+)
+def test_sequence_matches_ring_series(family, order, expansion):
+    assert _sequence_mismatches(family, order, expansion) == []
+
+
+@pytest.mark.parametrize("family", list(_TRIANGLE_KERNELS), ids=lambda f: f.value)
+def test_triangle_rows_match_ring_series(family):
+    kernel = _TRIANGLE_KERNELS[family]()
+    for k in range(N + 1):
+        column = rs_pow(kernel, k, t, PREC)
+        for n in range(N + 1):
+            expected = _value(column, n, factorial(n))
+            assert triangular_numbers(family, n, k) * factorial(k) == expected, (n, k)
+
+
+def test_oracle_rejects_a_mutated_recipe(monkeypatch):
+    # Adding l to one coefficient of the recipe's series must show at that index.
+    info = families.CATALOG[FamilyId.TYPE2_DEG_BERNOULLI2]
+
+    def mutated(*args):
+        series = info.build(*args)
+        coeffs = list(series.coefficients)
+        coeffs[3] = coeffs[3] + BiPoly.lam()
+        return type(series)(coeffs)
+
+    monkeypatch.setitem(families.CATALOG, FamilyId.TYPE2_DEG_BERNOULLI2,
+                        replace(info, build=mutated))
+    families.clear_caches()
+    try:
+        assert _sequence_mismatches(
+            FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2), _type2_deg_bernoulli2
+        ) == [3]
+    finally:
+        families.clear_caches()  # drop the mutated series before the catalog is restored
