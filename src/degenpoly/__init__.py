@@ -24,7 +24,6 @@ from .families import (
     UnsupportedOrder,
     build_egf,
     central_factorial_power,
-    classical_value,
     deg_bernoulli2_alt_egf,
     list_families,
     triangular_numbers,
@@ -34,7 +33,6 @@ from .identities import (
     IdentityId,
     UnknownIdentity,
     VerificationReport,
-    eq21_rhs_term,
     verify,
     verify_all,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "build_egf",
     "triangular_numbers",
     "central_factorial_power",
-    "classical_value",
     "deg_bernoulli2_alt_egf",
     "list_families",
     "IdentityId",
@@ -69,6 +66,5 @@ __all__ = [
     "VerificationReport",
     "verify",
     "verify_all",
-    "eq21_rhs_term",
     "__version__",
 ]

@@ -273,40 +273,44 @@ class BiPoly:
 
     # -- serialization and printing --------------------------------------
 
+    def _reduced_terms(self) -> list[tuple[int, int, int, int]]:
+        """``(dl, dx, p, q)`` per term in graded-lex order, coefficient p/q reduced, q > 0."""
+        den = self._den
+        out = []
+        for (dl, dx), v in sorted(self._terms.items(), key=_graded_lex):
+            g = _gcd(v, den)
+            out.append((dl, dx, v // g, den // g))
+        return out
+
     def sorted_terms(self) -> list[tuple[Term, Fraction]]:
         """Terms in graded-lex order: total degree ascending, then l-degree."""
-        den = self._den
-        return [
-            (key, Fraction(v, den))
-            for key, v in sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-        ]
+        return [((dl, dx), Fraction(p, q)) for dl, dx, p, q in self._reduced_terms()]
 
     def to_records(self) -> list[dict[str, object]]:
         """JSON-ready term list: [{"dl": int, "dx": int, "c": "p/q"}, ...]."""
         return [
-            {"dl": dl, "dx": dx, "c": str(c)}
-            for (dl, dx), c in self.sorted_terms()
+            {"dl": dl, "dx": dx, "c": f"{p}/{q}" if q != 1 else str(p)}
+            for dl, dx, p, q in self._reduced_terms()
         ]
 
     def render(self) -> str:
         """Plain-text form, e.g. ``x^2 - l*x``; the zero polynomial prints ``0``."""
         if not self._terms:
             return "0"
-        pieces: list[tuple[str, str]] = []
-        for (dl, dx), c in self.sorted_terms():
-            mono = "*".join(p for p in (_pow_str("l", dl), _pow_str("x", dx)) if p)
-            mag = abs(c)
+        text = ""
+        for dl, dx, p, q in self._reduced_terms():
+            mono = "*".join(s for s in (_pow_str("l", dl), _pow_str("x", dx)) if s)
+            mag = f"{abs(p)}/{q}" if q != 1 else str(abs(p))
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
+            if not text:
+                text = "-" + body if p < 0 else body
+            else:
+                text += f" - {body}" if p < 0 else f" + {body}"
         return text
 
     def __str__(self) -> str:
@@ -347,6 +351,12 @@ def dot(xs: Iterable[BiPoly], ys: Iterable[BiPoly]) -> BiPoly:
     if len(out) < products:
         out = {key: v for key, v in out.items() if v}
     return _make(out, den)
+
+
+def _graded_lex(item: tuple[Term, int]) -> tuple[int, int]:
+    """Sort key of a term: total degree, then degree in ``l``."""
+    (dl, dx), _ = item
+    return (dl + dx, dl)
 
 
 def _pow_str(name: str, d: int) -> str:

@@ -470,13 +470,7 @@ def clear_caches() -> None:
     _build_egf_cached.cache_clear()
 
 
-# -- classical values and the alternative second-kind route ------------------
-
-
-def classical_value(family: FamilyId, n: int, order: Fraction | int = 1) -> BiPoly:
-    """The classical (deformation switched off) family value at index n, symbolic x."""
-    spec = FamilySpec(family, Fraction(order), Argument(), LambdaMode.numeric(0))
-    return build_egf(spec, n).value(n)
+# -- the alternative second-kind route ----------------------------------------
 
 
 def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int = 16) -> EgfSeries:

@@ -27,7 +27,6 @@ from .families import (
     LambdaMode,
     build_egf,
     central_factorial_power,
-    classical_value,
     deg_bernoulli2_alt_egf,
     step_egf,
     triangular_numbers,
@@ -149,23 +148,14 @@ def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
     return dot([a[m] * binomial(n, m) for m in range(n + 1)], b[n::-1])
 
 
-def eq21_rhs_term(j: int, r: int) -> BiPoly:
-    """The weight l^j * B2*_j^(r)(2x/l - r) expanded as a polynomial.
-
-    Writing the order-r type 2 Bernoulli polynomial of degree j as
-    sum_i c_i y^i, the weight is sum_i c_i (2x - r*l)^i l^(j-i): the
-    homogenized polynomial {(j-i, i): c_i} at x -> 2x - r*l.  Every power
-    of l is nonnegative because i <= j, so the result lives in Q[l, x].
-    """
-    if j < 0:
-        raise ValueError(f"degree must be nonnegative, got {j}")
-    if r < 1:
-        raise ValueError(f"order must be a positive integer, got {r}")
-    return _eq21_weight(classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r), j, r)
-
-
 def _eq21_weight(poly: BiPoly, j: int, r: int) -> BiPoly:
-    """l^j * poly(2x/l - r) for a polynomial of degree at most j in x alone."""
+    """l^j * poly(2x/l - r) for a polynomial of degree at most j in x alone.
+
+    Writing poly as sum_i c_i y^i, the weight is sum_i c_i (2x - r*l)^i
+    l^(j-i): the homogenized polynomial {(j-i, i): c_i} at x -> 2x - r*l.
+    Every power of l is nonnegative because i <= j, so the result lives in
+    Q[l, x].
+    """
     homogenized: dict[tuple[int, int], Fraction] = {}
     for (dl, dx), c in poly.terms().items():
         if dl != 0:

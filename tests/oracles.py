@@ -1,14 +1,17 @@
-"""Series operations that only tests use, kept as oracles for the package.
+"""Series operations and family values that only tests use, kept as oracles.
 
-They use nothing of ``EgfSeries`` beyond its public constructor and
-coefficients, so a test can compare a package route (Miller's power
-recurrence, the closed product forms, Horner composition) with the
-exp/log route written here.
+The series operations use nothing of ``EgfSeries`` beyond its public
+constructor and coefficients, so a test can compare a package route
+(Miller's power recurrence, the closed product forms, Horner composition)
+with the exp/log route written here.  ``classical_value`` and
+``eq21_rhs_term`` compute one value or one eq. (21) weight at a time.
 """
 
 from fractions import Fraction
 
 from degenpoly.bipoly import BiPoly
+from degenpoly.families import Argument, FamilyId, FamilySpec, LambdaMode, build_egf
+from degenpoly.identities import _eq21_weight
 from degenpoly.series import BadConstantTerm, EgfSeries, IndexBeyondTruncation
 
 _ONE = BiPoly.const(1)
@@ -60,3 +63,22 @@ def series_log(f: EgfSeries) -> EgfSeries:
                 corr = corr + out[k] * c[n - k] * k
         out.append(c[n] - corr * Fraction(1, n))
     return EgfSeries(out)
+
+
+def classical_value(family: FamilyId, n: int, order: Fraction | int = 1) -> BiPoly:
+    """The classical (deformation switched off) family value at index n, symbolic x."""
+    spec = FamilySpec(family, Fraction(order), Argument(), LambdaMode.numeric(0))
+    return build_egf(spec, n).value(n)
+
+
+def eq21_rhs_term(j: int, r: int) -> BiPoly:
+    """The weight l^j * B2*_j^(r)(2x/l - r) of eq. (21), expanded as a polynomial.
+
+    It is built from one classical value of degree j, not from the order-r
+    series that ``_check_eq21`` reads all its weights from.
+    """
+    if j < 0:
+        raise ValueError(f"degree must be nonnegative, got {j}")
+    if r < 1:
+        raise ValueError(f"order must be a positive integer, got {r}")
+    return _eq21_weight(classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r), j, r)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from degenpoly import cli
 from degenpoly.bipoly import BiPoly
 from degenpoly.families import (
+    CATALOG,
     Argument,
     FamilyId,
     FamilySpec,
@@ -140,6 +141,7 @@ def test_criterion_11_oracle_cross_checks():
 
 FULL_SUITE_SHA256 = "699f0ff3a60d78c61ddd966098311c83a2bbefe61f0eec5f3e8ba06d1a0f57c1"
 QUICK_CSV_SHA256 = "1ec4ffc443566a5d315386b7b2a05a65351f8288ba86dedd73aa140d37aa98ef"
+COMPUTE_JSON_SHA256 = "3bb0dec14e880c18b79c2f9ec91319f25b7c6804b11ab3961f79646f5ce6c96d"
 
 
 def test_criterion_12_full_cli_suite_under_budget(capsys):
@@ -160,3 +162,21 @@ def test_quick_cli_suite_csv_is_pinned(capsys):
     assert code == 0
     # Byte-identical to the recorded output: pins the quick ranges and the arithmetic.
     assert hashlib.sha256(payload.encode()).hexdigest() == QUICK_CSV_SHA256
+
+
+def test_compute_json_is_pinned(capsys):
+    # Every family at --max-n 6, symbolic, then at l = -37/42 and x = 5/3
+    # wherever the family takes them.
+    chunks = []
+    for numeric in (False, True):
+        for family in FamilyId:
+            info = CATALOG[family]
+            argv = ["compute", "--family", family.value, "--max-n", "6", "--format", "json"]
+            if numeric and info.degenerate:
+                argv.append("--lambda=-37/42")
+            if numeric and info.takes_argument:
+                argv.append("--x=5/3")
+            assert cli.run(argv) == 0
+            chunks.append(capsys.readouterr().out)
+    payload = "".join(chunks)
+    assert hashlib.sha256(payload.encode()).hexdigest() == COMPUTE_JSON_SHA256

@@ -293,6 +293,27 @@ def test_render_conventions():
     assert (L * L * X * frac(3, 4)).render() == "3/4*l^2*x"
 
 
+def render_reference(ordered):
+    """The plain-text form of graded-lex ``Fraction`` terms, written from str(Fraction)."""
+    pieces = []
+    for (dl, dx), c in ordered:
+        powers = (f"l^{dl}" if dl > 1 else "l" * dl, f"x^{dx}" if dx > 1 else "x" * dx)
+        mono = "*".join(s for s in powers if s)
+        body = mono if mono and abs(c) == 1 else "*".join(s for s in (str(abs(c)), mono) if s)
+        pieces.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(pieces) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@settings(max_examples=150)
+@given(big_bipolys)
+def test_serialization_matches_fraction_reference(p):
+    ordered = sorted(p.terms().items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+    assert p.sorted_terms() == ordered
+    assert p.to_records() == [{"dl": dl, "dx": dx, "c": str(c)} for (dl, dx), c in ordered]
+    assert p.render() == render_reference(ordered)
+
+
 # -- agreement with the Fraction-dict reference --------------------------------------
 
 

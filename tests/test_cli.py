@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degenpoly import cli, families
 from degenpoly.bipoly import BiPoly
@@ -387,6 +389,61 @@ def test_range_flags_rejected_with_all(capsys):
         capsys, ["verify", "--identity", "all", "--max-n", "4"]
     )
     assert code == 2
+
+
+# -- JSON writer and parser reuse ------------------------------------------------------
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**299, max_value=10**300 - 1),
+    st.integers(min_value=-(10**300 - 1), max_value=-(10**299)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),  # every code point but surrogates: non-ASCII and control characters
+)
+
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(json_trees)
+@example({"": [], "k\u00e9\x00": {}, "v": [[], {}, [{}], True, False, None, -0.0, 1e-300]})
+def test_json_text_equals_stdlib_indent_2(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), BiPoly.x(), {1, 2}], ids=["Fraction", "BiPoly", "set"]
+)
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text({"values": [{"n": 0, "value": value}]})
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    requests = [
+        ["compute", "--family", "deg-exp", "--max-n", "2", "--lambda", "pi"],
+        ["compute", "--family", "deg-stirling2", "--max-n", "4", "--lambda=-37/42"],
+        ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "4"],
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_capture(capsys, argv) for argv in requests]
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    fresh = []
+    for argv in requests:
+        cli.build_parser.cache_clear()
+        fresh.append(run_capture(capsys, argv))
+    assert shared == fresh
 
 
 # -- list-families ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from degenpoly.families import (
     _triangle_row,
     build_egf,
     central_factorial_power,
-    classical_value,
     clear_caches,
     deg_bernoulli2_alt_egf,
     list_families,
@@ -26,7 +25,7 @@ from degenpoly.families import (
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
-from oracles import series_exp, truncate
+from oracles import classical_value, series_exp, truncate
 
 L = BiPoly.lam()
 X = BiPoly.x()

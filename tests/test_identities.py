@@ -12,7 +12,6 @@ from degenpoly.families import (
     FamilyId,
     FamilySpec,
     build_egf,
-    classical_value,
     triangular_numbers,
 )
 from degenpoly.identities import (
@@ -21,11 +20,11 @@ from degenpoly.identities import (
     UnknownIdentity,
     coerce_identity,
     default_ranges,
-    eq21_rhs_term,
     verify,
     verify_all,
 )
 from degenpoly.series import EgfSeries
+from oracles import classical_value, eq21_rhs_term
 
 L = BiPoly.lam()
 X = BiPoly.x()
