@@ -6,7 +6,8 @@ Run from the root of a checkout, naming another checkout to compare with:
 
 At N = 16 and 32, with symbolic l and x, it times one ``BiPoly`` product
 (coefficient N of the order-2 ``type2-deg-bernoulli2`` EGF times
-coefficient N of e_l^x(t)), the series product of those two EGFs, their
+coefficient N of e_l^x(t)), that coefficient times N! and times 1/N!
+(``bipoly.scale``), the series product of those two EGFs, their
 quotient, ``pow(-2)`` and ``pow(1/2)`` of log_l(1+t)/t, the composition
 e_l^x(log_l(1+t)), and a cold 32-row ``deg-central-factorial`` table.
 Inputs are built before timing, with the timed tree's own code.
@@ -41,7 +42,10 @@ TABLE_ROWS = 32
 def _digest(value) -> str:
     from degenpoly.series import EgfSeries
 
-    polys = value.coefficients if isinstance(value, EgfSeries) else (value,)
+    if isinstance(value, EgfSeries):
+        polys = value.coefficients
+    else:
+        polys = value if isinstance(value, tuple) else (value,)
     text = json.dumps([p.to_records() for p in polys])
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -51,6 +55,7 @@ def _cases():
     from fractions import Fraction
 
     from degenpoly import families
+    from degenpoly.bipoly import factorial
     from degenpoly.families import FamilyId, FamilySpec, build_egf, triangular_numbers
 
     cases = []
@@ -60,8 +65,10 @@ def _cases():
         log_l = build_egf(FamilySpec(FamilyId.DEG_LOG), n + 1)
         kernel = log_l.shift_div_t(1)  # log_l(1+t)/t, constant term 1
         a, b = bern.coefficient(n), exp_x.coefficient(n)
+        fact = factorial(n)
         cases += [
             (f"bipoly.mul.N{n}", lambda a=a, b=b: a * b),
+            (f"bipoly.scale.N{n}", lambda a=a, c=fact, r=1 / fact: (a * c, a * r)),
             (f"series.mul.N{n}", lambda f=bern, g=exp_x: f * g),
             (f"series.divide.N{n}", lambda f=bern, g=exp_x: f.divide(g)),
             (f"series.pow_-2.N{n}", lambda k=kernel: k.pow(-2)),

@@ -8,8 +8,10 @@ the layout of FLINT's ``fmpq_poly``: ``_terms`` maps exponent pairs
 the coefficient of l^dl x^dx is ``_terms[(dl, dx)] / _den``.  Arithmetic
 runs on plain ints and reduces each result once, by a single gcd over its
 denominator and numerators.  ``dot(xs, ys)``, the sum of x*y over paired
-polynomials, is the one product kernel: ``*`` is its one-pair case, and
-each sum of products in the series and identity layers is one call to it.
+polynomials, is the one product kernel, and each sum of products in the
+series and identity layers is one call to it.  ``*`` by a rational constant
+(an ``int``, a ``Fraction`` or a constant polynomial) bypasses it: the
+numerators are scaled and reduced by gcds taken with the scalar alone.
 
 Instances are immutable and kept in canonical form: no zero numerator,
 ``_den > 0`` and ``gcd(_den, *numerators) == 1``; the zero polynomial is
@@ -199,10 +201,19 @@ class BiPoly:
         return (-self) + other
 
     def __mul__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return dot((self,), (o,))
+        if isinstance(other, BiPoly):
+            c = other._terms
+            if len(c) == 1 and (0, 0) in c:
+                return _scale(self, c[(0, 0)], other._den)
+            c = self._terms
+            if len(c) == 1 and (0, 0) in c:
+                return _scale(other, c[(0, 0)], self._den)
+            return dot((self,), (other,))
+        if isinstance(other, int):
+            return _scale(self, other, 1)
+        if isinstance(other, Fraction):
+            return _scale(self, other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -282,10 +293,6 @@ class BiPoly:
             out.append((dl, dx, v // g, den // g))
         return out
 
-    def sorted_terms(self) -> list[tuple[Term, Fraction]]:
-        """Terms in graded-lex order: total degree ascending, then l-degree."""
-        return [((dl, dx), Fraction(p, q)) for dl, dx, p, q in self._reduced_terms()]
-
     def to_records(self) -> list[dict[str, object]]:
         """JSON-ready term list: [{"dl": int, "dx": int, "c": "p/q"}, ...]."""
         return [
@@ -351,6 +358,31 @@ def dot(xs: Iterable[BiPoly], ys: Iterable[BiPoly]) -> BiPoly:
     if len(out) < products:
         out = {key: v for key, v in out.items() if v}
     return _make(out, den)
+
+
+def _scale(poly: BiPoly, p: int, q: int) -> BiPoly:
+    """``poly * (p/q)`` for a reduced fraction p/q with q > 0.
+
+    Both factors are canonical, so the only factor that the numerators
+    ``p * v`` share with ``_den * q`` is gcd(p, _den) * gcd(q, *numerators):
+    the result is reduced without a gcd pass over the product.
+    """
+    nums = poly._terms
+    if not p or not nums:
+        return _raw({}, 1)
+    den = poly._den
+    g = _gcd(p, den)
+    if g != 1:
+        p //= g
+        den //= g
+    if q != 1:
+        g = _gcd(q, *nums.values())
+        if g != 1:
+            q //= g
+            nums = {key: v // g for key, v in nums.items()}
+    if p != 1:
+        nums = {key: v * p for key, v in nums.items()}
+    return _raw(nums, den * q)
 
 
 def _graded_lex(item: tuple[Term, int]) -> tuple[int, int]:

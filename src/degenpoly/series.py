@@ -61,10 +61,6 @@ class EgfSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "EgfSeries":
-        return cls([BiPoly.zero()] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "EgfSeries":
         return cls([_ONE] + [BiPoly.zero()] * order)
 
@@ -170,6 +166,9 @@ class EgfSeries:
         """Raise to a rational power by J.C.P. Miller's recurrence (Knuth,
         TAOCP vol. 2, 4.7), one pass for every exponent:
         g_n = (1/(n f_0)) * sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}.
+        With alpha + 1 = a/b in lowest terms this is
+        g_n = (1/(b n f_0)) * sum_{k=1..n} (a k - b n) f_k g_{n-k},
+        so every weight is an integer.
 
         The constant term f_0 must be a nonzero rational, and 1 for a
         fractional exponent, so that g_0 is rational.
@@ -189,7 +188,8 @@ class EgfSeries:
         # Fraction ** Fraction may return a float, so g_0 is formed from ints.
         out = [BiPoly.const(f0**alpha.numerator if alpha.denominator == 1 else 1)]
         f = self._coeffs
+        a, b = alpha.numerator + alpha.denominator, alpha.denominator
         for n in range(1, self.order + 1):
-            weighted = [f[k] * ((alpha + 1) * k - n) for k in range(1, n + 1)]
-            out.append(dot(weighted, out[::-1]) * (1 / (n * f0)))
+            weighted = [f[k] * (a * k - b * n) for k in range(1, n + 1)]
+            out.append(dot(weighted, out[::-1]) * (1 / (b * n * f0)))
         return EgfSeries(out)

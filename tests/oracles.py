@@ -1,4 +1,4 @@
-"""Series operations and family values that only tests use, kept as oracles.
+"""Series operations, family values and views that only tests use, kept as oracles.
 
 The series operations use nothing of ``EgfSeries`` beyond its public
 constructor and coefficients, so a test can compare a package route
@@ -9,12 +9,22 @@ with the exp/log route written here.  ``classical_value`` and
 
 from fractions import Fraction
 
-from degenpoly.bipoly import BiPoly
+from degenpoly.bipoly import BiPoly, Term
 from degenpoly.families import Argument, FamilyId, FamilySpec, LambdaMode, build_egf
 from degenpoly.identities import _eq21_weight
 from degenpoly.series import BadConstantTerm, EgfSeries, IndexBeyondTruncation
 
 _ONE = BiPoly.const(1)
+
+
+def sorted_terms(p: BiPoly) -> list[tuple[Term, Fraction]]:
+    """Terms of p in graded-lex order (total degree, then l-degree) as ``Fraction``s."""
+    return [((dl, dx), Fraction(n, d)) for dl, dx, n, d in p._reduced_terms()]
+
+
+def series_zero(order: int) -> EgfSeries:
+    """The zero series at truncation order ``order``."""
+    return EgfSeries([BiPoly.zero()] * (order + 1))
 
 
 def series_t(order: int) -> EgfSeries:

@@ -9,10 +9,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenpoly.bipoly import BiPoly, binomial, dot, factorial
+from oracles import sorted_terms
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -272,7 +273,7 @@ def test_factorial_values():
 
 def test_sorted_terms_graded_lex():
     p = L * X + X * X + BiPoly.const(1) + L
-    keys = [key for key, _ in p.sorted_terms()]
+    keys = [key for key, _ in sorted_terms(p)]
     assert keys == [(0, 0), (1, 0), (0, 2), (1, 1)]
 
 
@@ -309,7 +310,7 @@ def render_reference(ordered):
 @given(big_bipolys)
 def test_serialization_matches_fraction_reference(p):
     ordered = sorted(p.terms().items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-    assert p.sorted_terms() == ordered
+    assert sorted_terms(p) == ordered
     assert p.to_records() == [{"dl": dl, "dx": dx, "c": str(c)} for (dl, dx), c in ordered]
     assert p.render() == render_reference(ordered)
 
@@ -339,6 +340,34 @@ def test_scalar_operands_match_reference(a, c, k):
         assert agrees(a - scalar, ra - rs) and agrees(scalar - a, rs - ra)
         assert agrees(a * scalar, ra * rs) and agrees(scalar * a, ra * rs)
         assert (BiPoly.const(scalar) == scalar) and agrees(BiPoly.const(scalar), rs)
+
+
+# ``*`` by an int, a Fraction or a constant polynomial takes the scalar path;
+# its storage must be what the product kernel gives.
+scalars = st.one_of(
+    st.integers(-10**12, 10**12),
+    big_rationals,
+    big_rationals.map(BiPoly.const),
+)
+
+
+@settings(max_examples=300)
+@given(big_bipolys, scalars)
+@example(L * 3 - X * frac(1, 2), 0)
+@example(L * 3 - X * frac(1, 2), BiPoly.const(0))
+@example(L * 3 - X * frac(1, 2), 1)
+@example(L * 3 - X * frac(1, 2), -1)
+@example(L * frac(3, 4) - X * frac(1, 2), frac(-5, 3))
+@example(L * frac(1, 6) + X * frac(1, 4), 9)  # 9 shares 3 with the denominator 12
+@example(L * 6 - X * 4, frac(-1, 2))  # 2 divides every numerator
+@example(L * frac(6, 5) + frac(4, 5), BiPoly.const(frac(5, 2)))  # both reductions
+@example(BiPoly.zero(), frac(7, 3))
+@example(BiPoly.const(frac(2, 9)), BiPoly.const(frac(3, 4)))
+def test_constant_factor_matches_dot(p, c):
+    expected = dot((p,), (c if isinstance(c, BiPoly) else BiPoly.const(c),))
+    for prod in (p * c, c * p):
+        assert_canonical(prod)
+        assert (prod._terms, prod._den) == (expected._terms, expected._den)
 
 
 @settings(max_examples=60)

@@ -4,7 +4,7 @@ derived expansions (long division, recurrences)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenpoly.bipoly import BiPoly, factorial
@@ -16,7 +16,7 @@ from degenpoly.series import (
     NonzeroConstantInner,
     NonzeroLowOrder,
 )
-from oracles import series_exp, series_log, series_t, truncate
+from oracles import series_exp, series_log, series_t, series_zero, truncate
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -54,7 +54,7 @@ def test_polynomial_product():
 
 def test_additive_identity():
     f = EgfSeries([1, 2, 3])
-    assert f + EgfSeries.zero(2) == f
+    assert f + series_zero(2) == f
 
 
 def test_min_order_rule():
@@ -116,7 +116,7 @@ def test_t_over_log1p_against_long_division():
 def test_division_requires_rational_unit():
     f = EgfSeries.one(3)
     with pytest.raises(DivisionByNonUnit):
-        f.divide(EgfSeries.zero(3))
+        f.divide(series_zero(3))
     with pytest.raises(DivisionByNonUnit):
         f.divide(EgfSeries([L, BiPoly.const(1), BiPoly.zero(), BiPoly.zero()]))
 
@@ -176,7 +176,7 @@ def test_compose_with_unequal_orders():
     # Oracle: sum_k f_k g^k by repeated multiplication, at the smaller order.
     def naive(f, g):
         order = min(f.order, g.order)
-        acc = EgfSeries.zero(order)
+        acc = series_zero(order)
         power = EgfSeries.one(order)
         for c in f.coefficients[: order + 1]:
             acc = acc + power.scale(c)
@@ -289,8 +289,13 @@ def test_pow_constant_term_stays_rational():
 @settings(max_examples=30)
 @given(
     series_of(BiPoly.const(1)),
-    st.sampled_from([-3, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]),
+    st.sampled_from(
+        [-3, -1, Fraction(-5, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
+    ),
 )
+# alpha + 1 = -2/3 and 5/3: Miller's weights fold a denominator 3 into each coefficient.
+@example(EgfSeries([1, L, X * Fraction(1, 2), L * X - 3]), Fraction(-5, 3))
+@example(EgfSeries([1, L, X * Fraction(1, 2), L * X - 3]), Fraction(2, 3))
 def test_pow_matches_exp_log_route(f, alpha):
     assert f.pow(alpha) == series_exp(series_log(f).scale(alpha))
 
