@@ -28,10 +28,9 @@ from typing import Callable
 from .bipoly import BiPoly
 from .families import (
     CATALOG,
-    Argument,
     FamilyId,
     FamilySpec,
-    LambdaMode,
+    Param,
     build_egf,
     central_factorial_power,
     list_families,
@@ -140,12 +139,8 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[dict[str, object]
     family = FamilyId(args.family)
     info = CATALOG[family]
     max_n = args.max_n
-    argument = (
-        Argument.symbolic() if args.x_arg == "symbolic" else Argument.numeric(args.x_arg)
-    )
-    lam_mode = (
-        LambdaMode.symbolic() if args.lam == "symbolic" else LambdaMode.numeric(args.lam)
-    )
+    argument = Param.symbolic() if args.x_arg == "symbolic" else Param.numeric(args.x_arg)
+    lam_mode = Param.symbolic() if args.lam == "symbolic" else Param.numeric(args.lam)
 
     if info.kind == "polynomial":
         rows = [{"n": n, "value": central_factorial_power(n)} for n in range(max_n + 1)]
@@ -174,11 +169,7 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[dict[str, ob
             "lambda": "symbolic" if args.lam == "symbolic" else str(args.lam),
             "x": "symbolic" if args.x_arg == "symbolic" else str(args.x_arg),
             "max_n": args.max_n,
-            "values": [
-                {**{key: row[key] for key in row if key != "value"},
-                 "value": row["value"].to_records()}
-                for row in rows
-            ],
+            "values": [{**row, "value": row["value"].to_records()} for row in rows],
         }
         return _json_text(payload) + "\n"
 
@@ -267,7 +258,7 @@ def _render_reports(
     reports: list[VerificationReport], fmt: str, profile: str | None, timings: bool
 ) -> str:
     if fmt == "json":
-        if len(reports) == 1 and profile is None:
+        if profile is None:
             payload: object = reports[0].to_json_dict(include_timing=timings)
         else:
             payload = {

@@ -73,77 +73,56 @@ class FamilyId(Enum):
 
 
 @dataclass(frozen=True)
-class Argument:
-    """The x-argument of a family: symbolic x, a rational, or x shifted by a rational."""
+class Param:
+    """How x or l enters a family: symbolic, a rational, shifted by a rational or scaled by one."""
 
     kind: str = "symbolic"
     value: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in ("symbolic", "numeric", "shifted"):
-            raise ValueError(f"unknown argument kind {self.kind!r}")
+        if self.kind not in ("symbolic", "numeric", "shifted", "scaled"):
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
         object.__setattr__(self, "value", Fraction(self.value))
 
     @classmethod
-    def symbolic(cls) -> "Argument":
+    def symbolic(cls) -> "Param":
         return cls("symbolic")
 
     @classmethod
-    def numeric(cls, value: Fraction | int) -> "Argument":
-        return cls("numeric", Fraction(value))
+    def numeric(cls, value: Fraction | int) -> "Param":
+        return cls("numeric", value)
 
     @classmethod
-    def shifted(cls, value: Fraction | int) -> "Argument":
-        return cls("shifted", Fraction(value))
+    def shifted(cls, value: Fraction | int) -> "Param":
+        return cls("shifted", value)
 
-    def to_poly(self) -> BiPoly:
+    @classmethod
+    def scaled(cls, value: Fraction | int) -> "Param":
+        return cls("scaled", value)
+
+    def to_poly(self, var: BiPoly) -> BiPoly:
+        """The parameter as a polynomial in ``var``, the ring variable x or l."""
         if self.kind == "symbolic":
-            return _X
+            return var
         if self.kind == "numeric":
             return BiPoly.const(self.value)
-        return _X + self.value
+        if self.kind == "shifted":
+            return var + self.value
+        return var * self.value
 
 
-@dataclass(frozen=True)
-class LambdaMode:
-    """How the deformation parameter enters: symbolic l, a rational, or l scaled by c."""
-
-    kind: str = "symbolic"
-    value: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.kind not in ("symbolic", "numeric", "scaled"):
-            raise ValueError(f"unknown lambda mode {self.kind!r}")
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    @classmethod
-    def symbolic(cls) -> "LambdaMode":
-        return cls("symbolic")
-
-    @classmethod
-    def numeric(cls, value: Fraction | int) -> "LambdaMode":
-        return cls("numeric", Fraction(value))
-
-    @classmethod
-    def scaled(cls, value: Fraction | int) -> "LambdaMode":
-        return cls("scaled", Fraction(value))
-
-    def to_poly(self) -> BiPoly:
-        if self.kind == "symbolic":
-            return _L
-        if self.kind == "numeric":
-            return BiPoly.const(self.value)
-        return _L * self.value
+# The public names of the x-argument and the lambda mode of a FamilySpec.
+Argument = LambdaMode = Param
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Selects one generating function: family, order, x-argument, lambda mode."""
+    """Selects one sequence family's generating function: family, order, x-argument, lambda mode."""
 
     family: FamilyId
     order: Fraction = Fraction(1)
-    argument: Argument = field(default_factory=Argument)
-    lambda_mode: LambdaMode = field(default_factory=LambdaMode)
+    argument: Param = field(default_factory=Param)
+    lambda_mode: Param = field(default_factory=Param)
 
     def __post_init__(self):
         object.__setattr__(self, "order", Fraction(self.order))
@@ -152,7 +131,7 @@ class FamilySpec:
 # -- the step product ---------------------------------------------------------
 
 
-def _step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
+def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
     """The prefix products [1, arg, arg*(arg - step), ..., (arg)_{n,step}]."""
     if n < 0:
         raise ValueError(f"product length must be nonnegative, got {n}")
@@ -165,7 +144,7 @@ def _step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
 
 def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag."""
-    prods = _step_products(arg, step, trunc - lag)
+    prods = step_products(arg, step, trunc - lag)
     return EgfSeries(
         [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
     )
@@ -177,7 +156,7 @@ def central_factorial_power(n: int) -> BiPoly:
         raise ValueError(f"central factorial power needs n >= 0, got {n}")
     if n == 0:
         return _ONE
-    return _X * _step_products(_X + (Fraction(n, 2) - 1), _ONE, n - 1)[-1]
+    return _X * step_products(_X + (Fraction(n, 2) - 1), _ONE, n - 1)[-1]
 
 
 # -- recipes -------------------------------------------------------------------
@@ -289,7 +268,7 @@ class FamilyInfo:
     """Catalog entry: output kind, parameter surface, the defining recipe and its builder."""
 
     kind: str  # "sequence" | "triangle" | "polynomial"
-    order_domain: str  # "rational" | "integer" | "nonneg-integer" | "none"
+    order_domain: str  # "rational" | "integer" | "none"; a triangle's column k is "nonneg-integer"
     takes_argument: bool
     degenerate: bool
     recipe: str
@@ -378,36 +357,33 @@ def _check_order(family: FamilyId, order: Fraction) -> None:
     domain = CATALOG[family].order_domain
     if domain == "none" and order != 1:
         raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
-    if domain in ("integer", "nonneg-integer") and order.denominator != 1:
+    if domain == "integer" and order.denominator != 1:
         raise UnsupportedOrder(
             f"{family.value} needs an integer order for exact coefficients, got {order}"
         )
-    if domain == "nonneg-integer" and order < 0:
-        raise UnsupportedOrder(
-            f"{family.value} needs a nonnegative column index, got {order.numerator}"
-        )
 
 
-def _deformation(family: FamilyId, mode: LambdaMode) -> BiPoly:
+def _deformation(family: FamilyId, mode: Param) -> BiPoly:
     """The l a recipe receives: the mode's value, or 0 for a classical family."""
-    return mode.to_poly() if CATALOG[family].degenerate else _ZERO
+    return mode.to_poly(_L) if CATALOG[family].degenerate else _ZERO
 
 
 # -- EGF dispatch ------------------------------------------------------------
 
 
 def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
-    """Build the truncated EGF selected by ``spec``.
+    """Build the truncated EGF of the sequence family selected by ``spec``.
 
     The value of the result at index n (``.value(n)``) is the n-th family
-    member; coefficients are polynomial in ``l`` and ``x``.
+    member; coefficients are polynomial in ``l`` and ``x``.  Triangle
+    entries come from ``triangular_numbers`` and central factorial powers
+    from ``central_factorial_power``.
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
-    if CATALOG[spec.family].kind == "polynomial":
-        raise ValueError(
-            f"{spec.family.value} is a polynomial family; use central_factorial_power()"
-        )
+    kind = CATALOG[spec.family].kind
+    if kind != "sequence":
+        raise ValueError(f"{spec.family.value} is a {kind} family; build_egf builds sequences")
     return _build_egf_cached(spec, trunc)
 
 
@@ -415,22 +391,15 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     fid = spec.family
     _check_order(fid, spec.order)
-    if fid in TRIANGLE_FAMILIES:
-        # Column k of the triangle: value n is T(n, k), zero above the diagonal.
-        k = spec.order.numerator
-        return EgfSeries(
-            [_triangle_row(fid, spec.lambda_mode, n)[k] * (1 / factorial(n)) if k <= n else _ZERO
-             for n in range(trunc + 1)]
-        )
     lam = _deformation(fid, spec.lambda_mode)
-    return CATALOG[fid].build(spec.order, spec.argument.to_poly(), lam, trunc)
+    return CATALOG[fid].build(spec.order, spec.argument.to_poly(_X), lam, trunc)
 
 
 # -- triangle rows -----------------------------------------------------------
 
 
 def triangular_numbers(
-    family: FamilyId, n: int, k: int, lambda_mode: LambdaMode = LambdaMode()
+    family: FamilyId, n: int, k: int, lambda_mode: Param = Param()
 ) -> BiPoly:
     """Entry (n, k) of a connection-coefficient triangle.
 
@@ -446,7 +415,7 @@ def triangular_numbers(
 
 
 @lru_cache(maxsize=4096)
-def _triangle_row(family: FamilyId, mode: LambdaMode, n: int) -> tuple[BiPoly, ...]:
+def _triangle_row(family: FamilyId, mode: Param, n: int) -> tuple[BiPoly, ...]:
     """Entries k = 0..n of row n >= 0; row n comes from rows n-2 and n-1 by the step rule.
 
     Every triangle starts from T(0,0) = T(1,1) = 1, and column 0 is zero

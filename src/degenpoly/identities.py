@@ -21,14 +21,13 @@ from typing import Callable, Mapping
 from .bipoly import BiPoly, binomial, dot
 from .series import EgfSeries
 from .families import (
-    Argument,
     FamilyId,
     FamilySpec,
-    LambdaMode,
+    Param,
     build_egf,
     central_factorial_power,
     deg_bernoulli2_alt_egf,
-    step_egf,
+    step_products,
     triangular_numbers,
 )
 from enum import Enum
@@ -36,9 +35,9 @@ from enum import Enum
 _L = BiPoly.lam()
 _X = BiPoly.x()
 _ONE = BiPoly.const(1)
-_SYM = Argument.symbolic()
+_SYM = Param.symbolic()
 _TWO = Fraction(2)
-_HALF_L = LambdaMode.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
+_HALF_L = Param.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
 
 
 class UnknownIdentity(ValueError):
@@ -108,9 +107,6 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(case.passed for case in self.cases)
 
-    def failures(self) -> list[Case]:
-        return [case for case in self.cases if not case.passed]
-
     def to_json_dict(self, include_timing: bool = False) -> dict[str, object]:
         out: dict[str, object] = {
             "identity": self.identity.value,
@@ -131,8 +127,8 @@ class VerificationReport:
 
 
 def _series(family: FamilyId, trunc: int, order: Fraction | int = 1,
-            argument: Argument = _SYM,
-            lambda_mode: LambdaMode = LambdaMode()) -> "list[BiPoly]":
+            argument: Param = _SYM,
+            lambda_mode: Param = _SYM) -> "list[BiPoly]":
     return build_egf(
         FamilySpec(family, Fraction(order), argument, lambda_mode), trunc
     ).values()
@@ -171,7 +167,7 @@ def _check_eq23(max_n: int, order: None, trunc: int) -> list[Case]:
     # b2*_{n,l}(x) = b_{n,l}^(1)(x) + b_{n,l}^(1)(x - 1)
     lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
     rhs_a = _series(FamilyId.DEG_BERNOULLI2, trunc)
-    rhs_b = _series(FamilyId.DEG_BERNOULLI2, trunc, argument=Argument.shifted(-1))
+    rhs_b = _series(FamilyId.DEG_BERNOULLI2, trunc, argument=Param.shifted(-1))
     return [
         Case({"n": n}, lhs[n] - rhs_a[n] - rhs_b[n]) for n in range(max_n + 1)
     ]
@@ -182,7 +178,7 @@ def _check_eq21(max_n: int, r: int, trunc: int) -> list[Case]:
     #   = sum_m C(n,m) [l^(n-m) B2*_(n-m)^(r)(2x/l - r)] S2(m+r,r)/C(m+r,r) 2^(m+r-n)
     b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
     classical = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=LambdaMode.numeric(0)
+        FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=Param.numeric(0)
     )
     s2_weights = [
         triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
@@ -200,9 +196,9 @@ def _check_eq25(max_n: int, order: None, trunc: int) -> list[Case]:
     # b2*_{n,l}(x) = sum_l C(n,l) b2*_{l,l} (x)_{n-l}
     poly_values = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
     number_values = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, argument=Argument.numeric(0)
+        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, argument=Param.numeric(0)
     )
-    ff = step_egf(_X, _ONE, max_n).values()
+    ff = step_products(_X, _ONE, max_n)  # (x)_j
     return [
         Case({"n": n}, poly_values[n] - _convolve(number_values, ff, n))
         for n in range(max_n + 1)
@@ -213,7 +209,7 @@ def _check_thm2(max_n: int, k: int, trunc: int) -> list[Case]:
     # sum_l b2*_{l,l}^(k)(x) S2_l(n,l)
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
     bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
-    ff = step_egf(_X - k, _L, max_n).values()  # (x-k)_{j,l}
+    ff = step_products(_X - k, _L, max_n)  # (x-k)_{j,l}
     weights = [
         triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, _HALF_L)
         * (_TWO ** (m + k) / binomial(m + k, k))
@@ -229,7 +225,7 @@ def _check_thm2(max_n: int, k: int, trunc: int) -> list[Case]:
 def _check_thm2_corollary(max_n: int, k: int, trunc: int) -> list[Case]:
     # 2^(n+k) S2_{l/2}(n+k,k) = C(n+k,k) sum_l b2*_{l,l}^(k)(k) S2_l(n,l)
     bstar_at_k = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(k)
+        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Param.numeric(k)
     )
     return [
         Case({"n": n, "k": k},
@@ -253,8 +249,8 @@ def _check_thm4(max_n: int, k: int, trunc: int) -> list[Case]:
     # sum_{m=k..n} sum_{l=k..m} T_l(l,k) S1_l(m,l) C(n,m) (k/2)_{n-m}
     #   = sum_{m=k..n} S1_l(m,k) b_{n-m,l}^(k) C(n,m)
     # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
-    b_k = _series(FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Argument.numeric(0))
-    ff = step_egf(BiPoly.const(Fraction(k, 2)), _ONE, max_n).values()  # (k/2)_j
+    b_k = _series(FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Param.numeric(0))
+    ff = step_products(BiPoly.const(Fraction(k, 2)), _ONE, max_n)  # (k/2)_j
     t_col = [triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)]
     inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
     s1_col = [triangular_numbers(FamilyId.DEG_STIRLING1, m, k) for m in range(max_n + 1)]
@@ -298,11 +294,11 @@ def _check_eq18_equiv(max_n: int, order: None, trunc: int) -> list[Case]:
 
 def _check_b_second_kind(max_n: int, r: int, trunc: int) -> list[Case]:
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
-    lam0 = LambdaMode.numeric(0)
+    lam0 = Param.numeric(0)
     classical_b = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r, lambda_mode=lam0)
     return [
         Case({"n": n, "r": r}, classical_b[n] - build_egf(
-            FamilySpec(FamilyId.BERNOULLI_ORDER_R, Fraction(n - r + 1), Argument.shifted(1), lam0),
+            FamilySpec(FamilyId.BERNOULLI_ORDER_R, Fraction(n - r + 1), Param.shifted(1), lam0),
             trunc,
         ).value(n))
         for n in range(max_n + 1)
@@ -311,12 +307,12 @@ def _check_b_second_kind(max_n: int, r: int, trunc: int) -> list[Case]:
 
 def _limit_pairs() -> list[tuple[dict[str, object], FamilySpec, FamilySpec]]:
     """The classical-limit catalog: (case indices, degenerate spec, classical spec)."""
-    lam0 = LambdaMode.numeric(0)
+    lam0 = Param.numeric(0)
     pairs: list[tuple[dict[str, object], FamilySpec, FamilySpec]] = []
 
     def seq(family: FamilyId, classical: FamilyId | None = None,
             order: Fraction | int = 1, **extra: object) -> None:
-        deg = FamilySpec(family, Fraction(order), _SYM, LambdaMode())
+        deg = FamilySpec(family, Fraction(order), _SYM, _SYM)
         cls = FamilySpec(classical or family, Fraction(order) if classical is None else Fraction(1), _SYM, lam0)
         pairs.append(({"family": family.value, **extra}, deg, cls))
 
@@ -377,11 +373,11 @@ def _check_stirling_inversion(max_n: int, order: None, trunc: int) -> list[Case]
 def _check_compositional_inverse(max_n: int, order: None, trunc: int) -> list[Case]:
     # e_l(log_l(1+t)) = 1 + t  and  log_l(1 + (e_l(t) - 1)) = t, symbolic l
     e_series = build_egf(
-        FamilySpec(FamilyId.DEG_EXP, Fraction(1), Argument.numeric(1), LambdaMode()),
+        FamilySpec(FamilyId.DEG_EXP, Fraction(1), Param.numeric(1), _SYM),
         trunc,
     )
     log_series = build_egf(
-        FamilySpec(FamilyId.DEG_LOG, Fraction(1), _SYM, LambdaMode()), trunc
+        FamilySpec(FamilyId.DEG_LOG, Fraction(1), _SYM, _SYM), trunc
     )
     one_plus_t = e_series.compose(log_series)
     back = log_series.compose(e_series - EgfSeries.one(trunc))

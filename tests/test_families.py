@@ -14,6 +14,8 @@ from degenpoly.families import (
     FamilyId,
     FamilySpec,
     LambdaMode,
+    Param,
+    TRIANGLE_FAMILIES,
     UnsupportedOrder,
     _triangle_row,
     build_egf,
@@ -25,7 +27,7 @@ from degenpoly.families import (
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
-from oracles import classical_value, series_exp, series_zero, truncate
+from oracles import classical_value, series_exp, truncate
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -304,7 +306,7 @@ TRIANGLE_KERNELS = {
 def test_triangle_tables_match_egf_powers(family, mode):
     size = 13
     kernel, degenerate = TRIANGLE_KERNELS[family]
-    lam = mode.to_poly() if degenerate else BiPoly.zero()
+    lam = mode.to_poly(L) if degenerate else BiPoly.zero()
     expected = triangle_by_egf_powers(kernel(lam, size), size)
     assert [_triangle_row(family, mode, n) for n in range(size + 1)] == [
         row[: n + 1] for n, row in enumerate(expected)
@@ -312,16 +314,15 @@ def test_triangle_tables_match_egf_powers(family, mode):
 
 
 def test_triangle_column_edge_cases():
-    # A column beyond the truncation order is the zero series.
-    assert build_egf(FamilySpec(FamilyId.DEG_STIRLING2, Fraction(5)), 3) == series_zero(3)
+    # Entries outside 0 <= k <= n are the zero polynomial.
+    for n, k in ((3, 5), (3, -1), (-1, 0)):
+        assert triangular_numbers(FamilyId.DEG_STIRLING2, n, k) == BiPoly.zero(), (n, k)
     # A numeric-l column holds the substituted symbolic entries, zero above the diagonal.
-    third = Fraction(1, 3)
+    third = LambdaMode.numeric(Fraction(1, 3))
     for family in (FamilyId.DEG_STIRLING1, FamilyId.DEG_CENTRAL_FACTORIAL):
-        spec = FamilySpec(family, Fraction(3), lambda_mode=LambdaMode.numeric(third))
-        column = build_egf(spec, 12)
         for n in range(13):
-            expected = triangular_numbers(family, n, 3).subs_lam(third)
-            assert column.value(n) == expected, (family, n)
+            expected = triangular_numbers(family, n, 3).subs_lam(third.value)
+            assert triangular_numbers(family, n, 3, third) == expected, (family, n)
 
 
 def test_triangle_rows_are_built_once(capsys):
@@ -494,8 +495,6 @@ def test_unsupported_orders():
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(1, 2)), 4)
     with pytest.raises(UnsupportedOrder):
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI, Fraction(3, 2)), 4)
-    with pytest.raises(UnsupportedOrder):
-        build_egf(FamilySpec(FamilyId.DEG_STIRLING2, Fraction(-1)), 4)
 
 
 def test_rational_order_allowed_for_second_kind():
@@ -503,9 +502,28 @@ def test_rational_order_allowed_for_second_kind():
     assert series.value(0) == BiPoly.const(1)
 
 
+def test_param_kinds():
+    assert Argument is LambdaMode is Param
+    assert Param.symbolic().to_poly(X) == X
+    assert Param.numeric(Fraction(-37, 42)).to_poly(L) == BiPoly.const(Fraction(-37, 42))
+    assert Param.shifted(-1).to_poly(X) == X - 1
+    assert Param.scaled(Fraction(1, 2)).to_poly(L) == L * Fraction(1, 2)
+    assert type(Param("numeric", 3).value) is Fraction
+    with pytest.raises(ValueError, match="unknown parameter kind"):
+        Param("affine", 1)
+
+
 def test_polynomial_family_has_no_egf():
     with pytest.raises(ValueError):
         build_egf(FamilySpec(FamilyId.CENTRAL_FACTORIAL_POWER), 4)
+
+
+def test_triangle_families_have_no_egf():
+    # Triangles are read through triangular_numbers only, whatever the order.
+    for family in TRIANGLE_FAMILIES:
+        for order in (1, 3, -1):
+            with pytest.raises(ValueError, match="triangle family"):
+                build_egf(FamilySpec(family, Fraction(order)), 4)
 
 
 def test_catalog_covers_every_family():

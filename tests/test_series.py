@@ -286,16 +286,15 @@ def test_pow_constant_term_stays_rational():
     assert isinstance(root.coefficient(0).constant(), Fraction)
 
 
-@settings(max_examples=30)
-@given(
-    series_of(BiPoly.const(1)),
-    st.sampled_from(
-        [-3, -1, Fraction(-5, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
-    ),
-)
 # alpha + 1 = -2/3 and 5/3: Miller's weights fold a denominator 3 into each coefficient.
-@example(EgfSeries([1, L, X * Fraction(1, 2), L * X - 3]), Fraction(-5, 3))
-@example(EgfSeries([1, L, X * Fraction(1, 2), L * X - 3]), Fraction(2, 3))
+@pytest.mark.parametrize(
+    "alpha",
+    [-3, -1, Fraction(-5, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)],
+    ids=str,
+)
+@settings(max_examples=10)
+@given(f=series_of(BiPoly.const(1)))
+@example(f=EgfSeries([1, L, X * Fraction(1, 2), L * X - 3]))
 def test_pow_matches_exp_log_route(f, alpha):
     assert f.pow(alpha) == series_exp(series_log(f).scale(alpha))
 
