@@ -9,8 +9,11 @@ At N = 16 and 32, with symbolic l and x, it times one ``BiPoly`` product
 coefficient N of e_l^x(t)), that coefficient times N! and times 1/N!
 (``bipoly.scale``), the series product of those two EGFs, their
 quotient, ``pow(-2)`` and ``pow(1/2)`` of log_l(1+t)/t, the composition
-e_l^x(log_l(1+t)), and a cold 32-row ``deg-central-factorial`` table.
-Inputs are built before timing, with the timed tree's own code.
+e_l^x(log_l(1+t)), a cold 32-row ``deg-central-factorial`` table, and
+``compute --family deg-bernoulli2 --order 3 --max-n N --format json``
+through ``cli.run`` into a ``StringIO`` with warm caches (``cli.compute_json``).
+Inputs are built, and caches warmed, before timing, with the timed tree's
+own code.
 
 Each checkout is timed in its own child process that imports its ``src/``,
 first the baseline and then this checkout, ``REPEAT`` times per entry.
@@ -42,6 +45,8 @@ TABLE_ROWS = 32
 def _digest(value) -> str:
     from degenpoly.series import EgfSeries
 
+    if isinstance(value, str):
+        return hashlib.sha256(value.encode()).hexdigest()
     if isinstance(value, EgfSeries):
         polys = value.coefficients
     else:
@@ -52,14 +57,24 @@ def _digest(value) -> str:
 
 def _cases():
     """(name, thunk) pairs; the inputs are built here, outside the timed region."""
+    import contextlib
+    import io
     from fractions import Fraction
 
-    from degenpoly import families
+    from degenpoly import cli, families
     from degenpoly.bipoly import factorial
     from degenpoly.families import FamilyId, FamilySpec, build_egf, triangular_numbers
 
+    def compute_json(n):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.run(["compute", "--family", "deg-bernoulli2", "--order", "3",
+                     "--max-n", str(n), "--format", "json"])
+        return out.getvalue()
+
     cases = []
     for n in SIZES:
+        compute_json(n)  # warms the series cache
         bern = build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2)), n)
         exp_x = build_egf(FamilySpec(FamilyId.DEG_EXP), n)
         log_l = build_egf(FamilySpec(FamilyId.DEG_LOG), n + 1)
@@ -74,6 +89,7 @@ def _cases():
             (f"series.pow_-2.N{n}", lambda k=kernel: k.pow(-2)),
             (f"series.pow_1/2.N{n}", lambda k=kernel: k.pow(Fraction(1, 2))),
             (f"series.compose.N{n}", lambda f=exp_x, g=log_l: f.compose(g)),
+            (f"cli.compute_json.N{n}", lambda n=n: compute_json(n)),
         ]
 
     def cold_table():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from degenpoly import cli, families
 from degenpoly.bipoly import BiPoly
 from degenpoly.identities import Case, IdentityId, VerificationReport
+from test_bipoly import big_bipolys
 
 
 def run_capture(capsys, argv):
@@ -256,11 +257,13 @@ def test_rational_literals_within_the_limit():
     assert cli._rational(digits) == int(digits)
 
 
-def test_value_too_long_to_print_is_usage_error(capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_value_too_long_to_print_is_usage_error(capsys, fmt):
     # Accepted literal, but x^n has a denominator of about 7800 digits at n = 64.
     tiny = "9." + "9" * 58 + "e-64"
     code, out, err = run_capture(
-        capsys, ["compute", "--family", "deg-exp", "--max-n", "64", f"--x={tiny}"]
+        capsys,
+        ["compute", "--family", "deg-exp", "--max-n", "64", f"--x={tiny}", "--format", fmt],
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ")
@@ -404,14 +407,15 @@ json_scalars = st.one_of(
     st.text(),  # every code point but surrogates: non-ASCII and control characters
 )
 
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
+
+def json_containers(children):
+    return st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=24,
-)
+    )
+
+
+json_trees = st.recursive(json_scalars, json_containers, max_leaves=24)
 
 
 @settings(max_examples=300)
@@ -421,9 +425,31 @@ def test_json_text_equals_stdlib_indent_2(tree):
     assert cli._json_text(tree) == json.dumps(tree, indent=2)
 
 
-@pytest.mark.parametrize(
-    "value", [Fraction(1, 2), BiPoly.x(), {1, 2}], ids=["Fraction", "BiPoly", "set"]
-)
+def as_records(tree):
+    """``tree`` with each ``BiPoly`` replaced by its ``to_records()``."""
+    if isinstance(tree, BiPoly):
+        return tree.to_records()
+    if isinstance(tree, dict):
+        return {key: as_records(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [as_records(item) for item in tree]
+    return tree
+
+
+POLY = BiPoly.x() * 3 - BiPoly.lam() * BiPoly.x() * Fraction(5, 6) + Fraction(-7, 4)
+
+
+@settings(max_examples=300)
+@given(st.recursive(st.one_of(json_scalars, big_bipolys), json_containers, max_leaves=24))
+@example(BiPoly.zero())
+@example(BiPoly.const(Fraction(-2, 3)))
+@example(POLY)
+@example({"a": [{"value": POLY}], "b": [[{"z": BiPoly.zero(), "c": BiPoly.const(5)}]]})
+def test_json_text_writes_polynomials_as_records(tree):
+    assert cli._json_text(tree) == json.dumps(as_records(tree), indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}], ids=["Fraction", "set"])
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text({"values": [{"n": 0, "value": value}]})
