@@ -38,19 +38,10 @@ from .families import (
     list_families,
     triangular_numbers,
 )
-from .identities import (
-    ALIASES,
-    IdentityId,
-    UnknownIdentity,
-    VerificationReport,
-    coerce_identity,
-    default_ranges,
-    verify,
-    verify_all,
-)
+from .identities import ALIASES, IdentityId, VerificationReport, verify, verify_all
 
 
-#: Largest accepted --max-n, --trunc and verify --order, well above the ranges of the profiles and the tests.
+#: Largest accepted --max-n and --trunc, and |--order|, well above the ranges of the profiles and the tests.
 SIZE_LIMIT = 64
 
 #: Longest rational literal, and largest exponent in one: Fraction("1e999999999") has no bound.
@@ -180,14 +171,10 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[dict[str, ob
     if kind == "triangle":
         max_n = args.max_n
         writer.writerow(["n"] + [f"k={k}" for k in range(max_n + 1)])
-        grid: dict[int, dict[int, BiPoly]] = {}
-        for row in rows:
-            grid.setdefault(row["n"], {})[row["k"]] = row["value"]
         for n in range(max_n + 1):
-            cells = [str(n)] + [
-                grid[n][k].render() if k <= n else "" for k in range(max_n + 1)
-            ]
-            writer.writerow(cells)
+            start = n * (n + 1) // 2  # rows are n-major, n + 1 entries in row n
+            cells = [row["value"].render() for row in rows[start : start + n + 1]]
+            writer.writerow([str(n)] + cells + [""] * (max_n - n))
     else:
         writer.writerow(["n", "value"])
         for row in rows:
@@ -345,7 +332,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compute":
-        _check_sizes(parser, args.max_n)
+        _check_sizes(parser, args.max_n, order=args.order)
         info = CATALOG[FamilyId(args.family)]
         for flag, value, honoured in (
             ("--order", args.order, info.kind == "sequence" and info.order_domain != "none"),
@@ -370,6 +357,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     # verify
+    if args.timings and args.format == "csv":
+        parser.error("--timings does not apply to --format csv")
     if args.identity == "all":
         for flag in ("max_n", "order", "trunc"):
             if getattr(args, flag) is not None:
@@ -379,26 +368,9 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         _emit(args.output, text)
         return 0 if all(r.all_pass for r in reports) else 1
 
+    _check_sizes(parser, args.max_n, args.trunc, args.order)
     try:
-        identity = coerce_identity(args.identity)
-    except UnknownIdentity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # An identity without an order parameter has no order in its ranges.
-    d_max_n, d_order, d_trunc = default_ranges(identity, args.profile)
-    if args.order is not None and d_order is None:
-        parser.error(f"--order does not apply to identity {identity.value}")
-    max_n = args.max_n if args.max_n is not None else d_max_n
-    order = args.order if args.order is not None else d_order
-    trunc = args.trunc if args.trunc is not None else max(d_trunc, max_n)
-    _check_sizes(parser, max_n, trunc, order)
-    from_profile = (
-        args.max_n is None or args.trunc is None or (args.order is None and d_order is not None)
-    )
-    try:
-        report = verify(
-            identity, max_n, order, trunc, profile=args.profile if from_profile else None
-        )
+        report = verify(args.identity, args.max_n, args.order, args.trunc, args.profile)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -407,16 +379,18 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _check_sizes(
-    parser: argparse.ArgumentParser, max_n: int, trunc: int | None = None, order: int | None = None
+    parser: argparse.ArgumentParser,
+    max_n: int | None,
+    trunc: int | None = None,
+    order: int | Fraction | None = None,
 ) -> None:
-    """Reject a size range before any work starts."""
-    if max_n < 0:
+    """Reject an out-of-bounds size flag before any work starts; ``None`` is a flag not given."""
+    if max_n is not None and max_n < 0:
         parser.error("--max-n must be nonnegative")
-    if trunc is not None and trunc < max_n:
-        parser.error(f"--trunc {trunc} is below --max-n {max_n}")
     for flag, value in (("--max-n", max_n), ("--trunc", trunc), ("--order", order)):
-        if value is not None and value > SIZE_LIMIT:
-            parser.error(f"{flag} {value} is above the limit {SIZE_LIMIT}")
+        if value is not None and abs(value) > SIZE_LIMIT:
+            side, limit = ("above", SIZE_LIMIT) if value > 0 else ("below", -SIZE_LIMIT)
+            parser.error(f"{flag} {value} is {side} the limit {limit}")
 
 
 def _emit(path: str | None, text: str) -> None:

@@ -8,6 +8,11 @@ and ``l`` stays symbolic everywhere except the classical-limit checks,
 which substitute l = 0.  A checker verifies one order of its identity;
 ``verify()`` runs it for every order from the identity's first order
 (``thm4`` from 0, the others from 1) up to ``max_order``.
+
+This module alone holds the range policy: ``default_ranges`` gives each
+identity's ranges under the ``quick`` and ``full`` profiles, and
+``verify()`` fills every range it is not given from them, so the CLI
+passes its flags straight through.
 """
 
 from __future__ import annotations
@@ -458,31 +463,38 @@ def default_ranges(identity: "IdentityId | str", profile: str = "full") -> tuple
 
 def verify(
     identity: "IdentityId | str",
-    max_n: int,
+    max_n: int | None = None,
     max_order: int | None = None,
-    trunc: int = 16,
-    profile: str | None = None,
+    trunc: int | None = None,
+    profile: str = "full",
 ) -> VerificationReport:
     """Verify one identity over inclusive index ranges, returning exact residuals.
 
-    Cases come order by order, from the identity's first order up to ``max_order``.
+    A range left as ``None`` comes from ``default_ranges(identity, profile)``,
+    and an omitted ``trunc`` is raised to ``max_n``.  The report's ``profile``
+    names the profile when some range came from it, and is ``None`` when
+    every range was given.  Cases come order by order, from the identity's
+    first order up to ``max_order``.  Ranges it cannot honour raise
+    ``ValueError`` before any work starts.
     """
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
-    uses_order = entry.full[1] is not None
+    d_max_n, d_order, d_trunc = default_ranges(identity, profile)
+    uses_order = d_order is not None
+    if max_order is not None and not uses_order:
+        raise ValueError(f"identity {identity.value} has no order parameter")
+    from_profile = max_n is None or trunc is None or (max_order is None and uses_order)
+    max_n = d_max_n if max_n is None else max_n
+    max_order = d_order if max_order is None else max_order
+    trunc = max(d_trunc, max_n) if trunc is None else trunc
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if trunc < max_n:
         raise ValueError(f"truncation order {trunc} is below max_n {max_n}")
-    if uses_order:
-        if max_order is None:
-            max_order = entry.full[1]
-        if max_order < entry.min_order:
-            raise ValueError(
-                f"identity {identity.value} starts at order {entry.min_order}, got {max_order}"
-            )
-    elif max_order is not None:
-        raise ValueError(f"identity {identity.value} has no order parameter")
+    if uses_order and max_order < entry.min_order:
+        raise ValueError(
+            f"identity {identity.value} starts at order {entry.min_order}, got {max_order}"
+        )
     orders = range(entry.min_order, max_order + 1) if uses_order else (None,)
     start = time.perf_counter()
     cases = tuple(case for order in orders for case in entry.checker(max_n, order, trunc))
@@ -492,7 +504,7 @@ def verify(
         max_n=max_n,
         max_order=max_order,
         trunc=trunc,
-        profile=profile,
+        profile=profile if from_profile else None,
         cases=cases,
         wall_time_ms=elapsed_ms,
     )
@@ -500,8 +512,4 @@ def verify(
 
 def verify_all(profile: str = "full") -> list[VerificationReport]:
     """Run the whole catalog under a profile; failures are reported, not raised."""
-    reports = []
-    for identity in IdentityId:
-        max_n, max_order, trunc = default_ranges(identity, profile)
-        reports.append(verify(identity, max_n, max_order, trunc, profile=profile))
-    return reports
+    return [verify(identity, profile=profile) for identity in IdentityId]

@@ -142,6 +142,7 @@ def test_criterion_11_oracle_cross_checks():
 FULL_SUITE_SHA256 = "699f0ff3a60d78c61ddd966098311c83a2bbefe61f0eec5f3e8ba06d1a0f57c1"
 QUICK_CSV_SHA256 = "1ec4ffc443566a5d315386b7b2a05a65351f8288ba86dedd73aa140d37aa98ef"
 COMPUTE_JSON_SHA256 = "3bb0dec14e880c18b79c2f9ec91319f25b7c6804b11ab3961f79646f5ce6c96d"
+COMPUTE_CSV_SHA256 = "f1ea2185de2e5c15154533da1e27d0eefef3a2aa26bb13ba7ff15224736023a7"
 
 
 def test_criterion_12_full_cli_suite_under_budget(capsys):
@@ -164,19 +165,26 @@ def test_quick_cli_suite_csv_is_pinned(capsys):
     assert hashlib.sha256(payload.encode()).hexdigest() == QUICK_CSV_SHA256
 
 
-def test_compute_json_is_pinned(capsys):
+def _compute_catalog(capsys, fmt):
     # Every family at --max-n 6, symbolic, then at l = -37/42 and x = 5/3
     # wherever the family takes them.
     chunks = []
     for numeric in (False, True):
         for family in FamilyId:
             info = CATALOG[family]
-            argv = ["compute", "--family", family.value, "--max-n", "6", "--format", "json"]
+            argv = ["compute", "--family", family.value, "--max-n", "6", "--format", fmt]
             if numeric and info.degenerate:
                 argv.append("--lambda=-37/42")
             if numeric and info.takes_argument:
                 argv.append("--x=5/3")
             assert cli.run(argv) == 0
             chunks.append(capsys.readouterr().out)
-    payload = "".join(chunks)
-    assert hashlib.sha256(payload.encode()).hexdigest() == COMPUTE_JSON_SHA256
+    return hashlib.sha256("".join(chunks).encode()).hexdigest()
+
+
+def test_compute_json_is_pinned(capsys):
+    assert _compute_catalog(capsys, "json") == COMPUTE_JSON_SHA256
+
+
+def test_compute_csv_is_pinned(capsys):
+    assert _compute_catalog(capsys, "csv") == COMPUTE_CSV_SHA256

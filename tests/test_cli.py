@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from degenpoly import cli, families
 from degenpoly.bipoly import BiPoly
-from degenpoly.identities import Case, IdentityId, VerificationReport
+from degenpoly.identities import Case, IdentityId, VerificationReport, verify
 from test_bipoly import big_bipolys
 
 
@@ -149,6 +149,15 @@ def test_verify_all_quick(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert len(payload["reports"]) == 15
+
+
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId])
+def test_single_identity_cli_matches_the_library(capsys, identity):
+    # verify() fills the omitted order and trunc from the profile, as the CLI does.
+    code, out, _ = run_capture(capsys, ["verify", "--identity", identity, "--max-n", "3"])
+    report = verify(identity, 3)
+    assert code == 0
+    assert out == cli._json_text(report.to_json_dict()) + "\n"
 
 
 def test_verify_csv_format(capsys):
@@ -319,11 +328,22 @@ def test_trunc_on_table_family_is_usage_error(capsys, family):
 
 
 def test_order_on_identity_without_order_is_usage_error(capsys):
-    code, _, err = run_capture(
+    code, out, err = run_capture(
         capsys, ["verify", "--identity", "eq2", "--max-n", "2", "--order", "9"]
     )
-    assert code == 2
-    assert "--order does not apply" in err
+    assert code == 2 and out == ""
+    assert "has no order parameter" in err
+
+
+@pytest.mark.parametrize("identity", ["eq23", "all"])
+def test_timings_with_csv_is_usage_error(capsys, identity):
+    # CSV has no column for the times, so --timings would be dropped.
+    code, out, err = run_capture(
+        capsys,
+        ["verify", "--identity", identity, "--profile", "quick", "--timings", "--format", "csv"],
+    )
+    assert code == 2 and out == ""
+    assert "--timings does not apply to --format csv" in err
 
 
 def test_order_below_first_order_is_usage_error(capsys):
@@ -385,6 +405,19 @@ def test_order_above_size_limit_is_usage_error(capsys):
     )
     assert code == 0
     assert json.loads(out)["ranges"]["max_order"] == 64
+
+
+@pytest.mark.parametrize("order", ["65", "-65"])
+def test_compute_order_above_size_limit_is_usage_error(capsys, order):
+    # f0 ** order on type2-deg-bernoulli2 (f0 = 2) has no bound of its own.
+    families.clear_caches()
+    code, out, err = run_capture(
+        capsys,
+        ["compute", "--family", "type2-deg-bernoulli2", "--max-n", "2", f"--order={order}"],
+    )
+    assert code == 2 and out == ""
+    assert f"--order {order} is" in err and "the limit" in err
+    assert families._build_egf_cached.cache_info().misses == 0  # rejected before any work
 
 
 def test_range_flags_rejected_with_all(capsys):

@@ -302,6 +302,16 @@ def test_default_ranges_profiles():
         default_ranges(IdentityId.THM4, "exhaustive")
 
 
+def test_omitted_ranges_come_from_the_profile():
+    report = verify("eq2", 20)
+    assert report.all_pass
+    assert (report.trunc, report.profile) == (20, "full")
+    quick = verify(IdentityId.THM3, 2, profile="quick")
+    assert (quick.max_order, quick.trunc, quick.profile) == (3, 12, "quick")
+    given = verify(IdentityId.THM3, 2, 1, 4, profile="quick")
+    assert (given.max_order, given.trunc, given.profile) == (1, 4, None)
+
+
 def test_report_json_shape():
     report = verify(IdentityId.EQ23, 2, trunc=4)
     payload = report.to_json_dict()
