@@ -12,7 +12,9 @@ parser is built once per process, on the first ``run``, and reused by
 every later request.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
-2 usage error.
+2 usage error.  A flag outside its type or size bound, or one the request
+cannot honour, prints the subcommand's usage line; ``run`` reports a request
+the library refuses, or an unwritable ``--output``, as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -64,12 +66,29 @@ def _symbolic_or_rational(text: str) -> str | Fraction:
     return _rational(text)
 
 
+def _bounded(parse: Callable[[str], int | Fraction], low: int) -> Callable[[str], int | Fraction]:
+    """An argparse type: ``parse``, then reject a value outside ``low..SIZE_LIMIT``."""
+
+    def bounded(text: str) -> int | Fraction:
+        value = parse(text)
+        if value > SIZE_LIMIT:
+            raise argparse.ArgumentTypeError(f"{value} is above the limit {SIZE_LIMIT}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the limit {low}")
+        return value
+
+    bounded.__name__ = parse.__name__  # argparse names the type in "invalid int value: ..."
+    return bounded
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by later ones.
 
     Parsing and ``parser.error`` leave the parser unchanged, so one parser
-    serves every request of the process.
+    serves every request of the process.  ``--max-n``, ``--trunc`` and
+    ``--order`` are bounded by their types, and each subcommand stores its
+    own parser as ``args.subparser`` for the usage errors found later.
     """
     parser = argparse.ArgumentParser(
         prog="degenpoly",
@@ -79,29 +98,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="tabulate one family")
+    comp.set_defaults(subparser=comp)
     comp.add_argument(
         "--family",
         required=True,
         choices=[f.value for f in FamilyId],
         help="family name (see list-families)",
     )
-    comp.add_argument("--max-n", type=int, required=True, help="largest index, inclusive")
     comp.add_argument(
-        "--order", type=_rational, default=None, help="order parameter (rational; default 1)"
+        "--max-n", type=_bounded(int, 0), required=True, help="largest index, inclusive"
+    )
+    comp.add_argument(
+        "--order",
+        type=_bounded(_rational, -SIZE_LIMIT),
+        help="order parameter (rational; default 1); a negative fraction as --order=-1/2",
     )
     comp.add_argument(
         "--lambda",
         dest="lam",
         type=_symbolic_or_rational,
-        default=None,
-        help="'symbolic' (default) or a rational literal",
+        help="'symbolic' (default) or a rational literal; a negative fraction as --lambda=-1/3",
     )
     comp.add_argument(
         "--x",
         dest="x_arg",
         type=_symbolic_or_rational,
-        default=None,
-        help="'symbolic' (default) or a rational literal",
+        help="'symbolic' (default) or a rational literal; a negative fraction as --x=-5/3",
     )
     comp.add_argument("--format", choices=["json", "csv"], default="json")
     comp.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
@@ -112,10 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="identity names: "
         + ", ".join([i.value for i in IdentityId] + sorted(ALIASES) + ["all"]),
     )
+    ver.set_defaults(subparser=ver)
     ver.add_argument("--identity", required=True, help="identity name or 'all'")
-    ver.add_argument("--max-n", type=int, default=None, help="largest index, inclusive")
-    ver.add_argument("--order", type=int, default=None, help="largest order (r or k), inclusive")
-    ver.add_argument("--trunc", type=int, default=None, help="truncation order (>= max-n)")
+    ver.add_argument("--max-n", type=_bounded(int, 0), help="largest index, inclusive")
+    ver.add_argument(
+        "--order", type=_bounded(int, -SIZE_LIMIT), help="largest order (r or k), inclusive"
+    )
+    ver.add_argument("--trunc", type=_bounded(int, 0), help="truncation order (>= max-n)")
     ver.add_argument("--profile", choices=["quick", "full"], default="full")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--timings", action="store_true", help="include wall-clock times")
@@ -309,18 +334,17 @@ def _render_reports(
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(parser, args)
-    except SystemExit as exc:
+        return _dispatch(build_parser().parse_args(argv))
+    except SystemExit as exc:  # parse errors and args.subparser.error
         return int(exc.code or 0)
-    except OSError as exc:  # only _emit does I/O: an --output path that cannot be written
+    # Refused by the library, by str() (ints above 4300 digits) or by writing --output.
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-families":
         lines = [f"{'name':<26} {'kind':<11} {'order':<15} {'arg':<4} {'recipe'}"]
         for row in list_families():
@@ -332,7 +356,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compute":
-        _check_sizes(parser, args.max_n, order=args.order)
         info = CATALOG[FamilyId(args.family)]
         for flag, value, honoured in (
             ("--order", args.order, info.kind == "sequence" and info.order_domain != "none"),
@@ -340,57 +363,31 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             ("--lambda", args.lam, info.degenerate),
         ):
             if value is not None and not honoured:
-                parser.error(f"{flag} does not apply to {args.family}")
+                args.subparser.error(f"{flag} does not apply to {args.family}")
         if args.order is None:
             args.order = Fraction(1)
         if args.lam is None:
             args.lam = "symbolic"
         if args.x_arg is None:
             args.x_arg = "symbolic"
-        try:
-            kind, rows = _compute_rows(args)
-            text = _render_compute(args, kind, rows)  # str() refuses ints above 4300 digits
-        except (ValueError, ArithmeticError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit(args.output, text)
+        kind, rows = _compute_rows(args)
+        _emit(args.output, _render_compute(args, kind, rows))
         return 0
 
     # verify
     if args.timings and args.format == "csv":
-        parser.error("--timings does not apply to --format csv")
-    if args.identity == "all":
+        args.subparser.error("--timings does not apply to --format csv")
+    suite = args.identity == "all"
+    if suite:
         for flag in ("max_n", "order", "trunc"):
             if getattr(args, flag) is not None:
-                parser.error(f"--{flag.replace('_', '-')} applies to a single identity")
+                args.subparser.error(f"--{flag.replace('_', '-')} applies to a single identity")
         reports = verify_all(args.profile)
-        text = _render_reports(reports, args.format, args.profile, args.timings)
-        _emit(args.output, text)
-        return 0 if all(r.all_pass for r in reports) else 1
-
-    _check_sizes(parser, args.max_n, args.trunc, args.order)
-    try:
-        report = verify(args.identity, args.max_n, args.order, args.trunc, args.profile)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(args.output, _render_reports([report], args.format, None, args.timings))
-    return 0 if report.all_pass else 1
-
-
-def _check_sizes(
-    parser: argparse.ArgumentParser,
-    max_n: int | None,
-    trunc: int | None = None,
-    order: int | Fraction | None = None,
-) -> None:
-    """Reject an out-of-bounds size flag before any work starts; ``None`` is a flag not given."""
-    if max_n is not None and max_n < 0:
-        parser.error("--max-n must be nonnegative")
-    for flag, value in (("--max-n", max_n), ("--trunc", trunc), ("--order", order)):
-        if value is not None and abs(value) > SIZE_LIMIT:
-            side, limit = ("above", SIZE_LIMIT) if value > 0 else ("below", -SIZE_LIMIT)
-            parser.error(f"{flag} {value} is {side} the limit {limit}")
+    else:
+        reports = [verify(args.identity, args.max_n, args.order, args.trunc, args.profile)]
+    text = _render_reports(reports, args.format, args.profile if suite else None, args.timings)
+    _emit(args.output, text)
+    return 0 if all(r.all_pass for r in reports) else 1
 
 
 def _emit(path: str | None, text: str) -> None:

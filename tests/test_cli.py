@@ -360,13 +360,13 @@ def test_max_n_above_size_limit_is_usage_error(capsys):
         capsys, ["compute", "--family", "deg-stirling2", "--max-n", str(cli.SIZE_LIMIT + 1)]
     )
     assert code == 2
-    assert "--max-n 65 is above the limit 64" in err
+    assert "argument --max-n: 65 is above the limit 64" in err
     assert families._triangle_row.cache_info().misses == 0  # rejected before any work
     code, _, err = run_capture(
         capsys, ["verify", "--identity", "eq23", "--max-n", str(cli.SIZE_LIMIT + 1)]
     )
     assert code == 2
-    assert "--max-n 65 is above the limit" in err
+    assert "argument --max-n: 65 is above the limit" in err
     # The limit itself is accepted.
     code, out, _ = run_capture(
         capsys,
@@ -385,7 +385,7 @@ def test_trunc_above_size_limit_is_usage_error(capsys):
         capsys, ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "65"]
     )
     assert code == 2
-    assert "--trunc 65 is above the limit 64" in err
+    assert "argument --trunc: 65 is above the limit 64" in err
 
 
 def test_order_above_size_limit_is_usage_error(capsys):
@@ -396,7 +396,7 @@ def test_order_above_size_limit_is_usage_error(capsys):
          "--order", str(cli.SIZE_LIMIT + 1)],
     )
     assert code == 2 and out == ""
-    assert "--order 65 is above the limit 64" in err
+    assert "argument --order: 65 is above the limit 64" in err
     assert families._triangle_row.cache_info().misses == 0  # rejected before any work
     assert families._build_egf_cached.cache_info().misses == 0
     # The limit itself is accepted.
@@ -416,7 +416,7 @@ def test_compute_order_above_size_limit_is_usage_error(capsys, order):
         ["compute", "--family", "type2-deg-bernoulli2", "--max-n", "2", f"--order={order}"],
     )
     assert code == 2 and out == ""
-    assert f"--order {order} is" in err and "the limit" in err
+    assert f"argument --order: {order} is" in err and "the limit" in err
     assert families._build_egf_cached.cache_info().misses == 0  # rejected before any work
 
 
@@ -425,6 +425,48 @@ def test_range_flags_rejected_with_all(capsys):
         capsys, ["verify", "--identity", "all", "--max-n", "4"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "euler", "--max-n", "3", "--order", "2"],
+        ["compute", "--family", "deg-exp", "--max-n", "-1"],
+        ["compute", "--family", "deg-exp", "--max-n", "65"],
+        ["verify", "--identity", "eq23", "--timings", "--format", "csv"],
+        ["verify", "--identity", "all", "--max-n", "3"],
+        ["verify", "--identity", "thm2", "--order", "65"],
+    ],
+    ids=["order-not-honoured", "max-n-negative", "max-n-above", "timings-csv",
+         "range-with-all", "order-above"],
+)
+def test_usage_error_shows_the_subcommand_usage(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith(f"usage: degenpoly {argv[0]}")
+
+
+def test_negative_fraction_with_equals_form(capsys):
+    # argparse takes "-1/2" after a space for a flag, so the value is attached with "=".
+    code, out, _ = run_capture(
+        capsys,
+        ["compute", "--family", "bernoulli-order-r", "--max-n", "3", "--order=-1/2",
+         "--format", "json"],
+    )
+    series = families.build_egf(
+        families.FamilySpec(families.FamilyId.BERNOULLI_ORDER_R, Fraction(-1, 2)), 3
+    )
+    payload = {
+        "family": "bernoulli-order-r",
+        "kind": "sequence",
+        "order": "-1/2",
+        "lambda": "symbolic",
+        "x": "symbolic",
+        "max_n": 3,
+        "values": [{"n": n, "value": series.value(n)} for n in range(4)],
+    }
+    assert code == 0
+    assert out == cli._json_text(payload) + "\n"
 
 
 # -- JSON writer and parser reuse ------------------------------------------------------
