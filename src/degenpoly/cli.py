@@ -140,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--order", type=_bounded(int, -SIZE_LIMIT), help="largest order (r or k), inclusive"
     )
-    ver.add_argument("--trunc", type=_bounded(int, 0), help="truncation order (>= max-n)")
+    ver.add_argument(
+        "--trunc", type=_bounded(int, 0),
+        help="truncation order the result is stated at (>= max-n); series are built to max-n",
+    )
     ver.add_argument("--profile", choices=["quick", "full"], default="full")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--timings", action="store_true", help="include wall-clock times")

@@ -144,10 +144,9 @@ def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
 
 def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag."""
-    prods = step_products(arg, step, trunc - lag)
-    return EgfSeries(
-        [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
-    )
+    prods = step_products(arg, step, max(trunc - lag, 0))
+    coeffs = [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
+    return EgfSeries(coeffs[: trunc + 1])
 
 
 def central_factorial_power(n: int) -> BiPoly:

@@ -13,6 +13,13 @@ This module alone holds the range policy: ``default_ranges`` gives each
 identity's ranges under the ``quick`` and ``full`` profiles, and
 ``verify()`` fills every range it is not given from them, so the CLI
 passes its flags straight through.
+
+A checker builds every series to ``max_n``, the largest index its cases
+read.  Truncated series arithmetic is exact and coefficient n of a
+product, quotient, power, composition or t-shift depends only on input
+coefficients up to n, so building further cannot change a residual.  A
+report's ``trunc`` is therefore the truncation order the result is stated
+at: the same cases and residuals hold at every ``trunc >= max_n``.
 """
 
 from __future__ import annotations
@@ -168,20 +175,20 @@ def _eq21_weight(poly: BiPoly, j: int, r: int) -> BiPoly:
 # -- identity checkers --------------------------------------------------------
 
 
-def _check_eq23(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_eq23(max_n: int, order: None) -> list[Case]:
     # b2*_{n,l}(x) = b_{n,l}^(1)(x) + b_{n,l}^(1)(x - 1)
-    lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
-    rhs_a = _series(FamilyId.DEG_BERNOULLI2, trunc)
-    rhs_b = _series(FamilyId.DEG_BERNOULLI2, trunc, argument=Param.shifted(-1))
+    lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n)
+    rhs_a = _series(FamilyId.DEG_BERNOULLI2, max_n)
+    rhs_b = _series(FamilyId.DEG_BERNOULLI2, max_n, argument=Param.shifted(-1))
     return [
         Case({"n": n}, lhs[n] - rhs_a[n] - rhs_b[n]) for n in range(max_n + 1)
     ]
 
 
-def _check_eq21(max_n: int, r: int, trunc: int) -> list[Case]:
+def _check_eq21(max_n: int, r: int) -> list[Case]:
     # sum_m b_{m,l}^(r)(x) S2(n,m)
     #   = sum_m C(n,m) [l^(n-m) B2*_(n-m)^(r)(2x/l - r)] S2(m+r,r)/C(m+r,r) 2^(m+r-n)
-    b_r = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r)
+    b_r = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r)
     classical = _series(
         FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=Param.numeric(0)
     )
@@ -197,11 +204,11 @@ def _check_eq21(max_n: int, r: int, trunc: int) -> list[Case]:
     ]
 
 
-def _check_eq25(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_eq25(max_n: int, order: None) -> list[Case]:
     # b2*_{n,l}(x) = sum_l C(n,l) b2*_{l,l} (x)_{n-l}
-    poly_values = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc)
+    poly_values = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n)
     number_values = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, argument=Param.numeric(0)
+        FamilyId.TYPE2_DEG_BERNOULLI2, max_n, argument=Param.numeric(0)
     )
     ff = step_products(_X, _ONE, max_n)  # (x)_j
     return [
@@ -210,10 +217,10 @@ def _check_eq25(max_n: int, order: None, trunc: int) -> list[Case]:
     ]
 
 
-def _check_thm2(max_n: int, k: int, trunc: int) -> list[Case]:
+def _check_thm2(max_n: int, k: int) -> list[Case]:
     # sum_l b2*_{l,l}^(k)(x) S2_l(n,l)
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
-    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
+    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
     ff = step_products(_X - k, _L, max_n)  # (x-k)_{j,l}
     weights = [
         triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, _HALF_L)
@@ -227,10 +234,10 @@ def _check_thm2(max_n: int, k: int, trunc: int) -> list[Case]:
     ]
 
 
-def _check_thm2_corollary(max_n: int, k: int, trunc: int) -> list[Case]:
+def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
     # 2^(n+k) S2_{l/2}(n+k,k) = C(n+k,k) sum_l b2*_{l,l}^(k)(k) S2_l(n,l)
     bstar_at_k = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k, argument=Param.numeric(k)
+        FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(k)
     )
     return [
         Case({"n": n, "k": k},
@@ -240,21 +247,21 @@ def _check_thm2_corollary(max_n: int, k: int, trunc: int) -> list[Case]:
     ]
 
 
-def _check_thm3(max_n: int, k: int, trunc: int) -> list[Case]:
+def _check_thm3(max_n: int, k: int) -> list[Case]:
     # b2*_{n,l}^(k)(x) = sum_l beta2*_{l,l}^(-k)(x) S1_l(n,l)
-    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, trunc, order=k)
-    beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, trunc, order=-k)
+    bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
+    beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=-k)
     return [
         Case({"n": n, "k": k}, bstar[n] - _transform(beta, FamilyId.DEG_STIRLING1, n))
         for n in range(max_n + 1)
     ]
 
 
-def _check_thm4(max_n: int, k: int, trunc: int) -> list[Case]:
+def _check_thm4(max_n: int, k: int) -> list[Case]:
     # sum_{m=k..n} sum_{l=k..m} T_l(l,k) S1_l(m,l) C(n,m) (k/2)_{n-m}
     #   = sum_{m=k..n} S1_l(m,k) b_{n-m,l}^(k) C(n,m)
     # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
-    b_k = _series(FamilyId.DEG_BERNOULLI2, trunc, order=k, argument=Param.numeric(0))
+    b_k = _series(FamilyId.DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(0))
     ff = step_products(BiPoly.const(Fraction(k, 2)), _ONE, max_n)  # (k/2)_j
     t_col = [triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)]
     inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
@@ -266,10 +273,10 @@ def _check_thm4(max_n: int, k: int, trunc: int) -> list[Case]:
 
 
 def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
-                         max_n: int, order: None, trunc: int) -> list[Case]:
+                         max_n: int, order: None) -> list[Case]:
     # B2*_n(x) = 2^(n-1) B_n((x+1)/2)  and  E2*_n(x) = 2^n E_n((x+1)/2)
-    lhs = _series(type2, trunc)
-    rhs = _series(classical, trunc)
+    lhs = _series(type2, max_n)
+    rhs = _series(classical, max_n)
     half_shift = (_X + 1) * Fraction(1, 2)
     return [
         Case({"n": n}, lhs[n] - rhs[n].subs_x_poly(half_shift) * _TWO ** (n + shift))
@@ -277,7 +284,7 @@ def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
     ]
 
 
-def _check_eq5_recon(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_eq5_recon(max_n: int, order: None) -> list[Case]:
     # x^n = sum_k T(n,k) x^[k]
     powers = [central_factorial_power(k) for k in range(max_n + 1)]
     return [
@@ -286,25 +293,25 @@ def _check_eq5_recon(max_n: int, order: None, trunc: int) -> list[Case]:
     ]
 
 
-def _check_eq18_equiv(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_eq18_equiv(max_n: int, order: None) -> list[Case]:
     # (t/log_l(1+t))^a (1+t)^x  ==  (l*t/((1+t)^(l/2)-(1+t)^(-l/2)))^a (1+t)^(x-l*a/2)
     cases = []
     for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        direct = _series(FamilyId.DEG_BERNOULLI2, trunc, order=alpha)
-        alt = deg_bernoulli2_alt_egf(alpha, trunc=trunc).values()
+        direct = _series(FamilyId.DEG_BERNOULLI2, max_n, order=alpha)
+        alt = deg_bernoulli2_alt_egf(alpha, trunc=max_n).values()
         for n in range(max_n + 1):
             cases.append(Case({"alpha": str(alpha), "n": n}, direct[n] - alt[n]))
     return cases
 
 
-def _check_b_second_kind(max_n: int, r: int, trunc: int) -> list[Case]:
+def _check_b_second_kind(max_n: int, r: int) -> list[Case]:
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
     lam0 = Param.numeric(0)
-    classical_b = _series(FamilyId.DEG_BERNOULLI2, trunc, order=r, lambda_mode=lam0)
+    classical_b = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r, lambda_mode=lam0)
     return [
         Case({"n": n, "r": r}, classical_b[n] - build_egf(
             FamilySpec(FamilyId.BERNOULLI_ORDER_R, Fraction(n - r + 1), Param.shifted(1), lam0),
-            trunc,
+            max_n,
         ).value(n))
         for n in range(max_n + 1)
     ]
@@ -340,13 +347,13 @@ _LIMIT_TRIANGLES = [
 ]
 
 
-def _check_limits(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_limits(max_n: int, order: None) -> list[Case]:
     # Substituting l = 0 in each degenerate family reproduces its classical
     # counterpart -- the assertable form of every classical-limit statement.
     cases = []
     for extra, deg_spec, classical_spec in _limit_pairs():
-        deg_values = build_egf(deg_spec, trunc).values()
-        classical_values = build_egf(classical_spec, trunc).values()
+        deg_values = build_egf(deg_spec, max_n).values()
+        classical_values = build_egf(classical_spec, max_n).values()
         for n in range(max_n + 1):
             residual = deg_values[n].subs_lam(0) - classical_values[n]
             cases.append(Case({**extra, "n": n}, residual))
@@ -360,7 +367,7 @@ def _check_limits(max_n: int, order: None, trunc: int) -> list[Case]:
     return cases
 
 
-def _check_stirling_inversion(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_stirling_inversion(max_n: int, order: None) -> list[Case]:
     # sum_l S2_l(n,l) S1_l(l,m) = delta(n,m), symbolic l
     s1_cols = [
         [triangular_numbers(FamilyId.DEG_STIRLING1, j, m) for j in range(max_n + 1)]
@@ -375,17 +382,17 @@ def _check_stirling_inversion(max_n: int, order: None, trunc: int) -> list[Case]
     return cases
 
 
-def _check_compositional_inverse(max_n: int, order: None, trunc: int) -> list[Case]:
+def _check_compositional_inverse(max_n: int, order: None) -> list[Case]:
     # e_l(log_l(1+t)) = 1 + t  and  log_l(1 + (e_l(t) - 1)) = t, symbolic l
     e_series = build_egf(
         FamilySpec(FamilyId.DEG_EXP, Fraction(1), Param.numeric(1), _SYM),
-        trunc,
+        max_n,
     )
     log_series = build_egf(
-        FamilySpec(FamilyId.DEG_LOG, Fraction(1), _SYM, _SYM), trunc
+        FamilySpec(FamilyId.DEG_LOG, Fraction(1), _SYM, _SYM), max_n
     )
     one_plus_t = e_series.compose(log_series)
-    back = log_series.compose(e_series - EgfSeries.one(trunc))
+    back = log_series.compose(e_series - EgfSeries.one(max_n))
     cases = []
     for n in range(max_n + 1):
         expected = _ONE if n <= 1 else BiPoly.zero()
@@ -405,7 +412,7 @@ def _check_compositional_inverse(max_n: int, order: None, trunc: int) -> list[Ca
 
 @dataclass(frozen=True)
 class _Entry:
-    checker: Callable[[int, int | None, int], list[Case]]  # (max_n, order, trunc)
+    checker: Callable[[int, int | None], list[Case]]  # (max_n, order)
     full: tuple[int, int | None, int]  # (max_n, max_order, trunc); max_order is None iff no order
     min_order: int = 1  # the identity's first order, read only when it has an order
 
@@ -471,7 +478,10 @@ def verify(
     """Verify one identity over inclusive index ranges, returning exact residuals.
 
     A range left as ``None`` comes from ``default_ranges(identity, profile)``,
-    and an omitted ``trunc`` is raised to ``max_n``.  The report's ``profile``
+    and an omitted ``trunc`` is raised to ``max_n``.  ``trunc`` is the
+    truncation order the result is stated at; every series is built to
+    ``max_n``, since no coefficient above it can change a residual, so the
+    report is the same for every ``trunc >= max_n``.  The report's ``profile``
     names the profile when some range came from it, and is ``None`` when
     every range was given.  Cases come order by order, from the identity's
     first order up to ``max_order``.  Ranges it cannot honour raise
@@ -497,7 +507,7 @@ def verify(
         )
     orders = range(entry.min_order, max_order + 1) if uses_order else (None,)
     start = time.perf_counter()
-    cases = tuple(case for order in orders for case in entry.checker(max_n, order, trunc))
+    cases = tuple(case for order in orders for case in entry.checker(max_n, order))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         identity=identity,

@@ -10,6 +10,7 @@ import pytest
 from degenpoly import cli
 from degenpoly.bipoly import BiPoly, binomial, factorial
 from degenpoly.families import (
+    CATALOG,
     Argument,
     FamilyId,
     FamilySpec,
@@ -27,7 +28,7 @@ from degenpoly.families import (
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
-from oracles import classical_value, series_exp, truncate
+from oracles import classical_value, series_exp
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -478,11 +479,34 @@ def test_alt_second_kind_route_matches_direct_at_order_one():
     assert direct == alt
 
 
-def test_truncation_consistency():
-    for family in (FamilyId.TYPE2_DEG_BERNOULLI2, FamilyId.DEG_BERNOULLI2, FamilyId.DEG_EULER):
-        full = build_egf(FamilySpec(family), 12)
-        small = build_egf(FamilySpec(family), 6)
-        assert truncate(full, 6) == small
+# -- prefix law: building further never changes a coefficient --------------------------
+
+PREFIX_TRUNCS = (0, 3, 8)
+LEGAL_ORDER = {"none": Fraction(1), "integer": Fraction(2), "rational": Fraction(1, 2)}
+SEQUENCE_FAMILIES = [f for f, info in CATALOG.items() if info.kind == "sequence"]
+
+
+@pytest.mark.parametrize("family", SEQUENCE_FAMILIES, ids=lambda f: f.value)
+def test_build_egf_prefix_law(family):
+    # The identity checkers build every series to the largest index their
+    # cases read; that is sound because coefficient n never depends on the
+    # truncation order, for any x, l or order the family takes.
+    info = CATALOG[family]
+    arguments = [SYM, Argument.numeric(Fraction(2, 3)), Argument.shifted(-1)]
+    lambdas = [LambdaMode(), LambdaMode.numeric(Fraction(-1, 3))]
+    for argument in arguments if info.takes_argument else [SYM]:
+        for lam in lambdas if info.degenerate else [LambdaMode()]:
+            spec = FamilySpec(family, LEGAL_ORDER[info.order_domain], argument, lam)
+            for t in PREFIX_TRUNCS:
+                longer = build_egf(spec, t + 4).coefficients
+                assert longer[: t + 1] == build_egf(spec, t).coefficients, (spec, t)
+
+
+@pytest.mark.parametrize("order", [Fraction(1), Fraction(2), Fraction(1, 2)], ids=str)
+def test_alt_second_kind_prefix_law(order):
+    for t in PREFIX_TRUNCS:
+        longer = deg_bernoulli2_alt_egf(order, trunc=t + 4).coefficients
+        assert longer[: t + 1] == deg_bernoulli2_alt_egf(order, trunc=t).coefficients
 
 
 # -- validation --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Verification-suite tests: catalog behavior, report structure, the weight
 polynomial for the summation identity, and cross-checks between identities."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -203,10 +204,37 @@ def test_corollary_is_the_x_equals_k_specialization():
             assert corollary[(n, k)] == specialized
 
 
-def test_truncation_independence():
-    at_16 = verify(IdentityId.EQ23, 6, trunc=16)
-    at_20 = verify(IdentityId.EQ23, 6, trunc=20)
-    assert [c.residual for c in at_16.cases] == [c.residual for c in at_20.cases]
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_checkers_build_to_max_n(identity, monkeypatch):
+    # No case reads an index above max_n, so no series is built beyond it,
+    # and the report still states the truncation order it was asked for.
+    asked = []
+
+    def spy(builder):
+        signature = inspect.signature(builder)
+
+        def wrapped(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            asked.append(bound.arguments["trunc"])
+            return builder(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(identities, "build_egf", spy(identities.build_egf))
+    monkeypatch.setattr(
+        identities, "deg_bernoulli2_alt_egf", spy(identities.deg_bernoulli2_alt_egf)
+    )
+    report = verify(identity, max_n=6, trunc=12)
+    assert report.trunc == 12
+    assert report.all_pass
+    assert all(trunc <= 6 for trunc in asked), asked
+
+
+@pytest.mark.parametrize("identity", list(IdentityId), ids=lambda i: i.value)
+def test_every_identity_passes_at_max_n_zero(identity):
+    # Series are then built to order 0, below the lag of log_l(1+t).
+    assert verify(identity, max_n=0).all_pass
 
 
 def test_limits_cover_the_degenerate_catalog():

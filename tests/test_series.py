@@ -200,6 +200,30 @@ def test_compose_associativity(f, g, h):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
+# -- prefix law -------------------------------------------------------------------------
+
+
+@settings(max_examples=30)
+@given(
+    series_of(BiPoly.const(1)),
+    series_of(BiPoly.const(2)),
+    series_of(BiPoly.zero()),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([Fraction(3), Fraction(-2), Fraction(1, 2)]),
+)
+def test_operations_commute_with_truncation(f, g, h, m, alpha):
+    # Coefficient n of each result reads input coefficients <= n only, so
+    # truncating the inputs gives the truncation of the longer result.
+    def cut(s):
+        return truncate(s, m)
+
+    assert cut(f) * cut(g) == cut(f * g)
+    assert cut(f).divide(cut(g)) == cut(f.divide(g))
+    assert cut(f).pow(alpha) == cut(f.pow(alpha))
+    assert cut(f).compose(cut(h)) == cut(f.compose(h))
+    assert truncate(h, m + 1).shift_div_t(1) == cut(h.shift_div_t(1))
+
+
 # -- exp, log, pow --------------------------------------------------------------------
 
 
