@@ -287,11 +287,8 @@ class BiPoly:
     def _reduced_terms(self) -> list[tuple[int, int, int, int]]:
         """``(dl, dx, p, q)`` per term in graded-lex order, coefficient p/q reduced, q > 0."""
         den = self._den
-        items = sorted(self._terms.items(), key=_graded_lex)
-        if den == 1:  # integer coefficients are already reduced
-            return [(dl, dx, v, 1) for (dl, dx), v in items]
         out = []
-        for (dl, dx), v in items:
+        for (dl, dx), v in sorted(self._terms.items(), key=_graded_lex):
             g = _gcd(v, den)
             out.append((dl, dx, v // g, den // g))
         return out

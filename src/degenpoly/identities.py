@@ -138,11 +138,12 @@ class VerificationReport:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _series(family: FamilyId, trunc: int, order: Fraction | int = 1,
+def _series(family: FamilyId, n: int, order: Fraction | int = 1,
             argument: Param = _SYM,
             lambda_mode: Param = _SYM) -> "list[BiPoly]":
+    """Values 0..n of one family's sequence."""
     return build_egf(
-        FamilySpec(family, Fraction(order), argument, lambda_mode), trunc
+        FamilySpec(family, Fraction(order), argument, lambda_mode), n
     ).values()
 
 

@@ -482,7 +482,13 @@ def test_alt_second_kind_route_matches_direct_at_order_one():
 # -- prefix law: building further never changes a coefficient --------------------------
 
 PREFIX_TRUNCS = (0, 3, 8)
-LEGAL_ORDER = {"none": Fraction(1), "integer": Fraction(2), "rational": Fraction(1, 2)}
+# Order 1 (the default, which eq23, eq25 and the pinned suite use) plus one
+# further legal order per domain.
+LEGAL_ORDERS = {
+    "none": (Fraction(1),),
+    "integer": (Fraction(1), Fraction(2)),
+    "rational": (Fraction(1), Fraction(1, 2)),
+}
 SEQUENCE_FAMILIES = [f for f, info in CATALOG.items() if info.kind == "sequence"]
 
 
@@ -494,12 +500,13 @@ def test_build_egf_prefix_law(family):
     info = CATALOG[family]
     arguments = [SYM, Argument.numeric(Fraction(2, 3)), Argument.shifted(-1)]
     lambdas = [LambdaMode(), LambdaMode.numeric(Fraction(-1, 3))]
-    for argument in arguments if info.takes_argument else [SYM]:
-        for lam in lambdas if info.degenerate else [LambdaMode()]:
-            spec = FamilySpec(family, LEGAL_ORDER[info.order_domain], argument, lam)
-            for t in PREFIX_TRUNCS:
-                longer = build_egf(spec, t + 4).coefficients
-                assert longer[: t + 1] == build_egf(spec, t).coefficients, (spec, t)
+    for order in LEGAL_ORDERS[info.order_domain]:
+        for argument in arguments if info.takes_argument else [SYM]:
+            for lam in lambdas if info.degenerate else [LambdaMode()]:
+                spec = FamilySpec(family, order, argument, lam)
+                for t in PREFIX_TRUNCS:
+                    longer = build_egf(spec, t + 4).coefficients
+                    assert longer[: t + 1] == build_egf(spec, t).coefficients, (spec, t)
 
 
 @pytest.mark.parametrize("order", [Fraction(1), Fraction(2), Fraction(1, 2)], ids=str)
