@@ -12,9 +12,10 @@ parser is built once per process, on the first ``run``, and reused by
 every later request.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
-2 usage error.  A flag outside its type or size bound, or one the request
-cannot honour, prints the subcommand's usage line; ``run`` reports a request
-the library refuses, or an unwritable ``--output``, as ``error: ...``.
+2 usage error.  An unknown argument, a flag outside its type or size bound,
+or one the request cannot honour prints the subcommand's usage line; ``run``
+reports a request the library refuses, or an unwritable ``--output``, as
+``error: ...``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .families import (
 from .identities import ALIASES, IdentityId, VerificationReport, verify, verify_all
 
 
-#: Largest accepted --max-n and --trunc, and |--order|, well above the ranges of the profiles and the tests.
+#: Largest accepted --max-n and |--order|, well above the ranges of the profiles and the tests.
 SIZE_LIMIT = 64
 
 #: Longest rational literal, and largest exponent in one: Fraction("1e999999999") has no bound.
@@ -86,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by later ones.
 
     Parsing and ``parser.error`` leave the parser unchanged, so one parser
-    serves every request of the process.  ``--max-n``, ``--trunc`` and
-    ``--order`` are bounded by their types, and each subcommand stores its
-    own parser as ``args.subparser`` for the usage errors found later.
+    serves every request of the process.  ``--max-n`` and ``--order`` are
+    bounded by their types, and each subcommand stores its own parser as
+    ``args.subparser`` for later usage errors, unrecognized arguments too.
     """
     parser = argparse.ArgumentParser(
         prog="degenpoly",
@@ -140,16 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--order", type=_bounded(int, -SIZE_LIMIT), help="largest order (r or k), inclusive"
     )
-    ver.add_argument(
-        "--trunc", type=_bounded(int, 0),
-        help="truncation order the result is stated at (>= max-n); series are built to max-n",
-    )
     ver.add_argument("--profile", choices=["quick", "full"], default="full")
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--timings", action="store_true", help="include wall-clock times")
     ver.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
-    sub.add_parser("list-families", help="print the family catalog")
+    listing = sub.add_parser("list-families", help="print the family catalog")
+    listing.set_defaults(subparser=listing)
     return parser
 
 
@@ -338,7 +336,10 @@ def _render_reports(
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return _dispatch(args)
     except SystemExit as exc:  # parse errors and args.subparser.error
         return int(exc.code or 0)
     # Refused by the library, by str() (ints above 4300 digits) or by writing --output.
@@ -382,12 +383,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         args.subparser.error("--timings does not apply to --format csv")
     suite = args.identity == "all"
     if suite:
-        for flag in ("max_n", "order", "trunc"):
+        for flag in ("max_n", "order"):
             if getattr(args, flag) is not None:
                 args.subparser.error(f"--{flag.replace('_', '-')} applies to a single identity")
         reports = verify_all(args.profile)
     else:
-        reports = [verify(args.identity, args.max_n, args.order, args.trunc, args.profile)]
+        reports = [verify(args.identity, args.max_n, args.order, profile=args.profile)]
     text = _render_reports(reports, args.format, args.profile if suite else None, args.timings)
     _emit(args.output, text)
     return 0 if all(r.all_pass for r in reports) else 1

@@ -18,8 +18,8 @@ A checker builds every series to ``max_n``, the largest index its cases
 read.  Truncated series arithmetic is exact and coefficient n of a
 product, quotient, power, composition or t-shift depends only on input
 coefficients up to n, so building further cannot change a residual.  A
-report's ``trunc`` is therefore the truncation order the result is stated
-at: the same cases and residuals hold at every ``trunc >= max_n``.
+report's ``trunc``, the truncation order the result is stated at, is
+therefore derived: ``max_n`` raised to the profile's ``_TRUNC_FLOOR``.
 """
 
 from __future__ import annotations
@@ -414,31 +414,31 @@ def _check_compositional_inverse(max_n: int, order: None) -> list[Case]:
 @dataclass(frozen=True)
 class _Entry:
     checker: Callable[[int, int | None], list[Case]]  # (max_n, order)
-    full: tuple[int, int | None, int]  # (max_n, max_order, trunc); max_order is None iff no order
+    full: tuple[int, int | None]  # (max_n, max_order); max_order is None iff no order
     min_order: int = 1  # the identity's first order, read only when it has an order
 
 
 _CATALOG: dict[IdentityId, _Entry] = {
     IdentityId.EQ2: _Entry(
         partial(_check_half_argument, FamilyId.TYPE2_BERNOULLI, FamilyId.BERNOULLI_ORDER_R, -1),
-        (20, None, 20),
+        (20, None),
     ),
     IdentityId.EQ4: _Entry(
-        partial(_check_half_argument, FamilyId.TYPE2_EULER, FamilyId.EULER, 0), (20, None, 20)
+        partial(_check_half_argument, FamilyId.TYPE2_EULER, FamilyId.EULER, 0), (20, None)
     ),
-    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (10, None, 16)),
-    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (12, None, 16)),
-    IdentityId.EQ21: _Entry(_check_eq21, (12, 4, 16)),
-    IdentityId.EQ23: _Entry(_check_eq23, (12, None, 16)),
-    IdentityId.EQ25: _Entry(_check_eq25, (12, None, 16)),
-    IdentityId.THM2: _Entry(_check_thm2, (12, 4, 16)),
-    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (12, 4, 16)),
-    IdentityId.THM3: _Entry(_check_thm3, (12, 4, 16)),
-    IdentityId.THM4: _Entry(_check_thm4, (12, 6, 16), 0),
-    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (10, 5, 16)),
-    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (12, None, 16)),
-    IdentityId.STIRLING_INVERSION: _Entry(_check_stirling_inversion, (12, None, 16)),
-    IdentityId.COMPOSITIONAL_INVERSE: _Entry(_check_compositional_inverse, (16, None, 16)),
+    IdentityId.EQ5_RECON: _Entry(_check_eq5_recon, (10, None)),
+    IdentityId.EQ18_EQUIV: _Entry(_check_eq18_equiv, (12, None)),
+    IdentityId.EQ21: _Entry(_check_eq21, (12, 4)),
+    IdentityId.EQ23: _Entry(_check_eq23, (12, None)),
+    IdentityId.EQ25: _Entry(_check_eq25, (12, None)),
+    IdentityId.THM2: _Entry(_check_thm2, (12, 4)),
+    IdentityId.THM2_COROLLARY: _Entry(_check_thm2_corollary, (12, 4)),
+    IdentityId.THM3: _Entry(_check_thm3, (12, 4)),
+    IdentityId.THM4: _Entry(_check_thm4, (12, 6), 0),
+    IdentityId.B_SECOND_KIND_RELATION: _Entry(_check_b_second_kind, (10, 5)),
+    IdentityId.LIMITS_LAMBDA0: _Entry(_check_limits, (12, None)),
+    IdentityId.STIRLING_INVERSION: _Entry(_check_stirling_inversion, (12, None)),
+    IdentityId.COMPOSITIONAL_INVERSE: _Entry(_check_compositional_inverse, (16, None)),
 }
 
 
@@ -455,15 +455,18 @@ def coerce_identity(name: "IdentityId | str") -> IdentityId:
     raise UnknownIdentity(f"unknown identity {name!r}")
 
 
-def default_ranges(identity: "IdentityId | str", profile: str = "full") -> tuple[int, int | None, int]:
-    """The (max_n, max_order, trunc) ranges an identity gets under a profile.
+_TRUNC_FLOOR = {"full": 16, "quick": 12}  # the least trunc a report states, per profile
 
-    ``full`` ranges are per identity; ``quick`` is n <= 8, orders <= 3 and
-    truncation 12 for every identity, with no order where it has none.
+
+def default_ranges(identity: "IdentityId | str", profile: str = "full") -> tuple[int, int | None]:
+    """The (max_n, max_order) ranges an identity gets under a profile.
+
+    ``full`` ranges are per identity; ``quick`` is n <= 8 and orders <= 3
+    for every identity, with no order where it has none.
     """
     entry = _CATALOG[coerce_identity(identity)]
     if profile == "quick":
-        return (8, None if entry.full[1] is None else 3, 12)
+        return (8, None if entry.full[1] is None else 3)
     if profile == "full":
         return entry.full
     raise ValueError(f"unknown profile {profile!r}")
@@ -473,35 +476,30 @@ def verify(
     identity: "IdentityId | str",
     max_n: int | None = None,
     max_order: int | None = None,
-    trunc: int | None = None,
+    *,
     profile: str = "full",
 ) -> VerificationReport:
     """Verify one identity over inclusive index ranges, returning exact residuals.
 
-    A range left as ``None`` comes from ``default_ranges(identity, profile)``,
-    and an omitted ``trunc`` is raised to ``max_n``.  ``trunc`` is the
-    truncation order the result is stated at; every series is built to
-    ``max_n``, since no coefficient above it can change a residual, so the
-    report is the same for every ``trunc >= max_n``.  The report's ``profile``
-    names the profile when some range came from it, and is ``None`` when
-    every range was given.  Cases come order by order, from the identity's
-    first order up to ``max_order``.  Ranges it cannot honour raise
-    ``ValueError`` before any work starts.
+    A range left as ``None`` comes from ``default_ranges(identity, profile)``.
+    Every series is built to ``max_n``, and the report's ``trunc`` is
+    ``max_n`` raised to 16 under ``full`` and to 12 under ``quick``.  The
+    report's ``profile`` names the profile when some range came from it,
+    and is ``None`` when every range was given.  Cases come order by order,
+    from the identity's first order up to ``max_order``.  Ranges it cannot
+    honour raise ``ValueError`` before any work starts.
     """
     identity = coerce_identity(identity)
     entry = _CATALOG[identity]
-    d_max_n, d_order, d_trunc = default_ranges(identity, profile)
+    d_max_n, d_order = default_ranges(identity, profile)
     uses_order = d_order is not None
     if max_order is not None and not uses_order:
         raise ValueError(f"identity {identity.value} has no order parameter")
-    from_profile = max_n is None or trunc is None or (max_order is None and uses_order)
+    from_profile = max_n is None or (max_order is None and uses_order)
     max_n = d_max_n if max_n is None else max_n
     max_order = d_order if max_order is None else max_order
-    trunc = max(d_trunc, max_n) if trunc is None else trunc
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    if trunc < max_n:
-        raise ValueError(f"truncation order {trunc} is below max_n {max_n}")
     if uses_order and max_order < entry.min_order:
         raise ValueError(
             f"identity {identity.value} starts at order {entry.min_order}, got {max_order}"
@@ -514,7 +512,7 @@ def verify(
         identity=identity,
         max_n=max_n,
         max_order=max_order,
-        trunc=trunc,
+        trunc=max(_TRUNC_FLOOR[profile], max_n),
         profile=profile if from_profile else None,
         cases=cases,
         wall_time_ms=elapsed_ms,

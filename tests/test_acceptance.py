@@ -31,15 +31,15 @@ def _assert_all_pass(report):
 
 
 def test_criterion_01_type2_second_kind_splits_into_shifted_pair():
-    report = verify(IdentityId.EQ23, max_n=12, trunc=16)
+    report = verify(IdentityId.EQ23, max_n=12)
     _assert_all_pass(report)
     assert len(report.cases) == 13
-    print("criterion 01 PASS: order-1 split identity, n <= 12, trunc 16")
+    print("criterion 01 PASS: order-1 split identity, n <= 12")
 
 
 def test_criterion_02_stirling_weighted_sum_identity():
     start = time.perf_counter()
-    report = verify(IdentityId.EQ21, max_n=10, max_order=4, trunc=16)
+    report = verify(IdentityId.EQ21, max_n=10, max_order=4)
     elapsed = time.perf_counter() - start
     _assert_all_pass(report)
     assert elapsed < 60.0
@@ -48,8 +48,8 @@ def test_criterion_02_stirling_weighted_sum_identity():
 
 def test_criterion_03_order_k_sum_identity_and_corollary():
     start = time.perf_counter()
-    _assert_all_pass(verify(IdentityId.THM2, max_n=10, max_order=4, trunc=16))
-    _assert_all_pass(verify(IdentityId.THM2_COROLLARY, max_n=10, max_order=4, trunc=16))
+    _assert_all_pass(verify(IdentityId.THM2, max_n=10, max_order=4))
+    _assert_all_pass(verify(IdentityId.THM2_COROLLARY, max_n=10, max_order=4))
     # Cross-check: the numeric-argument build is the x = k specialization.
     for k in (1, 2, 3, 4):
         symbolic = build_egf(
@@ -66,13 +66,13 @@ def test_criterion_03_order_k_sum_identity_and_corollary():
 
 
 def test_criterion_04_first_kind_expansion():
-    report = verify(IdentityId.THM3, max_n=10, max_order=4, trunc=16)
+    report = verify(IdentityId.THM3, max_n=10, max_order=4)
     _assert_all_pass(report)
     print("criterion 04 PASS: negative-order expansion, n <= 10, k <= 4")
 
 
 def test_criterion_05_central_factorial_double_sum():
-    report = verify(IdentityId.THM4, max_n=12, max_order=6, trunc=16)
+    report = verify(IdentityId.THM4, max_n=12, max_order=6)
     _assert_all_pass(report)
     # Rational half-integer arguments really occur (odd k).
     ks = {case.indices["k"] for case in report.cases}
@@ -81,19 +81,19 @@ def test_criterion_05_central_factorial_double_sum():
 
 
 def test_criterion_06_type2_to_classical_argument_shift():
-    _assert_all_pass(verify(IdentityId.EQ2, max_n=20, trunc=20))
-    _assert_all_pass(verify(IdentityId.EQ4, max_n=20, trunc=20))
+    _assert_all_pass(verify(IdentityId.EQ2, max_n=20))
+    _assert_all_pass(verify(IdentityId.EQ4, max_n=20))
     print("criterion 06 PASS: type 2 <-> classical shifts, n <= 20, symbolic x")
 
 
 def test_criterion_07_binomial_expansion_and_reconstruction():
-    _assert_all_pass(verify(IdentityId.EQ25, max_n=12, trunc=16))
-    _assert_all_pass(verify(IdentityId.EQ5_RECON, max_n=10, trunc=16))
+    _assert_all_pass(verify(IdentityId.EQ25, max_n=12))
+    _assert_all_pass(verify(IdentityId.EQ5_RECON, max_n=10))
     print("criterion 07 PASS: binomial expansion (n <= 12) and x^n reconstruction (n <= 10)")
 
 
 def test_criterion_08_second_kind_order_relation():
-    report = verify(IdentityId.B_SECOND_KIND_RELATION, max_n=10, max_order=5, trunc=16)
+    report = verify(IdentityId.B_SECOND_KIND_RELATION, max_n=10, max_order=5)
     _assert_all_pass(report)
     # Orders n - r + 1 <= 0 are exercised (e.g. n = 0, r = 5).
     assert {"n": 0, "r": 5} in [dict(case.indices) for case in report.cases]
@@ -101,14 +101,14 @@ def test_criterion_08_second_kind_order_relation():
 
 
 def test_criterion_09_classical_limits_are_exact_substitutions():
-    report = verify(IdentityId.LIMITS_LAMBDA0, max_n=12, trunc=16)
+    report = verify(IdentityId.LIMITS_LAMBDA0, max_n=12)
     _assert_all_pass(report)
     print("criterion 09 PASS: l = 0 substitution matches classical families, n <= 12")
 
 
 def test_criterion_10_compositional_inverse_and_inversion():
-    _assert_all_pass(verify(IdentityId.COMPOSITIONAL_INVERSE, max_n=16, trunc=16))
-    _assert_all_pass(verify(IdentityId.STIRLING_INVERSION, max_n=12, trunc=16))
+    _assert_all_pass(verify(IdentityId.COMPOSITIONAL_INVERSE, max_n=16))
+    _assert_all_pass(verify(IdentityId.STIRLING_INVERSION, max_n=12))
     print("criterion 10 PASS: compositional inverses at order 16; triangle inversion n, m <= 12")
 
 

@@ -108,8 +108,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
 def test_verify_single_identity_json(capsys):
     code, out, _ = run_capture(
         capsys,
-        ["verify", "--identity", "thm3", "--max-n", "5", "--order", "2",
-         "--trunc", "8"],
+        ["verify", "--identity", "thm3", "--max-n", "5", "--order", "2"],
     )
     assert code == 0
     payload = json.loads(out)
@@ -119,21 +118,23 @@ def test_verify_single_identity_json(capsys):
 
 def test_single_identity_reports_the_profile_that_chose_its_ranges(capsys):
     _, out, _ = run_capture(
-        capsys, ["verify", "--identity", "eq23", "--max-n", "2", "--profile", "quick"]
+        capsys, ["verify", "--identity", "thm3", "--max-n", "2", "--profile", "quick"]
     )
     assert json.loads(out)["profile"] == "quick"
     _, out, _ = run_capture(capsys, ["verify", "--identity", "thm3", "--max-n", "2"])
     assert json.loads(out)["profile"] == "full"
     _, out, _ = run_capture(
-        capsys,
-        ["verify", "--identity", "thm3", "--max-n", "2", "--order", "1", "--trunc", "4"],
+        capsys, ["verify", "--identity", "thm3", "--max-n", "2", "--order", "1"]
     )
+    assert json.loads(out)["profile"] is None
+    # eq23 has no order, so --max-n alone gives every range it has.
+    _, out, _ = run_capture(capsys, ["verify", "--identity", "eq23", "--max-n", "2"])
     assert json.loads(out)["profile"] is None
 
 
 def test_verify_minimal_range(capsys):
     code, out, _ = run_capture(
-        capsys, ["verify", "--identity", "thm1", "--max-n", "0", "--trunc", "4"]
+        capsys, ["verify", "--identity", "thm1", "--max-n", "0"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -153,7 +154,7 @@ def test_verify_all_quick(capsys):
 
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId])
 def test_single_identity_cli_matches_the_library(capsys, identity):
-    # verify() fills the omitted order and trunc from the profile, as the CLI does.
+    # verify() fills the omitted order from the profile, as the CLI does.
     code, out, _ = run_capture(capsys, ["verify", "--identity", identity, "--max-n", "3"])
     report = verify(identity, 3)
     assert code == 0
@@ -163,8 +164,7 @@ def test_single_identity_cli_matches_the_library(capsys, identity):
 def test_verify_csv_format(capsys):
     code, out, _ = run_capture(
         capsys,
-        ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "4",
-         "--format", "csv"],
+        ["verify", "--identity", "eq23", "--max-n", "2", "--format", "csv"],
     )
     assert code == 0
     lines = out.splitlines()
@@ -173,7 +173,7 @@ def test_verify_csv_format(capsys):
 
 
 def test_verify_is_byte_deterministic(capsys):
-    argv = ["verify", "--identity", "eq5-reconstruction", "--max-n", "5", "--trunc", "6"]
+    argv = ["verify", "--identity", "eq5-reconstruction", "--max-n", "5"]
     _, first, _ = run_capture(capsys, argv)
     _, second, _ = run_capture(capsys, argv)
     assert first == second
@@ -183,7 +183,7 @@ def test_verify_is_byte_deterministic(capsys):
 def test_verify_timings_flag(capsys):
     code, out, _ = run_capture(
         capsys,
-        ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "4", "--timings"],
+        ["verify", "--identity", "eq23", "--max-n", "2", "--timings"],
     )
     assert code == 0
     assert "wall_time_ms" in json.loads(out)
@@ -194,28 +194,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         identity=IdentityId.EQ23,
         max_n=0,
         max_order=None,
-        trunc=4,
+        trunc=16,
         profile=None,
         cases=(Case({"n": 0}, BiPoly.lam()),),
         wall_time_ms=0.0,
     )
     monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
     code, out, _ = run_capture(
-        capsys, ["verify", "--identity", "eq23", "--max-n", "0", "--trunc", "4"]
+        capsys, ["verify", "--identity", "eq23", "--max-n", "0"]
     )
     assert code == 1
     assert json.loads(out)["cases"][0]["status"] == "fail"
 
 
 # -- usage errors --------------------------------------------------------------------
-
-
-def test_trunc_below_max_n_is_usage_error(capsys):
-    code, _, err = run_capture(
-        capsys,
-        ["verify", "--identity", "eq23", "--max-n", "8", "--trunc", "4"],
-    )
-    assert code == 2
 
 
 def test_unknown_family_is_usage_error(capsys):
@@ -377,23 +369,19 @@ def test_max_n_above_size_limit_is_usage_error(capsys):
 
 
 def test_trunc_above_size_limit_is_usage_error(capsys):
-    code, _, _ = run_capture(
-        capsys, ["compute", "--family", "deg-exp", "--max-n", "2", "--trunc", "65"]
-    )
-    assert code == 2
-    code, _, err = run_capture(
-        capsys, ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "65"]
-    )
-    assert code == 2
-    assert "argument --trunc: 65 is above the limit 64" in err
+    # Neither subcommand has a --trunc flag, so any value is refused, not bounded.
+    for argv in (["compute", "--family", "deg-exp", "--max-n", "2", "--trunc", "65"],
+                 ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "65"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --trunc 65" in err
 
 
 def test_order_above_size_limit_is_usage_error(capsys):
     families.clear_caches()
     code, out, err = run_capture(
         capsys,
-        ["verify", "--identity", "thm2", "--max-n", "0", "--trunc", "0",
-         "--order", str(cli.SIZE_LIMIT + 1)],
+        ["verify", "--identity", "thm2", "--max-n", "0", "--order", str(cli.SIZE_LIMIT + 1)],
     )
     assert code == 2 and out == ""
     assert "argument --order: 65 is above the limit 64" in err
@@ -401,7 +389,7 @@ def test_order_above_size_limit_is_usage_error(capsys):
     assert families._build_egf_cached.cache_info().misses == 0
     # The limit itself is accepted.
     code, out, _ = run_capture(
-        capsys, ["verify", "--identity", "thm4", "--max-n", "0", "--trunc", "0", "--order", "64"]
+        capsys, ["verify", "--identity", "thm4", "--max-n", "0", "--order", "64"]
     )
     assert code == 0
     assert json.loads(out)["ranges"]["max_order"] == 64
@@ -436,9 +424,14 @@ def test_range_flags_rejected_with_all(capsys):
         ["verify", "--identity", "eq23", "--timings", "--format", "csv"],
         ["verify", "--identity", "all", "--max-n", "3"],
         ["verify", "--identity", "thm2", "--order", "65"],
+        ["compute", "--family", "deg-exp", "--max-n", "3", "--trunc", "5"],
+        ["verify", "--identity", "eq23", "--trunc", "4"],
+        ["verify", "--identity", "eq23", "--bogus"],
+        ["list-families", "--bogus"],
     ],
     ids=["order-not-honoured", "max-n-negative", "max-n-above", "timings-csv",
-         "range-with-all", "order-above"],
+         "range-with-all", "order-above", "compute-trunc", "verify-trunc",
+         "verify-unknown-flag", "list-families-unknown-flag"],
 )
 def test_usage_error_shows_the_subcommand_usage(capsys, argv):
     code, out, err = run_capture(capsys, argv)
@@ -534,7 +527,7 @@ def test_parser_is_built_once_and_reused(capsys):
     requests = [
         ["compute", "--family", "deg-exp", "--max-n", "2", "--lambda", "pi"],
         ["compute", "--family", "deg-stirling2", "--max-n", "4", "--lambda=-37/42"],
-        ["verify", "--identity", "eq23", "--max-n", "2", "--trunc", "4"],
+        ["verify", "--identity", "eq23", "--max-n", "2"],
     ]
     cli.build_parser.cache_clear()
     shared = [run_capture(capsys, argv) for argv in requests]

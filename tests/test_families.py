@@ -516,6 +516,39 @@ def test_alt_second_kind_prefix_law(order):
         assert longer[: t + 1] == deg_bernoulli2_alt_egf(order, trunc=t).coefficients
 
 
+# -- degree bounds: the grading every recipe keeps ----------------------------------------
+
+DEGREE_N = 12
+
+
+def degrees(poly, weight):
+    """The largest weight(dl, dx) over the terms; -1 for the zero polynomial."""
+    return max((weight(dl, dx) for dl, dx in poly.terms()), default=-1)
+
+
+@pytest.mark.parametrize("family", SEQUENCE_FAMILIES, ids=lambda f: f.value)
+def test_sequence_value_n_has_total_degree_n(family):
+    # log_l(1+t) has values (l - 1)_{n-1,1}: degree n - 1, and the zero
+    # polynomial (degree -1 here) at n = 0.
+    shift = 1 if family is FamilyId.DEG_LOG else 0
+    for order in LEGAL_ORDERS[CATALOG[family].order_domain]:
+        for n, value in enumerate(values(family, DEGREE_N, order)):
+            assert degrees(value, lambda dl, dx: dl + dx) == n - shift, (order, n)
+
+
+@pytest.mark.parametrize("family", sorted(TRIANGLE_FAMILIES, key=lambda f: f.value),
+                         ids=lambda f: f.value)
+def test_triangle_entry_has_l_degree_n_minus_k(family):
+    # At most n - k, and exactly n - k for a nonzero entry of a degenerate triangle.
+    for n in range(DEGREE_N + 1):
+        for k in range(n + 1):
+            entry = triangular_numbers(family, n, k)
+            l_degree = degrees(entry, lambda dl, dx: dl)
+            assert l_degree <= n - k, (n, k)
+            if CATALOG[family].degenerate and entry:
+                assert l_degree == n - k, (n, k)
+
+
 # -- validation --------------------------------------------------------------------------
 
 
