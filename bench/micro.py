@@ -8,8 +8,9 @@ At N = 16 and 32, with symbolic l and x, it times one ``BiPoly`` product
 (coefficient N of the order-2 ``type2-deg-bernoulli2`` EGF times
 coefficient N of e_l^x(t)), that coefficient times N! and times 1/N!
 (``bipoly.scale``), the series product of those two EGFs, their
-quotient, ``pow(-2)`` and ``pow(1/2)`` of log_l(1+t)/t, the composition
-e_l^x(log_l(1+t)), a cold 32-row ``deg-central-factorial`` table, and
+quotient as ``f * g.pow(-1)`` (``series.inverse``), ``pow(-2)`` and
+``pow(1/2)`` of log_l(1+t)/t, the composition e_l^x(log_l(1+t)), a cold
+32-row ``deg-central-factorial`` table, and
 ``compute --family deg-bernoulli2 --order 3 --max-n N --format json``
 through ``cli.run`` into a ``StringIO`` with warm caches (``cli.compute_json``).
 Inputs are built, and caches warmed, before timing, with the timed tree's
@@ -78,14 +79,14 @@ def _cases():
         bern = build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2)), n)
         exp_x = build_egf(FamilySpec(FamilyId.DEG_EXP), n)
         log_l = build_egf(FamilySpec(FamilyId.DEG_LOG), n + 1)
-        kernel = log_l.shift_div_t(1)  # log_l(1+t)/t, constant term 1
+        kernel = log_l.shift_div_t()  # log_l(1+t)/t, constant term 1
         a, b = bern.coefficient(n), exp_x.coefficient(n)
         fact = factorial(n)
         cases += [
             (f"bipoly.mul.N{n}", lambda a=a, b=b: a * b),
             (f"bipoly.scale.N{n}", lambda a=a, c=fact, r=1 / fact: (a * c, a * r)),
             (f"series.mul.N{n}", lambda f=bern, g=exp_x: f * g),
-            (f"series.divide.N{n}", lambda f=bern, g=exp_x: f.divide(g)),
+            (f"series.inverse.N{n}", lambda f=bern, g=exp_x: f * g.pow(-1)),
             (f"series.pow_-2.N{n}", lambda k=kernel: k.pow(-2)),
             (f"series.pow_1/2.N{n}", lambda k=kernel: k.pow(Fraction(1, 2))),
             (f"series.compose.N{n}", lambda f=exp_x, g=log_l: f.compose(g)),

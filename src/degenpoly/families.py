@@ -113,6 +113,8 @@ class Param:
 
 # The public names of the x-argument and the lambda mode of a FamilySpec.
 Argument = LambdaMode = Param
+_SYMBOLIC = Param.symbolic()
+_CLASSICAL_MODES = (_SYMBOLIC, Param.numeric(0))  # the lambda modes of a classical family
 
 
 @dataclass(frozen=True)
@@ -221,20 +223,20 @@ def _bernoulli_like(
 ) -> EgfSeries:
     """(t/(e_l(t) - e_l^low(t)))^a * e_l^x(t); e_l^0(t) is 1."""
     diff = step_egf(_ONE, lam, trunc + 1) - step_egf(low, lam, trunc + 1)
-    return diff.shift_div_t(1).pow(-a) * step_egf(arg, lam, trunc)
+    return diff.shift_div_t().pow(-a) * step_egf(arg, lam, trunc)
 
 
 def _euler_like(
     low: BiPoly, a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
 ) -> EgfSeries:
-    """2/(e_l(t) + e_l^low(t)) * e_l^x(t)."""
+    """2/(e_l(t) + e_l^low(t)) * e_l^x(t); the denominator has constant term 2."""
     denom = step_egf(_ONE, lam, trunc) + step_egf(low, lam, trunc)
-    return EgfSeries.one(trunc).scale(2).divide(denom) * step_egf(arg, lam, trunc)
+    return denom.pow(-1).scale(2) * step_egf(arg, lam, trunc)
 
 
 def _daehee(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
     """(log_l(1+t)/t) * (1+t)^x."""
-    return _log1p(lam, trunc + 1).shift_div_t(1) * step_egf(arg, _ONE, trunc)
+    return _log1p(lam, trunc + 1).shift_div_t() * step_egf(arg, _ONE, trunc)
 
 
 def _bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
@@ -242,18 +244,18 @@ def _bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
 
     The normalized kernel has constant term 1, so any rational order is exact.
     """
-    kernel = _log1p(lam, trunc + 1).shift_div_t(1).pow(-a)
+    kernel = _log1p(lam, trunc + 1).shift_div_t().pow(-a)
     return kernel * step_egf(arg, _ONE, trunc)
 
 
 def _type2_bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x.
-
-    The kernel has constant term 2, so only integer orders stay inside Q[l, x].
+    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x, built as N^a * L^(-a) * (1+t)^x
+    with N = ((1+t) - (1+t)^(-1))/t and L = log_l(1+t)/t.  N has constant term 2, so
+    only integer orders stay inside Q[l, x], and for those (N/L)^a = N^a * L^(-a).
     """
     numerator = step_egf(_ONE, _ONE, trunc + 1) - step_egf(-_ONE, _ONE, trunc + 1)
-    kernel = numerator.shift_div_t(1).divide(_log1p(lam, trunc + 1).shift_div_t(1))
-    return kernel.pow(a) * step_egf(arg, _ONE, trunc)
+    kernel = numerator.shift_div_t().pow(a) * _log1p(lam, trunc + 1).shift_div_t().pow(-a)
+    return kernel * step_egf(arg, _ONE, trunc)
 
 
 _bernoulli = partial(_bernoulli_like, _ZERO)
@@ -351,15 +353,25 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
 TRIANGLE_FAMILIES = frozenset(f for f, info in CATALOG.items() if info.kind == "triangle")
 
 
-def _check_order(family: FamilyId, order: Fraction) -> None:
-    """Reject an order outside the family's domain, before any work starts."""
-    domain = CATALOG[family].order_domain
-    if domain == "none" and order != 1:
+def _check_spec(spec: FamilySpec) -> None:
+    """Reject an order outside the family's domain, or an x or l it ignores,
+    before any work starts."""
+    family, order, info = spec.family, spec.order, CATALOG[spec.family]
+    if info.order_domain == "none" and order != 1:
         raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
-    if domain == "integer" and order.denominator != 1:
+    if info.order_domain == "integer" and order.denominator != 1:
         raise UnsupportedOrder(
             f"{family.value} needs an integer order for exact coefficients, got {order}"
         )
+    if not (info.takes_argument or spec.argument == _SYMBOLIC):
+        raise ValueError(f"{family.value} takes no argument x, got {spec.argument}")
+    _check_mode(family, spec.lambda_mode)
+
+
+def _check_mode(family: FamilyId, mode: Param) -> None:
+    """Reject an l the family ignores: a classical family runs at l = 0."""
+    if not (CATALOG[family].degenerate or mode in _CLASSICAL_MODES):
+        raise ValueError(f"{family.value} is classical: its l must be symbolic or 0, got {mode}")
 
 
 def _deformation(family: FamilyId, mode: Param) -> BiPoly:
@@ -389,7 +401,7 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 @lru_cache(maxsize=1024)
 def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     fid = spec.family
-    _check_order(fid, spec.order)
+    _check_spec(spec)
     lam = _deformation(fid, spec.lambda_mode)
     return CATALOG[fid].build(spec.order, spec.argument.to_poly(_X), lam, trunc)
 
@@ -408,6 +420,7 @@ def triangular_numbers(
     """
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
+    _check_mode(family, lambda_mode)
     if n < 0 or k < 0 or k > n:
         return _ZERO
     return _triangle_row(family, lambda_mode, n)[k]
@@ -441,7 +454,7 @@ def clear_caches() -> None:
 # -- the alternative second-kind route ----------------------------------------
 
 
-def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int = 16) -> EgfSeries:
+def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int) -> EgfSeries:
     """Alternative route to the order-a degenerate Bernoulli polynomials of
     the second kind, at symbolic l and x:
 
@@ -450,10 +463,12 @@ def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int = 16) -> EgfSeries:
     The denominator's coefficients are odd polynomials in ``l``, so dividing
     by ``l*t`` is exact polynomial division.
     """
+    if trunc < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {trunc}")
     order = Fraction(order)
     half_l = _L * _HALF
     diff = step_egf(half_l, _ONE, trunc + 1) - step_egf(-half_l, _ONE, trunc + 1)
-    normalized = EgfSeries([c.div_lam() for c in diff.shift_div_t(1).coefficients])
+    normalized = EgfSeries([c.div_lam() for c in diff.shift_div_t().coefficients])
     return normalized.pow(-order) * step_egf(_X - half_l * order, _ONE, trunc)
 
 

@@ -5,8 +5,8 @@ with the inclusive truncation order N.  The *value* of the series at index
 n is n! * a_n, matching the t^n/n! convention of exponential generating
 functions: extraction must multiply by the factorial.
 
-Binary operations truncate to the smaller operand order.  Everything is
-exact in Q[l, x]; no rounding ever occurs.
+Binary operations truncate to the smaller operand order; ``pow(-1)`` is the
+only inverse.  Everything is exact in Q[l, x]; no rounding ever occurs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class SeriesError(ArithmeticError):
 
 
 class DivisionByNonUnit(SeriesError):
-    """Divisor constant term is zero or not a pure rational."""
+    """A power's constant term is zero or not a pure rational."""
 
 
 class NonzeroLowOrder(SeriesError):
@@ -116,31 +116,13 @@ class EgfSeries:
         """Multiply every coefficient by a scalar or polynomial."""
         return EgfSeries([coeff * c for coeff in self._coeffs])
 
-    def divide(self, g: "EgfSeries") -> "EgfSeries":
-        """Exact division f/g; g must have a nonzero pure-rational constant term."""
-        g0 = g._coeffs[0].constant()
-        if g0 is None or g0 == 0:
-            raise DivisionByNonUnit(
-                f"divisor constant term must be a nonzero rational, got {g._coeffs[0]!r}"
-            )
-        order = min(self.order, g.order)
-        inv0 = 1 / g0
-        f, g = self._coeffs, g._coeffs
-        out: list[BiPoly] = []
-        for n in range(order + 1):
-            out.append((f[n] - dot(g[1 : n + 1], out[::-1])) * inv0)
-        return EgfSeries(out)
-
-    def shift_div_t(self, m: int = 1) -> "EgfSeries":
-        """Divide by t^m; the first m coefficients must vanish.  Order drops by m."""
-        if m < 1:
-            raise ValueError(f"t-shift exponent must be >= 1, got {m}")
-        if m > self.order:
-            raise IndexBeyondTruncation(f"cannot divide an order-{self.order} series by t^{m}")
-        for n in range(m):
-            if self._coeffs[n]:
-                raise NonzeroLowOrder(f"coefficient of t^{n} is nonzero: {self._coeffs[n]!r}")
-        return EgfSeries(self._coeffs[m:])
+    def shift_div_t(self) -> "EgfSeries":
+        """Divide by t; the constant term must vanish.  Order drops by 1."""
+        if self.order < 1:
+            raise IndexBeyondTruncation("cannot divide an order-0 series by t")
+        if self._coeffs[0]:
+            raise NonzeroLowOrder(f"coefficient of t^0 is nonzero: {self._coeffs[0]!r}")
+        return EgfSeries(self._coeffs[1:])
 
     def compose(self, inner: "EgfSeries") -> "EgfSeries":
         """f(inner(t)) by Horner's scheme; the inner constant term must vanish.
@@ -157,7 +139,7 @@ class EgfSeries:
         acc = EgfSeries([self._coeffs[order]])
         if order == 0:
             return acc
-        h = inner.shift_div_t(1)
+        h = inner.shift_div_t()
         for k in range(order - 1, -1, -1):
             acc = EgfSeries([self._coeffs[k], *(h * acc)._coeffs])
         return acc
@@ -169,6 +151,8 @@ class EgfSeries:
         With alpha + 1 = a/b in lowest terms this is
         g_n = (1/(b n f_0)) * sum_{k=1..n} (a k - b n) f_k g_{n-k},
         so every weight is an integer.
+
+        A negative exponent is the package's only inverse: f/g is f * g.pow(-1).
 
         The constant term f_0 must be a nonzero rational, and 1 for a
         fractional exponent, so that g_0 is rational.

@@ -3,8 +3,8 @@
 The series operations use nothing of ``EgfSeries`` beyond its public
 constructor and coefficients, so a test can compare a package route
 (Miller's power recurrence, the closed product forms, Horner composition)
-with the exp/log route written here.  ``classical_value`` and
-``eq21_rhs_term`` compute one value or one eq. (21) weight at a time.
+with the long-division and exp/log routes written here.  ``classical_value``
+and ``eq21_rhs_term`` compute one value or one eq. (21) weight at a time.
 """
 
 from fractions import Fraction
@@ -41,6 +41,20 @@ def truncate(f: EgfSeries, order: int) -> EgfSeries:
     if order < 0 or order > f.order:
         raise IndexBeyondTruncation(f"cannot truncate order-{f.order} series to {order}")
     return EgfSeries(f.coefficients[: order + 1])
+
+
+def series_divide(f: EgfSeries, g: EgfSeries) -> EgfSeries:
+    """The quotient f/g at the smaller order by long division,
+    q_n = (f_n - sum_{k=1..n} g_k q_{n-k}) / g_0; g_0 must be a nonzero rational."""
+    g0 = g.coefficients[0].constant()
+    order = min(f.order, g.order)
+    out: list[BiPoly] = []
+    for n in range(order + 1):
+        acc = f.coefficients[n]
+        for k in range(1, n + 1):
+            acc = acc - g.coefficients[k] * out[n - k]
+        out.append(acc * (1 / g0))
+    return EgfSeries(out)
 
 
 def series_exp(f: EgfSeries) -> EgfSeries:

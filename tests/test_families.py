@@ -307,6 +307,11 @@ TRIANGLE_KERNELS = {
 def test_triangle_tables_match_egf_powers(family, mode):
     size = 13
     kernel, degenerate = TRIANGLE_KERNELS[family]
+    if not degenerate and mode.kind != "symbolic":
+        # A classical table runs at l = 0 and refuses any other deformation.
+        with pytest.raises(ValueError, match="is classical"):
+            triangular_numbers(family, size, 1, mode)
+        return
     lam = mode.to_poly(L) if degenerate else BiPoly.zero()
     expected = triangle_by_egf_powers(kernel(lam, size), size)
     assert [_triangle_row(family, mode, n) for n in range(size + 1)] == [
@@ -559,6 +564,40 @@ def test_unsupported_orders():
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(1, 2)), 4)
     with pytest.raises(UnsupportedOrder):
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI, Fraction(3, 2)), 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_egf(FamilySpec(FamilyId.EULER, lambda_mode=LambdaMode.numeric(5)), 3),
+        lambda: build_egf(
+            FamilySpec(FamilyId.BERNOULLI_ORDER_R, lambda_mode=LambdaMode.scaled(2)), 3
+        ),
+        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Argument.numeric(7)), 3),
+        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Argument.shifted(-1)), 3),
+        lambda: triangular_numbers(FamilyId.STIRLING2, 4, 2, LambdaMode.numeric(3)),
+        lambda: triangular_numbers(FamilyId.CENTRAL_FACTORIAL, 0, 0, LambdaMode.shifted(1)),
+    ],
+    ids=["euler-l5", "bernoulli-scaled-l", "deg-log-x7", "deg-log-shifted-x",
+         "stirling2-l3", "central-factorial-shifted-l"],
+)
+def test_unused_parameter_is_refused(build):
+    clear_caches()
+    with pytest.raises(ValueError, match="is classical|takes no argument"):
+        build()
+    assert _triangle_row.cache_info().currsize == 0
+
+
+def test_classical_family_accepts_lambda_zero():
+    for mode in (LambdaMode.symbolic(), LambdaMode.numeric(0)):
+        assert values(FamilyId.EULER, 3, argument=AT0, lam=mode)[1] == BiPoly.const(Fraction(-1, 2))
+        assert triangular_numbers(FamilyId.STIRLING2, 4, 2, mode) == BiPoly.const(7)
+
+
+def test_alt_second_kind_rejects_negative_trunc():
+    for trunc in (-1, -5):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            deg_bernoulli2_alt_egf(1, trunc)
 
 
 def test_rational_order_allowed_for_second_kind():
