@@ -7,9 +7,11 @@ the layout of FLINT's ``fmpq_poly``: ``_terms`` maps exponent pairs
 ``(dl, dx)`` to ``int`` numerators and ``_den`` is a positive ``int``, so
 the coefficient of l^dl x^dx is ``_terms[(dl, dx)] / _den``.  Arithmetic
 runs on plain ints and reduces each result once, by a single gcd over its
-denominator and numerators.  ``dot(xs, ys)``, the sum of x*y over paired
-polynomials, is the one product kernel, and each sum of products in the
-series and identity layers is one call to it.  ``*`` by a rational constant
+denominator and numerators.  ``dot(xs, ys, ws)``, the sum of w*x*y over
+paired polynomials with optional integer weights, is the one product
+kernel, and each sum of products in the series and identity layers is one
+call to it; a weight scales its pair's numerators inside the kernel, so no
+weighted operand is built.  ``*`` by a rational constant
 (an ``int``, a ``Fraction`` or a constant polynomial) bypasses it: the
 numerators are scaled and reduced by gcds taken with the scalar alone.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 Scalar = Fraction | int
@@ -327,26 +330,31 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-def dot(xs: Iterable[BiPoly], ys: Iterable[BiPoly]) -> BiPoly:
-    """The sum of x*y over ``zip(xs, ys, strict=True)``, reduced once.
+def dot(
+    xs: Iterable[BiPoly], ys: Iterable[BiPoly], ws: Iterable[int] | None = None
+) -> BiPoly:
+    """The sum of w*x*y over ``zip(xs, ys, ws, strict=True)``, reduced once.
 
-    Pairs with a zero factor are skipped.  Every product is accumulated
-    over the lcm of the pairs' denominator products, so the numerators
-    stay ints and the sum gets a single gcd pass.
+    ``ws`` holds integer weights and defaults to all 1.  Pairs with a zero
+    factor or weight are skipped.  Every product is accumulated over the
+    lcm of the pairs' denominator products, so the numerators stay ints and
+    the sum gets a single gcd pass; a pair's weight joins the integer that
+    scales its numerators onto that lcm, so no weighted operand is built.
     """
     pairs = []
     den = 1
-    for x, y in zip(xs, ys, strict=True):
-        if x._terms and y._terms:
+    weights = repeat(1) if ws is None else ws
+    for (x, y), w in zip(zip(xs, ys, strict=True), weights, strict=ws is not None):
+        if w and x._terms and y._terms:
             d = x._den * y._den
-            pairs.append((x._terms, y._terms, d))
+            pairs.append((x._terms, y._terms, d, w))
             den = math.lcm(den, d)
     out: dict[Term, int] = {}
     get = out.get
     products = 0
-    for a, b, d in pairs:
-        # Scale a's numerators so that this product lands over ``den``.
-        scale = den // d
+    for a, b, d, w in pairs:
+        # Scale a's numerators so that this product lands over ``den``, weighted.
+        scale = den // d * w
         a_items = a.items() if scale == 1 else [(key, v * scale) for key, v in a.items()]
         b_items = list(b.items())
         products += len(a) * len(b_items)

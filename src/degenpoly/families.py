@@ -144,8 +144,15 @@ def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
     return prods
 
 
+@lru_cache(maxsize=64)
 def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
-    """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag."""
+    """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag.
+
+    Memoized: the recipes rebuild e_l(t), log_l(1+t) and (1+t)^x for every
+    order and x-argument they are asked for, and keys and results are
+    immutable.  A verification pass repeats most of its step products within
+    a few dozen calls, so 64 entries keep nearly all of its hits.
+    """
     prods = step_products(arg, step, max(trunc - lag, 0))
     coeffs = [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
     return EgfSeries(coeffs[: trunc + 1])
@@ -423,6 +430,8 @@ def triangular_numbers(
     _check_mode(family, lambda_mode)
     if n < 0 or k < 0 or k > n:
         return _ZERO
+    if not CATALOG[family].degenerate:
+        lambda_mode = _SYMBOLIC  # both classical modes read one table, built at l = 0
     return _triangle_row(family, lambda_mode, n)[k]
 
 
@@ -446,9 +455,10 @@ def _triangle_row(family: FamilyId, mode: Param, n: int) -> tuple[BiPoly, ...]:
 
 
 def clear_caches() -> None:
-    """Drop all memoized triangle rows and series (mainly for tests)."""
+    """Drop all memoized triangle rows, series and step products (mainly for tests)."""
     _triangle_row.cache_clear()
     _build_egf_cached.cache_clear()
+    step_egf.cache_clear()
 
 
 # -- the alternative second-kind route ----------------------------------------

@@ -24,6 +24,7 @@ therefore derived: ``max_n`` raised to the profile's ``_TRUNC_FLOOR``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,7 +155,7 @@ def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
 
 def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
     """The binomial convolution sum_{m<=n} C(n,m) a[m] b[n-m]: value n of an EGF product."""
-    return dot([a[m] * binomial(n, m) for m in range(n + 1)], b[n::-1])
+    return dot(a[: n + 1], b[n::-1], [math.comb(n, m) for m in range(n + 1)])
 
 
 def _eq21_weight(poly: BiPoly, j: int, r: int) -> BiPoly:

@@ -150,7 +150,8 @@ class EgfSeries:
         g_n = (1/(n f_0)) * sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}.
         With alpha + 1 = a/b in lowest terms this is
         g_n = (1/(b n f_0)) * sum_{k=1..n} (a k - b n) f_k g_{n-k},
-        so every weight is an integer.
+        so every weight is an integer, and ``dot`` takes the weights a k - b n
+        directly: no f_k is scaled per coefficient n.
 
         A negative exponent is the package's only inverse: f/g is f * g.pow(-1).
 
@@ -174,6 +175,6 @@ class EgfSeries:
         f = self._coeffs
         a, b = alpha.numerator + alpha.denominator, alpha.denominator
         for n in range(1, self.order + 1):
-            weighted = [f[k] * (a * k - b * n) for k in range(1, n + 1)]
-            out.append(dot(weighted, out[::-1]) * (1 / (b * n * f0)))
+            weights = [a * k - b * n for k in range(1, n + 1)]
+            out.append(dot(f[1 : n + 1], out[::-1], weights) * (1 / (b * n * f0)))
         return EgfSeries(out)

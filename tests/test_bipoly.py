@@ -427,6 +427,32 @@ def test_dot_rejects_unequal_lengths():
         dot([], [L])
 
 
+@settings(max_examples=100)
+@given(st.lists(st.tuples(big_bipolys, big_bipolys, st.integers(-40, 40)), max_size=5))
+@example([(L * frac(1, 6) + X, X * frac(3, 4) - 1, 0)])  # a zero weight drops its pair
+@example([(L * frac(1, 6) + X, X - 1, 1), (L * frac(1, 6) + X, X - 1, -1)])  # cancels
+@example([(L * frac(5, 6), X * frac(1, 4), 3), (X, L, -7)])  # 3 divides the denominator 24
+@example([(L * frac(1, 6), BiPoly.const(frac(1, 2)), 12)])  # weight cancels the denominator
+@example([(BiPoly.zero(), X, 5), (L, BiPoly.zero(), -2)])
+def test_weighted_dot_matches_scaled_operands(triples):
+    xs = [x for x, _, _ in triples]
+    ys = [y for _, y, _ in triples]
+    ws = [w for _, _, w in triples]
+    expected = dot([x * w for x, w in zip(xs, ws)], ys)
+    for got in (dot(xs, ys, ws), dot(iter(xs), iter(ys), iter(ws))):
+        assert_canonical(got)
+        assert (got._terms, got._den) == (expected._terms, expected._den)
+
+
+def test_weighted_dot_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        dot([L, X], [X, L], [1])
+    with pytest.raises(ValueError):
+        dot([L], [X], [1, 2])
+    with pytest.raises(ValueError):
+        dot([L, X], [X], [1, 2])
+
+
 def test_product_cancellation_leaves_no_zero_terms():
     prod = (L * frac(1, 2) + X) * (L * frac(1, 2) - X)
     assert prod.terms() == {(2, 0): frac(1, 4), (0, 2): frac(-1)}

@@ -4,6 +4,7 @@ classical limits, and parameter validation."""
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from degenpoly.families import (
     deg_bernoulli2_alt_egf,
     list_families,
     step_egf,
+    step_products,
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
@@ -363,6 +365,50 @@ def test_triangle_table_cache_is_bounded():
     info = _triangle_row.cache_info()
     assert info.misses == 4200  # rows 0, 1 and 2 for each l
     assert info.currsize == info.maxsize == 4096
+
+
+def test_classical_modes_share_one_table():
+    clear_caches()
+    symbolic = triangular_numbers(FamilyId.STIRLING2, 10, 2)
+    assert _triangle_row.cache_info().currsize == 11
+    assert triangular_numbers(FamilyId.STIRLING2, 10, 2, LambdaMode.numeric(0)) == symbolic
+    assert _triangle_row.cache_info().currsize == 11
+
+
+def test_every_family_cache_is_bounded_and_cleared():
+    import degenpoly.families as families
+
+    caches = {name: obj for name, obj in vars(families).items() if hasattr(obj, "cache_info")}
+    assert {"step_egf", "_build_egf_cached", "_triangle_row"} <= set(caches)
+    build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2)), 4)
+    triangular_numbers(FamilyId.DEG_STIRLING2, 4, 2)
+    for name, cache in caches.items():
+        assert cache.cache_info().currsize > 0, name
+        assert cache.cache_info().maxsize is not None, name
+    clear_caches()
+    for name, cache in caches.items():
+        assert cache.cache_info().currsize == 0, name
+
+
+@pytest.mark.parametrize("lag", [0, 1])
+@pytest.mark.parametrize(
+    "arg", [X, BiPoly.const(Fraction(-3, 2)), X + Fraction(5, 3)],
+    ids=["symbolic", "numeric", "shifted"],
+)
+def test_memoized_step_egf_matches_unmemoized(arg, lag):
+    clear_caches()
+    for step in (ONE, L):
+        expected = step_egf.__wrapped__(arg, step, 7, lag)
+        assert step_egf(arg, step, 7, lag) == expected
+        assert step_egf(arg, step, 7, lag) == expected  # a cache hit
+    assert step_egf.cache_info().hits == 2
+
+
+def test_step_product_length_must_be_nonnegative():
+    for build in (partial(step_products, X, ONE, -1), partial(step_egf, X, ONE, -1)):
+        for _ in range(2):  # a failed call is not cached
+            with pytest.raises(ValueError):
+                build()
 
 
 def test_triangle_requires_triangle_family():
