@@ -26,6 +26,7 @@ from .families import (
     central_factorial_power,
     deg_bernoulli2_alt_egf,
     list_families,
+    triangle_row,
     triangular_numbers,
 )
 from .identities import (
@@ -56,6 +57,7 @@ __all__ = [
     "LambdaMode",
     "UnsupportedOrder",
     "build_egf",
+    "triangle_row",
     "triangular_numbers",
     "central_factorial_power",
     "deg_bernoulli2_alt_egf",

@@ -340,25 +340,29 @@ def dot(
     lcm of the pairs' denominator products, so the numerators stay ints and
     the sum gets a single gcd pass; a pair's weight joins the integer that
     scales its numerators onto that lcm, so no weighted operand is built.
+    Each pair loops over its operand with fewer terms on the outside and
+    scales each outer numerator once.
     """
     pairs = []
     den = 1
     weights = repeat(1) if ws is None else ws
     for (x, y), w in zip(zip(xs, ys, strict=True), weights, strict=ws is not None):
-        if w and x._terms and y._terms:
+        a, b = x._terms, y._terms
+        if w and a and b:
             d = x._den * y._den
-            pairs.append((x._terms, y._terms, d, w))
-            den = math.lcm(den, d)
+            pairs.append((a, b, d, w) if len(a) <= len(b) else (b, a, d, w))
+            if d != den:
+                den = math.lcm(den, d)
     out: dict[Term, int] = {}
     get = out.get
     products = 0
     for a, b, d, w in pairs:
         # Scale a's numerators so that this product lands over ``den``, weighted.
         scale = den // d * w
-        a_items = a.items() if scale == 1 else [(key, v * scale) for key, v in a.items()]
-        b_items = list(b.items())
-        products += len(a) * len(b_items)
-        for (al, ax), ac in a_items:
+        b_items = b.items()
+        products += len(a) * len(b)
+        for (al, ax), ac in a.items():
+            ac *= scale
             for (bl, bx), bc in b_items:
                 key = (al + bl, ax + bx)
                 out[key] = get(key, 0) + ac * bc

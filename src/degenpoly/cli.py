@@ -39,7 +39,7 @@ from .families import (
     build_egf,
     central_factorial_power,
     list_families,
-    triangular_numbers,
+    triangle_row,
 )
 from .identities import ALIASES, IdentityId, VerificationReport, verify, verify_all
 
@@ -166,12 +166,11 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[dict[str, object]
         return "polynomial", rows
 
     if info.kind == "triangle":
-        rows = []
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                rows.append(
-                    {"n": n, "k": k, "value": triangular_numbers(family, n, k, lam_mode)}
-                )
+        rows = [
+            {"n": n, "k": k, "value": value}
+            for n in range(max_n + 1)
+            for k, value in enumerate(triangle_row(family, n, lam_mode))
+        ]
         return "triangle", rows
 
     series = build_egf(FamilySpec(family, args.order, argument, lam_mode), max_n)

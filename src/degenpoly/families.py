@@ -7,7 +7,10 @@ parameter: a classical family runs the recipe of its degenerate twin with
 l = 0, and coefficients are polynomial in ``l`` by construction, so the
 classical limit is the exact substitution l -> 0.
 
-Every sequence recipe is built from one primitive, the step product
+A sequence recipe is an x-free kernel K(order, l, trunc) times a base
+that carries x: e_l^x(t), (1+t)^x or none.  Kernels are memoized, so a
+family read at several x-arguments (symbolic, x - 1, 0, k) builds its
+kernel once.  Every series is built from one primitive, the step product
 (a)_{n,s} = a*(a - s)*...*(a - (n-1)*s), through ``step_egf(a, s, N, lag)``,
 the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 
@@ -83,6 +86,8 @@ class Param:
         if self.kind not in ("symbolic", "numeric", "shifted", "scaled"):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
         object.__setattr__(self, "value", Fraction(self.value))
+        if self.kind == "symbolic" and self.value:
+            raise ValueError(f"a symbolic parameter has no value, got {self.value}")
 
     @classmethod
     def symbolic(cls) -> "Param":
@@ -169,11 +174,15 @@ def central_factorial_power(n: int) -> BiPoly:
 
 # -- recipes -------------------------------------------------------------------
 #
-# A sequence recipe maps (order a, argument x, deformation l, truncation N)
-# to its series.  A triangle rule maps (l, n, k, row n-1, row n) to entry
-# (n+1, k) for 1 <= n and 1 <= k <= n+1; rows are indexed by k and hold
-# zeros right of the diagonal.  A classical family shares the recipe or rule
-# of its degenerate twin and receives l = 0.
+# A sequence kernel maps (order a, deformation l, truncation N) to its x-free
+# series, and the catalog names the base it is multiplied by.  A triangle rule
+# maps (l, n, k, row n-1, row n) to entry (n+1, k) for 1 <= n and
+# 1 <= k <= n+1; rows are indexed by k and hold zeros right of the diagonal.
+# A classical family shares the kernel or rule of its degenerate twin and
+# receives l = 0.
+
+E_L = "e_l^x(t)"  # base with values (x)_{n,l}: step l, and 0 in a classical family
+POW1P = "(1+t)^x"  # base with values (x)_{n,1}: step 1
 
 
 def _log1p(lam: BiPoly, trunc: int) -> EgfSeries:
@@ -210,59 +219,44 @@ def _central_factorial_step(
     return below + weight * older[k] - lam * (2 * n - 1) * row[k]
 
 
-def _deg_exp(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """e_l^x(t)."""
-    return step_egf(arg, lam, trunc)
-
-
-def _pow1p(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """(1+t)^x."""
-    return step_egf(arg, _ONE, trunc)
-
-
-def _deg_log(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+def _deg_log(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
     """log_l(1+t)."""
     return _log1p(lam, trunc)
 
 
-def _bernoulli_like(
-    low: BiPoly, a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
-) -> EgfSeries:
-    """(t/(e_l(t) - e_l^low(t)))^a * e_l^x(t); e_l^0(t) is 1."""
+def _bernoulli_like(low: BiPoly, a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(t/(e_l(t) - e_l^low(t)))^a; e_l^0(t) is 1."""
     diff = step_egf(_ONE, lam, trunc + 1) - step_egf(low, lam, trunc + 1)
-    return diff.shift_div_t().pow(-a) * step_egf(arg, lam, trunc)
+    return diff.shift_div_t().pow(-a)
 
 
-def _euler_like(
-    low: BiPoly, a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
-) -> EgfSeries:
-    """2/(e_l(t) + e_l^low(t)) * e_l^x(t); the denominator has constant term 2."""
+def _euler_like(low: BiPoly, a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """2/(e_l(t) + e_l^low(t)); the denominator has constant term 2."""
     denom = step_egf(_ONE, lam, trunc) + step_egf(low, lam, trunc)
-    return denom.pow(-1).scale(2) * step_egf(arg, lam, trunc)
+    return denom.pow(-1).scale(2)
 
 
-def _daehee(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """(log_l(1+t)/t) * (1+t)^x."""
-    return _log1p(lam, trunc + 1).shift_div_t() * step_egf(arg, _ONE, trunc)
+def _daehee(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """log_l(1+t)/t."""
+    return _log1p(lam, trunc + 1).shift_div_t()
 
 
-def _bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """(t/log_l(1+t))^a * (1+t)^x.
+def _bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(t/log_l(1+t))^a.
 
     The normalized kernel has constant term 1, so any rational order is exact.
     """
-    kernel = _log1p(lam, trunc + 1).shift_div_t().pow(-a)
-    return kernel * step_egf(arg, _ONE, trunc)
+    return _log1p(lam, trunc + 1).shift_div_t().pow(-a)
 
 
-def _type2_bernoulli2(a: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
-    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x, built as N^a * L^(-a) * (1+t)^x
-    with N = ((1+t) - (1+t)^(-1))/t and L = log_l(1+t)/t.  N has constant term 2, so
+def _type2_bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """(((1+t) - (1+t)^(-1))/log_l(1+t))^a, built as N^a * L^(-a) with
+    N = ((1+t) - (1+t)^(-1))/t and L = log_l(1+t)/t.  N has constant term 2, so
     only integer orders stay inside Q[l, x], and for those (N/L)^a = N^a * L^(-a).
+    L^(-a) is ``deg-bernoulli2``'s kernel, read from the kernel cache.
     """
     numerator = step_egf(_ONE, _ONE, trunc + 1) - step_egf(-_ONE, _ONE, trunc + 1)
-    kernel = numerator.shift_div_t().pow(a) * _log1p(lam, trunc + 1).shift_div_t().pow(-a)
-    return kernel * step_egf(arg, _ONE, trunc)
+    return numerator.shift_div_t().pow(a) * _kernel(FamilyId.DEG_BERNOULLI2, a, lam, trunc)
 
 
 _bernoulli = partial(_bernoulli_like, _ZERO)
@@ -277,83 +271,89 @@ class FamilyInfo:
 
     kind: str  # "sequence" | "triangle" | "polynomial"
     order_domain: str  # "rational" | "integer" | "none"; a triangle's column k is "nonneg-integer"
-    takes_argument: bool
     degenerate: bool
     recipe: str
-    # A sequence family's series recipe, or a triangle family's step rule.
+    # A sequence family's x-free kernel K(order, l, trunc) (None: the base
+    # alone), or a triangle family's step rule.
     build: Callable[..., EgfSeries | BiPoly] | None = None
+    # The sequence's factor in x, E_L or POW1P; None if it takes no argument x.
+    base: str | None = None
+
+    @property
+    def takes_argument(self) -> bool:
+        return self.base is not None
 
 
 CATALOG: dict[FamilyId, FamilyInfo] = {
     FamilyId.BERNOULLI_ORDER_R: FamilyInfo(
-        "sequence", "rational", True, False, "(t/(e^t - 1))^r * e^(x*t)", _bernoulli
+        "sequence", "rational", False, "(t/(e^t - 1))^r * e^(x*t)", _bernoulli, E_L
     ),
     FamilyId.EULER: FamilyInfo(
-        "sequence", "none", True, False, "2/(e^t + 1) * e^(x*t)", _euler
+        "sequence", "none", False, "2/(e^t + 1) * e^(x*t)", _euler, E_L
     ),
     FamilyId.TYPE2_BERNOULLI: FamilyInfo(
-        "sequence", "none", True, False, "t/(e^t - e^(-t)) * e^(x*t)", _type2_bernoulli
+        "sequence", "none", False, "t/(e^t - e^(-t)) * e^(x*t)", _type2_bernoulli, E_L
     ),
     FamilyId.TYPE2_EULER: FamilyInfo(
-        "sequence", "none", True, False, "2/(e^t + e^(-t)) * e^(x*t)", _type2_euler
+        "sequence", "none", False, "2/(e^t + e^(-t)) * e^(x*t)", _type2_euler, E_L
     ),
     FamilyId.STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * log(1+t)^k", _stirling1_step
+        "triangle", "nonneg-integer", False, "(1/k!) * log(1+t)^k", _stirling1_step
     ),
     FamilyId.STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^t - 1)^k", _stirling2_step
+        "triangle", "nonneg-integer", False, "(1/k!) * (e^t - 1)^k", _stirling2_step
     ),
     FamilyId.CENTRAL_FACTORIAL: FamilyInfo(
-        "triangle", "nonneg-integer", False, False, "(1/k!) * (e^(t/2) - e^(-t/2))^k",
+        "triangle", "nonneg-integer", False, "(1/k!) * (e^(t/2) - e^(-t/2))^k",
         _central_factorial_step,
     ),
     FamilyId.DAEHEE: FamilyInfo(
-        "sequence", "none", True, False, "(log(1+t)/t) * (1+t)^x", _daehee
+        "sequence", "none", False, "(log(1+t)/t) * (1+t)^x", _daehee, POW1P
     ),
     FamilyId.FALLING_FACTORIAL: FamilyInfo(
-        "sequence", "none", True, False, "(1+t)^x  [value n is (x)_n]", _pow1p
+        "sequence", "none", False, "(1+t)^x  [value n is (x)_n]", None, POW1P
     ),
     FamilyId.DEG_FALLING_FACTORIAL: FamilyInfo(
-        "sequence", "none", True, True, "e_l^x(t)  [value n is (x)_{n,l}]", _deg_exp
+        "sequence", "none", True, "e_l^x(t)  [value n is (x)_{n,l}]", None, E_L
     ),
     FamilyId.DEG_EXP: FamilyInfo(
-        "sequence", "none", True, True, "e_l^x(t) = (1 + l*t)^(x/l)", _deg_exp
+        "sequence", "none", True, "e_l^x(t) = (1 + l*t)^(x/l)", None, E_L
     ),
     FamilyId.DEG_LOG: FamilyInfo(
-        "sequence", "none", False, True, "log_l(1+t) = ((1+t)^l - 1)/l", _deg_log
+        "sequence", "none", True, "log_l(1+t) = ((1+t)^l - 1)/l", _deg_log
     ),
     FamilyId.DEG_BERNOULLI: FamilyInfo(
-        "sequence", "none", True, True, "t/(e_l(t) - 1) * e_l^x(t)", _bernoulli
+        "sequence", "none", True, "t/(e_l(t) - 1) * e_l^x(t)", _bernoulli, E_L
     ),
     FamilyId.DEG_EULER: FamilyInfo(
-        "sequence", "none", True, True, "2/(e_l(t) + 1) * e_l^x(t)", _euler
+        "sequence", "none", True, "2/(e_l(t) + 1) * e_l^x(t)", _euler, E_L
     ),
     FamilyId.DEG_CENTRAL_FACTORIAL: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k",
+        "triangle", "nonneg-integer", True, "(1/k!) * (e_l^(1/2)(t) - e_l^(-1/2)(t))^k",
         _central_factorial_step,
     ),
     FamilyId.DEG_DAEHEE: FamilyInfo(
-        "sequence", "none", True, True, "(log_l(1+t)/t) * (1+t)^x", _daehee
+        "sequence", "none", True, "(log_l(1+t)/t) * (1+t)^x", _daehee, POW1P
     ),
     FamilyId.DEG_BERNOULLI2: FamilyInfo(
-        "sequence", "rational", True, True, "(t/log_l(1+t))^a * (1+t)^x", _bernoulli2
+        "sequence", "rational", True, "(t/log_l(1+t))^a * (1+t)^x", _bernoulli2, POW1P
     ),
     FamilyId.TYPE2_DEG_BERNOULLI2: FamilyInfo(
-        "sequence", "integer", True, True, "(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x",
-        _type2_bernoulli2,
+        "sequence", "integer", True, "(((1+t) - (1+t)^(-1))/log_l(1+t))^a * (1+t)^x",
+        _type2_bernoulli2, POW1P,
     ),
     FamilyId.TYPE2_DEG_BERNOULLI: FamilyInfo(
-        "sequence", "integer", True, True, "(t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)",
-        _type2_bernoulli,
+        "sequence", "integer", True, "(t/(e_l(t) - e_l^(-1)(t)))^a * e_l^x(t)",
+        _type2_bernoulli, E_L,
     ),
     FamilyId.DEG_STIRLING1: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * log_l(1+t)^k", _stirling1_step
+        "triangle", "nonneg-integer", True, "(1/k!) * log_l(1+t)^k", _stirling1_step
     ),
     FamilyId.DEG_STIRLING2: FamilyInfo(
-        "triangle", "nonneg-integer", False, True, "(1/k!) * (e_l(t) - 1)^k", _stirling2_step
+        "triangle", "nonneg-integer", True, "(1/k!) * (e_l(t) - 1)^k", _stirling2_step
     ),
     FamilyId.CENTRAL_FACTORIAL_POWER: FamilyInfo(
-        "polynomial", "none", False, False, "x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)"
+        "polynomial", "none", False, "x^[n] = x*(x + n/2 - 1)*(x + n/2 - 2)*...*(x - n/2 + 1)"
     ),
 }
 
@@ -409,30 +409,66 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
     fid = spec.family
     _check_spec(spec)
+    info = CATALOG[fid]
     lam = _deformation(fid, spec.lambda_mode)
-    return CATALOG[fid].build(spec.order, spec.argument.to_poly(_X), lam, trunc)
+    kernel = None if info.build is None else _kernel(fid, spec.order, lam, trunc)
+    if info.base is None:
+        return kernel
+    base = step_egf(spec.argument.to_poly(_X), lam if info.base == E_L else _ONE, trunc)
+    return base if kernel is None else kernel * base
+
+
+@lru_cache(maxsize=16)
+def _kernel(family: FamilyId, order: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
+    """The x-free kernel of a sequence family at one order, l and truncation.
+
+    Memoized: the paper's higher-order identities read one family at up to
+    four x-arguments (symbolic, x - 1, 0, k), which share this factor, and
+    ``type2-deg-bernoulli2``'s kernel reuses ``deg-bernoulli2``'s.  Kernels
+    are not shared with the alternative route ``deg_bernoulli2_alt_egf``,
+    which ``eq18-equivalence`` compares with the direct one.  A cold
+    ``verify --profile full`` pass asks for 74 kernels, 59 of them distinct,
+    and 16 entries keep all 15 repeats.
+    """
+    return CATALOG[family].build(order, lam, trunc)
 
 
 # -- triangle rows -----------------------------------------------------------
 
 
+def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tuple[BiPoly, ...]:
+    """Row n >= 0 of a connection-coefficient triangle: entries k = 0..n.
+
+    Rows are memoized, built by the family's row recurrence, immutable and
+    safe to share across threads.  A classical family reads one table at l
+    symbolic and at l = 0.
+    """
+    mode = _table_mode(family, lambda_mode)
+    if n < 0:
+        raise ValueError(f"triangle row index must be nonnegative, got {n}")
+    return _triangle_row(family, mode, n)
+
+
 def triangular_numbers(
     family: FamilyId, n: int, k: int, lambda_mode: Param = Param()
 ) -> BiPoly:
-    """Entry (n, k) of a connection-coefficient triangle.
+    """Entry (n, k) of a connection-coefficient triangle, ``triangle_row(...)[k]``.
 
     Outside the triangle 0 <= k <= n the value is the zero polynomial.
-    Entries come from the memoized row n, built by the family's row
-    recurrence; rows are immutable and safe to share across threads.
     """
+    if n < 0 or k < 0 or k > n:
+        _table_mode(family, lambda_mode)
+        return _ZERO
+    return triangle_row(family, n, lambda_mode)[k]
+
+
+def _table_mode(family: FamilyId, mode: Param) -> Param:
+    """Reject a non-triangle family or an l it ignores; return the table's cache key."""
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
-    _check_mode(family, lambda_mode)
-    if n < 0 or k < 0 or k > n:
-        return _ZERO
-    if not CATALOG[family].degenerate:
-        lambda_mode = _SYMBOLIC  # both classical modes read one table, built at l = 0
-    return _triangle_row(family, lambda_mode, n)[k]
+    _check_mode(family, mode)
+    # Both classical modes read one table, built at l = 0.
+    return mode if CATALOG[family].degenerate else _SYMBOLIC
 
 
 @lru_cache(maxsize=4096)
@@ -455,10 +491,13 @@ def _triangle_row(family: FamilyId, mode: Param, n: int) -> tuple[BiPoly, ...]:
 
 
 def clear_caches() -> None:
-    """Drop all memoized triangle rows, series and step products (mainly for tests)."""
-    _triangle_row.cache_clear()
+    """Empty the four bounded caches: built family series, sequence kernels,
+    step-product series and triangle rows (mainly for tests and benchmarks,
+    which time a pass from cold caches)."""
     _build_egf_cached.cache_clear()
+    _kernel.cache_clear()
     step_egf.cache_clear()
+    _triangle_row.cache_clear()
 
 
 # -- the alternative second-kind route ----------------------------------------

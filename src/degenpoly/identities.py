@@ -41,6 +41,7 @@ from .families import (
     central_factorial_power,
     deg_bernoulli2_alt_egf,
     step_products,
+    triangle_row,
     triangular_numbers,
 )
 from enum import Enum
@@ -150,7 +151,7 @@ def _series(family: FamilyId, n: int, order: Fraction | int = 1,
 
 def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
     """The triangle transform sum_{m<=n} values[m] * T(n, m) of one value list."""
-    return dot(values[: n + 1], [triangular_numbers(family, n, m) for m in range(n + 1)])
+    return dot(values[: n + 1], triangle_row(family, n))
 
 
 def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
@@ -361,10 +362,9 @@ def _check_limits(max_n: int, order: None) -> list[Case]:
             cases.append(Case({**extra, "n": n}, residual))
     for deg_family, classical_family in _LIMIT_TRIANGLES:
         for n in range(max_n + 1):
-            for k in range(n + 1):
-                residual = triangular_numbers(deg_family, n, k).subs_lam(
-                    0
-                ) - triangular_numbers(classical_family, n, k)
+            classical_row = triangle_row(classical_family, n)
+            for k, entry in enumerate(triangle_row(deg_family, n)):
+                residual = entry.subs_lam(0) - classical_row[k]
                 cases.append(Case({"family": deg_family.value, "n": n, "k": k}, residual))
     return cases
 

@@ -444,6 +444,37 @@ def test_weighted_dot_matches_scaled_operands(triples):
         assert (got._terms, got._den) == (expected._terms, expected._den)
 
 
+# Operands of one pair with uneven term counts, either way round, or with
+# integer coefficients, so that every pair has the denominator 1.
+_keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+few_terms = st.dictionaries(_keys, big_rationals, min_size=1, max_size=2).map(BiPoly)
+many_terms = st.dictionaries(_keys, big_rationals, min_size=4, max_size=9).map(BiPoly)
+integer_bipolys = st.dictionaries(_keys, st.integers(-50, 50), max_size=6).map(BiPoly)
+uneven_pairs = st.one_of(
+    st.tuples(few_terms, many_terms),
+    st.tuples(many_terms, few_terms),
+    st.tuples(integer_bipolys, integer_bipolys),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(uneven_pairs, st.integers(-40, 40)), max_size=5))
+@example([((L * frac(1, 2) + X, X * frac(1, 3)), 1), ((X * frac(1, 2), L * frac(1, 3) + 1), 2)])
+@example([((L * frac(1, 2), X * frac(1, 3) + L), 1), ((X * frac(1, 5), L), -3)])
+def test_dot_is_symmetric_in_its_operands(pairs):
+    # The first example has one pair denominator (6), the second two (6 and 5).
+    xs = [x for (x, _), _ in pairs]
+    ys = [y for (_, y), _ in pairs]
+    ws = [w for _, w in pairs]
+    expected = sum(
+        (RefPoly.of(x) * RefPoly.of(y) * RefPoly({(0, 0): w}) for x, y, w in zip(xs, ys, ws)),
+        RefPoly({}),
+    )
+    forward, backward = dot(xs, ys, ws), dot(ys, xs, ws)
+    assert (forward._terms, forward._den) == (backward._terms, backward._den)
+    assert agrees(forward, expected)
+
+
 def test_weighted_dot_rejects_unequal_lengths():
     with pytest.raises(ValueError):
         dot([L, X], [X, L], [1])

@@ -12,6 +12,8 @@ from degenpoly import cli
 from degenpoly.bipoly import BiPoly, binomial, factorial
 from degenpoly.families import (
     CATALOG,
+    E_L,
+    POW1P,
     Argument,
     FamilyId,
     FamilySpec,
@@ -19,6 +21,7 @@ from degenpoly.families import (
     Param,
     TRIANGLE_FAMILIES,
     UnsupportedOrder,
+    _kernel,
     _triangle_row,
     build_egf,
     central_factorial_power,
@@ -27,6 +30,7 @@ from degenpoly.families import (
     list_families,
     step_egf,
     step_products,
+    triangle_row,
     triangular_numbers,
 )
 from degenpoly.series import EgfSeries
@@ -379,7 +383,7 @@ def test_every_family_cache_is_bounded_and_cleared():
     import degenpoly.families as families
 
     caches = {name: obj for name, obj in vars(families).items() if hasattr(obj, "cache_info")}
-    assert {"step_egf", "_build_egf_cached", "_triangle_row"} <= set(caches)
+    assert {"step_egf", "_build_egf_cached", "_kernel", "_triangle_row"} <= set(caches)
     build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2)), 4)
     triangular_numbers(FamilyId.DEG_STIRLING2, 4, 2)
     for name, cache in caches.items():
@@ -404,11 +408,80 @@ def test_memoized_step_egf_matches_unmemoized(arg, lag):
     assert step_egf.cache_info().hits == 2
 
 
+@pytest.mark.parametrize(
+    "family,order,lam",
+    [
+        (FamilyId.DEG_BERNOULLI2, Fraction(1, 2), L),
+        (FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2), L),
+        (FamilyId.TYPE2_DEG_BERNOULLI, Fraction(-2), BiPoly.const(Fraction(-37, 42))),
+        (FamilyId.EULER, Fraction(1), BiPoly.zero()),
+        (FamilyId.DEG_DAEHEE, Fraction(1), L * Fraction(1, 2)),
+        (FamilyId.DEG_LOG, Fraction(1), L),
+    ],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_memoized_kernel_matches_unmemoized(family, order, lam):
+    clear_caches()
+    expected = _kernel.__wrapped__(family, order, lam, 7)
+    assert _kernel(family, order, lam, 7) == expected
+    assert _kernel(family, order, lam, 7) == expected  # a cache hit
+    assert _kernel.cache_info().hits >= 1
+
+
+def test_kernel_is_built_once_per_order_and_l():
+    # deg-bernoulli2 at three x-arguments shares one kernel, and the kernel
+    # of type2-deg-bernoulli2 at the same order reads it.
+    clear_caches()
+    for argument in (SYM, Argument.shifted(-1), Argument.numeric(0)):
+        build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2), argument), 6)
+    assert _kernel.cache_info()[:2] == (2, 1)  # (hits, misses)
+    build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2)), 6)
+    assert _kernel.cache_info()[:2] == (3, 2)
+
+
 def test_step_product_length_must_be_nonnegative():
     for build in (partial(step_products, X, ONE, -1), partial(step_egf, X, ONE, -1)):
         for _ in range(2):  # a failed call is not cached
             with pytest.raises(ValueError):
                 build()
+
+
+TRIANGLE_ROW_MODES = {
+    True: [LambdaMode.symbolic(), LambdaMode.numeric(Fraction(-37, 42)),
+           LambdaMode.scaled(Fraction(1, 2))],
+    False: [LambdaMode.symbolic(), LambdaMode.numeric(0)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRIANGLE_FAMILIES, key=lambda f: f.value),
+                         ids=lambda f: f.value)
+def test_triangle_row_holds_the_entries(family):
+    for mode in TRIANGLE_ROW_MODES[CATALOG[family].degenerate]:
+        for n in range(21):
+            expected = tuple(triangular_numbers(family, n, k, mode) for k in range(n + 1))
+            assert triangle_row(family, n, mode) == expected, (mode, n)
+
+
+@pytest.mark.parametrize(
+    "family,n,mode,match",
+    [
+        (FamilyId.EULER, 2, SYM, "not a triangle family"),
+        (FamilyId.STIRLING2, 4, LambdaMode.numeric(3), "is classical"),
+        (FamilyId.DEG_STIRLING2, -1, SYM, "nonnegative"),
+    ],
+    ids=["non-triangle", "classical-l3", "negative-n"],
+)
+def test_triangle_row_refuses_what_entries_refuse(family, n, mode, match):
+    clear_caches()
+    with pytest.raises(ValueError, match=match):
+        triangle_row(family, n, mode)
+    if n >= 0:
+        with pytest.raises(ValueError, match=match):
+            triangular_numbers(family, n, 1, mode)
+    else:
+        # An entry outside the triangle is zero; a row outside it does not exist.
+        assert triangular_numbers(family, n, 1, mode) == BiPoly.zero()
+    assert _triangle_row.cache_info().currsize == 0
 
 
 def test_triangle_requires_triangle_family():
@@ -567,6 +640,31 @@ def test_alt_second_kind_prefix_law(order):
         assert longer[: t + 1] == deg_bernoulli2_alt_egf(order, trunc=t).coefficients
 
 
+# -- the shift law: the base carries x ---------------------------------------------------
+
+ARGUMENT_FAMILIES = [f for f in SEQUENCE_FAMILIES if CATALOG[f].takes_argument]
+
+
+@pytest.mark.parametrize("family", ARGUMENT_FAMILIES, ids=lambda f: f.value)
+def test_shift_law(family):
+    # value_n(x + c) = sum_j C(n, j) value_j(x) (c)_{n-j,s}: the base e_s^x(t)
+    # satisfies e_s^(x+c)(t) = e_s^x(t) * e_s^c(t) and the kernel has no x.
+    # The step s is l for e_l^x(t) (0 in a classical family) and 1 for (1+t)^x.
+    info = CATALOG[family]
+    step = {E_L: L if info.degenerate else BiPoly.zero(), POW1P: ONE}[info.base]
+    order = 1 if info.order_domain == "none" else 2
+    size = 10
+    at_x = values(family, size, order)
+    for c in (Fraction(1, 3), Fraction(-2)):
+        at_shifted_x = values(family, size, order, Argument.shifted(c))
+        steps = step_products(BiPoly.const(c), step, size)
+        for n in range(size + 1):
+            expected = BiPoly.zero()
+            for j in range(n + 1):
+                expected = expected + at_x[j] * steps[n - j] * binomial(n, j)
+            assert at_shifted_x[n] == expected, (c, n)
+
+
 # -- degree bounds: the grading every recipe keeps ----------------------------------------
 
 DEGREE_N = 12
@@ -660,6 +758,15 @@ def test_param_kinds():
     assert type(Param("numeric", 3).value) is Fraction
     with pytest.raises(ValueError, match="unknown parameter kind"):
         Param("affine", 1)
+    assert Param("symbolic", 0) == Param.symbolic()
+
+
+def test_symbolic_param_takes_no_value():
+    # A value on a symbolic parameter would be ignored by to_poly, yet make a
+    # second cache key for the same table or series.
+    for value in (5, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="symbolic parameter has no value"):
+            Param("symbolic", value)
 
 
 def test_polynomial_family_has_no_egf():

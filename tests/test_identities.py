@@ -153,13 +153,22 @@ COEFFICIENT_SHIFTS = {"half-l": L * Fraction(1, 2), "half": BiPoly.const(Fractio
 
 @pytest.mark.parametrize("identity,family,entry,kwargs", TRIANGLE_MUTANTS)
 def test_perturbed_triangle_entry_fails(monkeypatch, identity, family, entry, kwargs):
-    original = identities.triangular_numbers
+    # Checkers read single entries and whole rows: perturb the entry through both.
+    original_entry, original_row = identities.triangular_numbers, identities.triangle_row
+    row_n, k_perturbed = entry
 
-    def perturbed(fam, n, k, *args, **kw):
-        value = original(fam, n, k, *args, **kw)
+    def perturbed_entry(fam, n, k, *args, **kw):
+        value = original_entry(fam, n, k, *args, **kw)
         return value + L if (fam, n, k) == (family, *entry) else value
 
-    monkeypatch.setattr(identities, "triangular_numbers", perturbed)
+    def perturbed_row(fam, n, *args, **kw):
+        row = original_row(fam, n, *args, **kw)
+        if (fam, n) != (family, row_n):
+            return row
+        return row[:k_perturbed] + (row[k_perturbed] + L,) + row[k_perturbed + 1:]
+
+    monkeypatch.setattr(identities, "triangular_numbers", perturbed_entry)
+    monkeypatch.setattr(identities, "triangle_row", perturbed_row)
     report = verify(identity, **kwargs)
     assert not report.all_pass
 
