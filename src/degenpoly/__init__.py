@@ -6,7 +6,7 @@ generating functions with exact rational arithmetic.  See ``families``
 for the catalog of builders and ``identities`` for the verification suite.
 """
 
-from .bipoly import BiPoly, binomial, factorial
+from .bipoly import BiPoly, factorial
 from .series import (
     BadConstantTerm,
     DivisionByNonUnit,
@@ -17,15 +17,13 @@ from .series import (
     SeriesError,
 )
 from .families import (
-    Argument,
     FamilyId,
     FamilySpec,
-    LambdaMode,
+    Param,
     UnsupportedOrder,
     build_egf,
     central_factorial_power,
     deg_bernoulli2_alt_egf,
-    list_families,
     triangle_row,
     triangular_numbers,
 )
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "binomial",
     "factorial",
     "EgfSeries",
     "SeriesError",
@@ -53,15 +50,13 @@ __all__ = [
     "IndexBeyondTruncation",
     "FamilyId",
     "FamilySpec",
-    "Argument",
-    "LambdaMode",
+    "Param",
     "UnsupportedOrder",
     "build_egf",
     "triangle_row",
     "triangular_numbers",
     "central_factorial_power",
     "deg_bernoulli2_alt_egf",
-    "list_families",
     "IdentityId",
     "UnknownIdentity",
     "Case",

@@ -43,13 +43,15 @@ def factorial(n: int) -> Fraction:
     return Fraction(math.factorial(n))
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) as an exact rational; zero for k outside 0..n, negative n rejected."""
-    if n < 0:
-        raise ValueError(f"binomial with negative upper index: {n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+def rational(value: Scalar | str) -> Fraction:
+    """``value`` as an exact ``Fraction``: an int, a Fraction or a rational string.
+
+    A float is refused with ``ValueError``: it holds a binary approximation,
+    and ``Fraction(0.1)`` is 3602879701896397/36028797018963968, not 1/10.
+    """
+    if isinstance(value, float):
+        raise ValueError(f"a float is not an exact rational: {value!r}; pass a Fraction or a str")
+    return Fraction(value)
 
 
 def _raw(nums: dict[Term, int], den: int) -> "BiPoly":
@@ -88,7 +90,7 @@ class BiPoly:
             for (dl, dx), c in terms.items():
                 if dl < 0 or dx < 0:
                     raise ValueError(f"negative exponent in term ({dl}, {dx})")
-                c = Fraction(c)
+                c = rational(c)
                 if c:
                     coeffs[(int(dl), int(dx))] = c
         # Over the lcm of reduced denominators the numerators share no factor with it.
@@ -103,7 +105,7 @@ class BiPoly:
     @classmethod
     def const(cls, c: Scalar) -> "BiPoly":
         if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+            c = rational(c)
         return _raw({(0, 0): c.numerator}, c.denominator) if c else _raw({}, 1)
 
     @classmethod
@@ -238,7 +240,7 @@ class BiPoly:
         # Substitute p/q for the variable at position ``axis`` of the exponent
         # pair: a term n * v^d over den becomes n * p^d * q^(top - d) over
         # den * q^top, with top the largest degree d present.
-        c = Fraction(value)
+        c = rational(value)
         p, q = c.numerator, c.denominator
         terms = self._terms
         if not terms:

@@ -1,15 +1,17 @@
 """Command-line front end: family tables and the identity verification suite.
 
+The library returns values, reports and the family catalog; every output
+format (JSON, CSV and the ``list-families`` table) is written here.
 Output is deterministic byte-for-byte across runs: fixed JSON field order,
 graded-lex polynomial term order, CSV with a header row.  Wall-clock
 timings are therefore omitted unless ``--timings`` is given.
 
 JSON is written by ``_json_text``, byte-identical to
 ``json.dumps(payload, indent=2)`` with each ``BiPoly`` value replaced by its
-``to_records()``.  It takes the polynomials themselves and writes their
-records straight from the integer terms, building no per-term dict.  The
-parser is built once per process, on the first ``run``, and reused by
-every later request.
+``to_records()``.  Compute values and verification residuals both reach it
+as polynomials, whose records it writes straight from the integer terms,
+building no per-term dict.  The parser is built once per process, on the
+first ``run``, and reused by every later request.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
 2 usage error.  An unknown argument, a flag outside its type or size bound,
@@ -38,7 +40,6 @@ from .families import (
     Param,
     build_egf,
     central_factorial_power,
-    list_families,
     triangle_row,
 )
 from .identities import ALIASES, IdentityId, VerificationReport, verify, verify_all
@@ -214,9 +215,10 @@ def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for the values the CLI emits.
 
     Those are dicts with str keys, lists, str, int, bool, None, finite
-    floats and ``BiPoly``; a polynomial is written as its ``to_records()``
-    would be, one string per term from its reduced integer terms.  A
-    non-finite float raises ``ValueError`` and any other type ``TypeError``.
+    floats and ``BiPoly``; a polynomial, a compute value or a verification
+    residual, is written as its ``to_records()`` would be, one string per
+    term from its reduced integer terms.  A non-finite float raises
+    ``ValueError`` and any other type ``TypeError``.
     On a 25-row order-3 ``deg-bernoulli2`` table (2838 terms, Python 3.11)
     this takes 4 ms, and ``to_records()`` plus the stdlib encoder, pure
     Python given an indent through 3.12, takes 25 ms.  From Python 3.13 the
@@ -299,17 +301,37 @@ def _write_poly(poly: BiPoly, newline: str, append: Callable[[str], None]) -> No
 # -- verify -------------------------------------------------------------------
 
 
+def _report_json(report: VerificationReport, timings: bool) -> dict[str, object]:
+    """One report as the JSON object ``verify`` writes; the wall time only with ``timings``."""
+    out: dict[str, object] = {
+        "identity": report.identity.value,
+        "ranges": {"max_n": report.max_n, "max_order": report.max_order, "trunc": report.trunc},
+        "profile": report.profile,
+        "cases": [
+            {
+                "indices": dict(case.indices),
+                "status": "pass" if case.passed else "fail",
+                "residual": case.residual,
+            }
+            for case in report.cases
+        ],
+    }
+    if timings:
+        out["wall_time_ms"] = round(report.wall_time_ms, 3)
+    return out
+
+
 def _render_reports(
     reports: list[VerificationReport], fmt: str, profile: str | None, timings: bool
 ) -> str:
     if fmt == "json":
         if profile is None:
-            payload: object = reports[0].to_json_dict(include_timing=timings)
+            payload: object = _report_json(reports[0], timings)
         else:
             payload = {
                 "profile": profile,
                 "all_pass": all(r.all_pass for r in reports),
-                "reports": [r.to_json_dict(include_timing=timings) for r in reports],
+                "reports": [_report_json(r, timings) for r in reports],
             }
         return _json_text(payload) + "\n"
 
@@ -350,10 +372,11 @@ def run(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-families":
         lines = [f"{'name':<26} {'kind':<11} {'order':<15} {'arg':<4} {'recipe'}"]
-        for row in list_families():
+        for fid in FamilyId:
+            info = CATALOG[fid]
             lines.append(
-                f"{row['name']:<26} {row['kind']:<11} {row['order']:<15} "
-                f"{row['argument']:<4} {row['recipe']}"
+                f"{fid.value:<26} {info.kind:<11} {info.order_domain:<15} "
+                f"{'x' if info.takes_argument else '-':<4} {info.recipe}"
             )
         _emit(None, "\n".join(lines) + "\n")
         return 0

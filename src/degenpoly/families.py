@@ -1,7 +1,7 @@
 """Named builders for the special-polynomial families of the package.
 
 Each family is one generating-function recipe over the ring Q[l, x]; the
-catalog (``list_families`` / the CLI ``list-families`` command) documents
+catalog ``CATALOG`` (printed by the CLI ``list-families`` command) documents
 every recipe next to the function that builds it.  ``l`` is the deformation
 parameter: a classical family runs the recipe of its degenerate twin with
 l = 0, and coefficients are polynomial in ``l`` by construction, so the
@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
 
-from .bipoly import BiPoly, factorial
+from .bipoly import BiPoly, factorial, rational
 from .series import EgfSeries
 
 _L = BiPoly.lam()
@@ -85,7 +85,7 @@ class Param:
     def __post_init__(self):
         if self.kind not in ("symbolic", "numeric", "shifted", "scaled"):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", rational(self.value))
         if self.kind == "symbolic" and self.value:
             raise ValueError(f"a symbolic parameter has no value, got {self.value}")
 
@@ -116,8 +116,7 @@ class Param:
         return var * self.value
 
 
-# The public names of the x-argument and the lambda mode of a FamilySpec.
-Argument = LambdaMode = Param
+LambdaMode = Param  # the former name of Param, still imported by the benchmark harness
 _SYMBOLIC = Param.symbolic()
 _CLASSICAL_MODES = (_SYMBOLIC, Param.numeric(0))  # the lambda modes of a classical family
 
@@ -132,7 +131,7 @@ class FamilySpec:
     lambda_mode: Param = field(default_factory=Param)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", Fraction(self.order))
+        object.__setattr__(self, "order", rational(self.order))
 
 
 # -- the step product ---------------------------------------------------------
@@ -514,26 +513,9 @@ def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int) -> EgfSeries:
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
-    order = Fraction(order)
+    order = rational(order)
     half_l = _L * _HALF
     diff = step_egf(half_l, _ONE, trunc + 1) - step_egf(-half_l, _ONE, trunc + 1)
     normalized = EgfSeries([c.div_lam() for c in diff.shift_div_t().coefficients])
     return normalized.pow(-order) * step_egf(_X - half_l * order, _ONE, trunc)
 
-
-def list_families() -> list[dict[str, str]]:
-    """The family catalog as deterministic records (name, kind, order, recipe)."""
-    rows = []
-    for fid in FamilyId:
-        info = CATALOG[fid]
-        rows.append(
-            {
-                "name": fid.value,
-                "kind": info.kind,
-                "order": info.order_domain,
-                "argument": "x" if info.takes_argument else "-",
-                "deformation": "l" if info.degenerate else "-",
-                "recipe": info.recipe,
-            }
-        )
-    return rows

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping
 
-from .bipoly import BiPoly, binomial, dot
+from .bipoly import BiPoly, dot
 from .series import EgfSeries
 from .families import (
     FamilyId,
@@ -42,13 +42,13 @@ from .families import (
     deg_bernoulli2_alt_egf,
     step_products,
     triangle_row,
-    triangular_numbers,
 )
 from enum import Enum
 
 _L = BiPoly.lam()
 _X = BiPoly.x()
 _ONE = BiPoly.const(1)
+_ZERO = BiPoly.zero()
 _SYM = Param.symbolic()
 _TWO = Fraction(2)
 _HALF_L = Param.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
@@ -97,13 +97,6 @@ class Case:
     def passed(self) -> bool:
         return self.residual.is_zero()
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "indices": dict(self.indices),
-            "status": "pass" if self.passed else "fail",
-            "residual": self.residual.to_records(),
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -121,21 +114,6 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(case.passed for case in self.cases)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict[str, object]:
-        out: dict[str, object] = {
-            "identity": self.identity.value,
-            "ranges": {
-                "max_n": self.max_n,
-                "max_order": self.max_order,
-                "trunc": self.trunc,
-            },
-            "profile": self.profile,
-            "cases": [case.to_json_dict() for case in self.cases],
-        }
-        if include_timing:
-            out["wall_time_ms"] = round(self.wall_time_ms, 3)
-        return out
-
 
 # -- shared helpers -----------------------------------------------------------
 
@@ -147,6 +125,12 @@ def _series(family: FamilyId, n: int, order: Fraction | int = 1,
     return build_egf(
         FamilySpec(family, Fraction(order), argument, lambda_mode), n
     ).values()
+
+
+def _column(family: FamilyId, k: int, ns: range, lambda_mode: Param = _SYM) -> "list[BiPoly]":
+    """Entries T(n, k) for n in ``ns``, each read from its whole row; zero above the diagonal."""
+    rows = (triangle_row(family, n, lambda_mode) for n in ns)
+    return [row[k] if k < len(row) else _ZERO for row in rows]
 
 
 def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
@@ -195,10 +179,8 @@ def _check_eq21(max_n: int, r: int) -> list[Case]:
     classical = _series(
         FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=Param.numeric(0)
     )
-    s2_weights = [
-        triangular_numbers(FamilyId.STIRLING2, m + r, r) * (1 / binomial(m + r, r))
-        for m in range(max_n + 1)
-    ]
+    s2_col = _column(FamilyId.STIRLING2, r, range(r, max_n + r + 1))
+    s2_weights = [s2 * Fraction(1, math.comb(m + r, r)) for m, s2 in enumerate(s2_col)]
     terms = [_eq21_weight(classical[j], j, r) * _TWO ** (r - j) for j in range(max_n + 1)]
     return [
         Case({"n": n, "r": r},
@@ -225,11 +207,8 @@ def _check_thm2(max_n: int, k: int) -> list[Case]:
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
     bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
     ff = step_products(_X - k, _L, max_n)  # (x-k)_{j,l}
-    weights = [
-        triangular_numbers(FamilyId.DEG_STIRLING2, m + k, k, _HALF_L)
-        * (_TWO ** (m + k) / binomial(m + k, k))
-        for m in range(max_n + 1)
-    ]
+    s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
+    weights = [s2 * (_TWO ** (m + k) / math.comb(m + k, k)) for m, s2 in enumerate(s2_col)]
     return [
         Case({"n": n, "k": k},
              _transform(bstar, FamilyId.DEG_STIRLING2, n) - _convolve(weights, ff, n))
@@ -242,10 +221,11 @@ def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
     bstar_at_k = _series(
         FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(k)
     )
+    s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
     return [
         Case({"n": n, "k": k},
-             triangular_numbers(FamilyId.DEG_STIRLING2, n + k, k, _HALF_L) * _TWO ** (n + k)
-             - _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * binomial(n + k, k))
+             s2_col[n] * _TWO ** (n + k)
+             - _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * math.comb(n + k, k))
         for n in range(max_n + 1)
     ]
 
@@ -266,9 +246,9 @@ def _check_thm4(max_n: int, k: int) -> list[Case]:
     # Triangle entries vanish outside 0 <= k <= n, so every sum may start at 0.
     b_k = _series(FamilyId.DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(0))
     ff = step_products(BiPoly.const(Fraction(k, 2)), _ONE, max_n)  # (k/2)_j
-    t_col = [triangular_numbers(FamilyId.DEG_CENTRAL_FACTORIAL, j, k) for j in range(max_n + 1)]
+    t_col = _column(FamilyId.DEG_CENTRAL_FACTORIAL, k, range(max_n + 1))
     inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
-    s1_col = [triangular_numbers(FamilyId.DEG_STIRLING1, m, k) for m in range(max_n + 1)]
+    s1_col = _column(FamilyId.DEG_STIRLING1, k, range(max_n + 1))
     return [
         Case({"n": n, "k": k}, _convolve(inner, ff, n) - _convolve(s1_col, b_k, n))
         for n in range(k, max_n + 1)
@@ -371,14 +351,11 @@ def _check_limits(max_n: int, order: None) -> list[Case]:
 
 def _check_stirling_inversion(max_n: int, order: None) -> list[Case]:
     # sum_l S2_l(n,l) S1_l(l,m) = delta(n,m), symbolic l
-    s1_cols = [
-        [triangular_numbers(FamilyId.DEG_STIRLING1, j, m) for j in range(max_n + 1)]
-        for m in range(max_n + 1)
-    ]
+    s1_cols = [_column(FamilyId.DEG_STIRLING1, m, range(max_n + 1)) for m in range(max_n + 1)]
     cases = []
     for n in range(max_n + 1):
         for m in range(n + 1):
-            delta = _ONE if n == m else BiPoly.zero()
+            delta = _ONE if n == m else _ZERO
             residual = _transform(s1_cols[m], FamilyId.DEG_STIRLING2, n) - delta
             cases.append(Case({"n": n, "m": m}, residual))
     return cases
@@ -397,12 +374,12 @@ def _check_compositional_inverse(max_n: int, order: None) -> list[Case]:
     back = log_series.compose(e_series - EgfSeries.one(max_n))
     cases = []
     for n in range(max_n + 1):
-        expected = _ONE if n <= 1 else BiPoly.zero()
+        expected = _ONE if n <= 1 else _ZERO
         cases.append(
             Case({"direction": "exp-after-log", "n": n}, one_plus_t.value(n) - expected)
         )
     for n in range(max_n + 1):
-        expected = _ONE if n == 1 else BiPoly.zero()
+        expected = _ONE if n == 1 else _ZERO
         cases.append(
             Case({"direction": "log-after-exp", "n": n}, back.value(n) - expected)
         )

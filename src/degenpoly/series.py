@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .bipoly import BiPoly, dot, factorial
+from .bipoly import BiPoly, dot, factorial, rational
 
 _ONE = BiPoly.const(1)
 
@@ -105,9 +105,6 @@ class EgfSeries:
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
         return EgfSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
-    def __neg__(self) -> "EgfSeries":
-        return EgfSeries([-c for c in self._coeffs])
-
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         f, g = self._coeffs, other._coeffs
         return EgfSeries([dot(f[: n + 1], g[n::-1]) for n in range(min(len(f), len(g)))])
@@ -158,7 +155,7 @@ class EgfSeries:
         The constant term f_0 must be a nonzero rational, and 1 for a
         fractional exponent, so that g_0 is rational.
         """
-        alpha = Fraction(alpha)
+        alpha = rational(alpha)
         f0 = self._coeffs[0].constant()
         if alpha.denominator != 1 and f0 != 1:
             raise BadConstantTerm(

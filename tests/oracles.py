@@ -10,7 +10,7 @@ and ``eq21_rhs_term`` compute one value or one eq. (21) weight at a time.
 from fractions import Fraction
 
 from degenpoly.bipoly import BiPoly, Term
-from degenpoly.families import Argument, FamilyId, FamilySpec, LambdaMode, build_egf
+from degenpoly.families import FamilyId, FamilySpec, Param, build_egf
 from degenpoly.identities import _eq21_weight
 from degenpoly.series import BadConstantTerm, EgfSeries, IndexBeyondTruncation
 
@@ -91,7 +91,7 @@ def series_log(f: EgfSeries) -> EgfSeries:
 
 def classical_value(family: FamilyId, n: int, order: Fraction | int = 1) -> BiPoly:
     """The classical (deformation switched off) family value at index n, symbolic x."""
-    spec = FamilySpec(family, Fraction(order), Argument(), LambdaMode.numeric(0))
+    spec = FamilySpec(family, Fraction(order), Param(), Param.numeric(0))
     return build_egf(spec, n).value(n)
 
 

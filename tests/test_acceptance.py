@@ -14,9 +14,9 @@ from degenpoly import cli
 from degenpoly.bipoly import BiPoly
 from degenpoly.families import (
     CATALOG,
-    Argument,
     FamilyId,
     FamilySpec,
+    Param,
     build_egf,
     triangular_numbers,
 )
@@ -56,7 +56,7 @@ def test_criterion_03_order_k_sum_identity_and_corollary():
             FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(k)), 10
         ).values()
         numeric = build_egf(
-            FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(k), Argument.numeric(k)),
+            FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(k), Param.numeric(k)),
             10,
         ).values()
         assert [value.subs_x(k) for value in symbolic] == numeric
@@ -129,7 +129,7 @@ def test_criterion_11_oracle_cross_checks():
 
     bern = bernoulli_numbers_by_recurrence(12)
     series = build_egf(
-        FamilySpec(FamilyId.BERNOULLI_ORDER_R, argument=Argument.numeric(0)), 12
+        FamilySpec(FamilyId.BERNOULLI_ORDER_R, argument=Param.numeric(0)), 12
     )
     assert [series.value(n).constant() for n in range(13)] == bern
 

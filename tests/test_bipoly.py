@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenpoly.bipoly import BiPoly, binomial, dot, factorial
+from degenpoly.bipoly import BiPoly, dot, factorial
 from oracles import sorted_terms
 
 L = BiPoly.lam()
@@ -251,14 +251,6 @@ def test_div_lam():
 
 
 # -- combinatorial helpers --------------------------------------------------------
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_factorial_values():

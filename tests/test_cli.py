@@ -158,7 +158,20 @@ def test_single_identity_cli_matches_the_library(capsys, identity):
     code, out, _ = run_capture(capsys, ["verify", "--identity", identity, "--max-n", "3"])
     report = verify(identity, 3)
     assert code == 0
-    assert out == cli._json_text(report.to_json_dict()) + "\n"
+    expected = {
+        "identity": report.identity.value,
+        "ranges": {"max_n": report.max_n, "max_order": report.max_order, "trunc": report.trunc},
+        "profile": report.profile,
+        "cases": [
+            {
+                "indices": dict(case.indices),
+                "status": "pass" if case.passed else "fail",
+                "residual": case.residual.to_records(),
+            }
+            for case in report.cases
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_verify_csv_format(capsys):
@@ -196,7 +209,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         max_order=None,
         trunc=16,
         profile=None,
-        cases=(Case({"n": 0}, BiPoly.lam()),),
+        cases=(Case({"n": 0}, BiPoly.x() ** 2 - BiPoly.lam()),),
         wall_time_ms=0.0,
     )
     monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
@@ -204,7 +217,24 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         capsys, ["verify", "--identity", "eq23", "--max-n", "0"]
     )
     assert code == 1
-    assert json.loads(out)["cases"][0]["status"] == "fail"
+    case = json.loads(out)["cases"][0]
+    assert case["status"] == "fail"
+    assert case["residual"] == [
+        {"dl": 1, "dx": 0, "c": "-1"},
+        {"dl": 0, "dx": 2, "c": "1"},
+    ]
+
+
+def test_report_json_shape(capsys):
+    argv = ["verify", "--identity", "eq23", "--max-n", "2"]
+    _, out, _ = run_capture(capsys, argv)
+    payload = json.loads(out)
+    assert list(payload) == ["identity", "ranges", "profile", "cases"]
+    assert payload["identity"] == "eq23"
+    assert payload["ranges"] == {"max_n": 2, "max_order": None, "trunc": 16}
+    assert all(case["status"] == "pass" and case["residual"] == [] for case in payload["cases"])
+    _, timed, _ = run_capture(capsys, argv + ["--timings"])
+    assert list(json.loads(timed)) == list(payload) + ["wall_time_ms"]
 
 
 # -- usage errors --------------------------------------------------------------------
@@ -576,6 +606,15 @@ def test_list_families_output(capsys):
     assert out == LIST_FAMILIES_TEXT
     _, second, _ = run_capture(capsys, ["list-families"])
     assert out == second
+
+
+def test_catalog_covers_every_family(capsys):
+    _, out, _ = run_capture(capsys, ["list-families"])
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(families.FamilyId)
+    names = {row.split()[0] for row in rows}
+    assert names == {fid.value for fid in families.FamilyId}
+    assert "deg-stirling2" in names and "type2-deg-bernoulli2" in names
 
 
 # -- console entry point ----------------------------------------------------------

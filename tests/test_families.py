@@ -1,6 +1,7 @@
 """Family builder tests: frozen values, independent combinatorial oracles,
 classical limits, and parameter validation."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -9,15 +10,13 @@ from functools import partial
 import pytest
 
 from degenpoly import cli
-from degenpoly.bipoly import BiPoly, binomial, factorial
+from degenpoly.bipoly import BiPoly, factorial
 from degenpoly.families import (
     CATALOG,
     E_L,
     POW1P,
-    Argument,
     FamilyId,
     FamilySpec,
-    LambdaMode,
     Param,
     TRIANGLE_FAMILIES,
     UnsupportedOrder,
@@ -27,7 +26,6 @@ from degenpoly.families import (
     central_factorial_power,
     clear_caches,
     deg_bernoulli2_alt_egf,
-    list_families,
     step_egf,
     step_products,
     triangle_row,
@@ -39,11 +37,11 @@ from oracles import classical_value, series_exp
 L = BiPoly.lam()
 X = BiPoly.x()
 ONE = BiPoly.const(1)
-SYM = Argument.symbolic()
-AT0 = Argument.numeric(0)
+SYM = Param.symbolic()
+AT0 = Param.numeric(0)
 
 
-def values(family, trunc, order=1, argument=SYM, lam=LambdaMode()):
+def values(family, trunc, order=1, argument=SYM, lam=Param()):
     return build_egf(FamilySpec(family, Fraction(order), argument, lam), trunc).values()
 
 
@@ -70,8 +68,8 @@ def bernoulli_numbers_by_recurrence(nmax):
     # sum_{k=0..n} C(n+1, k) B_k = 0 for n >= 1, with B_0 = 1.
     numbers = [Fraction(1)]
     for n in range(1, nmax + 1):
-        acc = sum(binomial(n + 1, k) * numbers[k] for k in range(n))
-        numbers.append(-acc / binomial(n + 1, n))
+        acc = sum(math.comb(n + 1, k) * numbers[k] for k in range(n))
+        numbers.append(-acc / math.comb(n + 1, n))
     return numbers
 
 
@@ -81,7 +79,7 @@ def euler_polys_by_recurrence(nmax):
     for n in range(1, nmax + 1):
         acc = X**n * 2
         for k in range(n):
-            acc = acc - polys[k] * binomial(n, k)
+            acc = acc - polys[k] * math.comb(n, k)
         polys.append(acc * Fraction(1, 2))
     return polys
 
@@ -107,8 +105,8 @@ def test_deg_exp_symbolic_values():
 
 def test_deg_exp_exponent_additivity():
     # e_l^2(t) = (e_l^1(t))^2 exactly.
-    square = build_egf(FamilySpec(FamilyId.DEG_EXP, argument=Argument.numeric(1)), 8)
-    double = build_egf(FamilySpec(FamilyId.DEG_EXP, argument=Argument.numeric(2)), 8)
+    square = build_egf(FamilySpec(FamilyId.DEG_EXP, argument=Param.numeric(1)), 8)
+    double = build_egf(FamilySpec(FamilyId.DEG_EXP, argument=Param.numeric(2)), 8)
     assert square * square == double
 
 
@@ -307,7 +305,7 @@ TRIANGLE_KERNELS = {
 @pytest.mark.parametrize("family", list(TRIANGLE_KERNELS), ids=lambda f: f.value)
 @pytest.mark.parametrize(
     "mode",
-    [LambdaMode.symbolic(), LambdaMode.numeric(Fraction(-37, 42)), LambdaMode.scaled(Fraction(3, 2))],
+    [Param.symbolic(), Param.numeric(Fraction(-37, 42)), Param.scaled(Fraction(3, 2))],
     ids=lambda mode: mode.kind,
 )
 def test_triangle_tables_match_egf_powers(family, mode):
@@ -330,7 +328,7 @@ def test_triangle_column_edge_cases():
     for n, k in ((3, 5), (3, -1), (-1, 0)):
         assert triangular_numbers(FamilyId.DEG_STIRLING2, n, k) == BiPoly.zero(), (n, k)
     # A numeric-l column holds the substituted symbolic entries, zero above the diagonal.
-    third = LambdaMode.numeric(Fraction(1, 3))
+    third = Param.numeric(Fraction(1, 3))
     for family in (FamilyId.DEG_STIRLING1, FamilyId.DEG_CENTRAL_FACTORIAL):
         for n in range(13):
             expected = triangular_numbers(family, n, 3).subs_lam(third.value)
@@ -365,7 +363,7 @@ def test_deep_row_recursion_stays_shallow():
 def test_triangle_table_cache_is_bounded():
     clear_caches()
     for j in range(1, 1401):
-        triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, LambdaMode.numeric(Fraction(j, 1401)))
+        triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, Param.numeric(Fraction(j, 1401)))
     info = _triangle_row.cache_info()
     assert info.misses == 4200  # rows 0, 1 and 2 for each l
     assert info.currsize == info.maxsize == 4096
@@ -375,7 +373,7 @@ def test_classical_modes_share_one_table():
     clear_caches()
     symbolic = triangular_numbers(FamilyId.STIRLING2, 10, 2)
     assert _triangle_row.cache_info().currsize == 11
-    assert triangular_numbers(FamilyId.STIRLING2, 10, 2, LambdaMode.numeric(0)) == symbolic
+    assert triangular_numbers(FamilyId.STIRLING2, 10, 2, Param.numeric(0)) == symbolic
     assert _triangle_row.cache_info().currsize == 11
 
 
@@ -432,7 +430,7 @@ def test_kernel_is_built_once_per_order_and_l():
     # deg-bernoulli2 at three x-arguments shares one kernel, and the kernel
     # of type2-deg-bernoulli2 at the same order reads it.
     clear_caches()
-    for argument in (SYM, Argument.shifted(-1), Argument.numeric(0)):
+    for argument in (SYM, Param.shifted(-1), Param.numeric(0)):
         build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2), argument), 6)
     assert _kernel.cache_info()[:2] == (2, 1)  # (hits, misses)
     build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2)), 6)
@@ -447,9 +445,9 @@ def test_step_product_length_must_be_nonnegative():
 
 
 TRIANGLE_ROW_MODES = {
-    True: [LambdaMode.symbolic(), LambdaMode.numeric(Fraction(-37, 42)),
-           LambdaMode.scaled(Fraction(1, 2))],
-    False: [LambdaMode.symbolic(), LambdaMode.numeric(0)],
+    True: [Param.symbolic(), Param.numeric(Fraction(-37, 42)),
+           Param.scaled(Fraction(1, 2))],
+    False: [Param.symbolic(), Param.numeric(0)],
 }
 
 
@@ -466,7 +464,7 @@ def test_triangle_row_holds_the_entries(family):
     "family,n,mode,match",
     [
         (FamilyId.EULER, 2, SYM, "not a triangle family"),
-        (FamilyId.STIRLING2, 4, LambdaMode.numeric(3), "is classical"),
+        (FamilyId.STIRLING2, 4, Param.numeric(3), "is classical"),
         (FamilyId.DEG_STIRLING2, -1, SYM, "nonnegative"),
     ],
     ids=["non-triangle", "classical-l3", "negative-n"],
@@ -563,7 +561,7 @@ def test_type2_base_values():
 def test_classical_value_equals_lambda_zero_build():
     for family in (FamilyId.DEG_DAEHEE, FamilyId.DEG_BERNOULLI):
         direct = classical_value(family, 4)
-        via_zero = values(family, 4, lam=LambdaMode.numeric(0))[4]
+        via_zero = values(family, 4, lam=Param.numeric(0))[4]
         assert direct == via_zero
 
 
@@ -582,7 +580,7 @@ def test_binomial_power_equals_exp_log_route():
 def test_numeric_lambda_matches_substituted_symbolic():
     third = Fraction(1, 3)
     symbolic = values(FamilyId.TYPE2_DEG_BERNOULLI2, 6)
-    numeric = values(FamilyId.TYPE2_DEG_BERNOULLI2, 6, lam=LambdaMode.numeric(third))
+    numeric = values(FamilyId.TYPE2_DEG_BERNOULLI2, 6, lam=Param.numeric(third))
     assert [v.subs_lam(third) for v in symbolic] == numeric
 
 
@@ -590,7 +588,7 @@ def test_scaled_lambda_matches_substituted_symbolic():
     s = Fraction(1, 2)
     for n in range(7):
         for k in range(n + 1):
-            scaled = triangular_numbers(FamilyId.DEG_STIRLING2, n, k, LambdaMode.scaled(s))
+            scaled = triangular_numbers(FamilyId.DEG_STIRLING2, n, k, Param.scaled(s))
             symbolic = triangular_numbers(FamilyId.DEG_STIRLING2, n, k)
             # l -> s*l multiplies the coefficient of l^dl by s^dl.
             expected = BiPoly({(dl, dx): c * s**dl for (dl, dx), c in symbolic.terms().items()})
@@ -622,11 +620,11 @@ def test_build_egf_prefix_law(family):
     # cases read; that is sound because coefficient n never depends on the
     # truncation order, for any x, l or order the family takes.
     info = CATALOG[family]
-    arguments = [SYM, Argument.numeric(Fraction(2, 3)), Argument.shifted(-1)]
-    lambdas = [LambdaMode(), LambdaMode.numeric(Fraction(-1, 3))]
+    arguments = [SYM, Param.numeric(Fraction(2, 3)), Param.shifted(-1)]
+    lambdas = [Param(), Param.numeric(Fraction(-1, 3))]
     for order in LEGAL_ORDERS[info.order_domain]:
         for argument in arguments if info.takes_argument else [SYM]:
-            for lam in lambdas if info.degenerate else [LambdaMode()]:
+            for lam in lambdas if info.degenerate else [Param()]:
                 spec = FamilySpec(family, order, argument, lam)
                 for t in PREFIX_TRUNCS:
                     longer = build_egf(spec, t + 4).coefficients
@@ -656,12 +654,12 @@ def test_shift_law(family):
     size = 10
     at_x = values(family, size, order)
     for c in (Fraction(1, 3), Fraction(-2)):
-        at_shifted_x = values(family, size, order, Argument.shifted(c))
+        at_shifted_x = values(family, size, order, Param.shifted(c))
         steps = step_products(BiPoly.const(c), step, size)
         for n in range(size + 1):
             expected = BiPoly.zero()
             for j in range(n + 1):
-                expected = expected + at_x[j] * steps[n - j] * binomial(n, j)
+                expected = expected + at_x[j] * steps[n - j] * math.comb(n, j)
             assert at_shifted_x[n] == expected, (c, n)
 
 
@@ -713,14 +711,14 @@ def test_unsupported_orders():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: build_egf(FamilySpec(FamilyId.EULER, lambda_mode=LambdaMode.numeric(5)), 3),
+        lambda: build_egf(FamilySpec(FamilyId.EULER, lambda_mode=Param.numeric(5)), 3),
         lambda: build_egf(
-            FamilySpec(FamilyId.BERNOULLI_ORDER_R, lambda_mode=LambdaMode.scaled(2)), 3
+            FamilySpec(FamilyId.BERNOULLI_ORDER_R, lambda_mode=Param.scaled(2)), 3
         ),
-        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Argument.numeric(7)), 3),
-        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Argument.shifted(-1)), 3),
-        lambda: triangular_numbers(FamilyId.STIRLING2, 4, 2, LambdaMode.numeric(3)),
-        lambda: triangular_numbers(FamilyId.CENTRAL_FACTORIAL, 0, 0, LambdaMode.shifted(1)),
+        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Param.numeric(7)), 3),
+        lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Param.shifted(-1)), 3),
+        lambda: triangular_numbers(FamilyId.STIRLING2, 4, 2, Param.numeric(3)),
+        lambda: triangular_numbers(FamilyId.CENTRAL_FACTORIAL, 0, 0, Param.shifted(1)),
     ],
     ids=["euler-l5", "bernoulli-scaled-l", "deg-log-x7", "deg-log-shifted-x",
          "stirling2-l3", "central-factorial-shifted-l"],
@@ -733,7 +731,7 @@ def test_unused_parameter_is_refused(build):
 
 
 def test_classical_family_accepts_lambda_zero():
-    for mode in (LambdaMode.symbolic(), LambdaMode.numeric(0)):
+    for mode in (Param.symbolic(), Param.numeric(0)):
         assert values(FamilyId.EULER, 3, argument=AT0, lam=mode)[1] == BiPoly.const(Fraction(-1, 2))
         assert triangular_numbers(FamilyId.STIRLING2, 4, 2, mode) == BiPoly.const(7)
 
@@ -750,12 +748,16 @@ def test_rational_order_allowed_for_second_kind():
 
 
 def test_param_kinds():
-    assert Argument is LambdaMode is Param
     assert Param.symbolic().to_poly(X) == X
     assert Param.numeric(Fraction(-37, 42)).to_poly(L) == BiPoly.const(Fraction(-37, 42))
     assert Param.shifted(-1).to_poly(X) == X - 1
     assert Param.scaled(Fraction(1, 2)).to_poly(L) == L * Fraction(1, 2)
     assert type(Param("numeric", 3).value) is Fraction
+    # Exact rationals come as ints, Fractions or strings; a float is refused below.
+    assert Param.numeric("1/10").value == Fraction(1, 10)
+    assert FamilySpec(FamilyId.DEG_BERNOULLI2, "1/2").order == Fraction(1, 2)
+    assert BiPoly.const("-3/4") == BiPoly.const(Fraction(-3, 4))
+    assert BiPoly({(0, 1): 2, (1, 0): "1/3"}) == X * 2 + L * Fraction(1, 3)
     with pytest.raises(ValueError, match="unknown parameter kind"):
         Param("affine", 1)
     assert Param("symbolic", 0) == Param.symbolic()
@@ -769,6 +771,35 @@ def test_symbolic_param_takes_no_value():
             Param("symbolic", value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Param.numeric(0.1),
+        lambda: Param.scaled(0.5),
+        lambda: FamilySpec(FamilyId.DEG_BERNOULLI2, 0.1),
+        lambda: BiPoly.const(0.5),
+        lambda: BiPoly({(0, 1): 0.25}),
+        lambda: X.subs_x(0.5),
+        lambda: EgfSeries.one(3).pow(0.5),
+        lambda: deg_bernoulli2_alt_egf(0.5, 3),
+    ],
+    ids=["param-numeric", "param-scaled", "spec-order", "const", "terms", "subs", "pow",
+         "alt-order"],
+)
+def test_float_is_refused(build):
+    # Fraction(0.1) is 3602879701896397/36028797018963968: a float is never taken as exact.
+    with pytest.raises(ValueError, match="float"):
+        build()
+
+
+def test_each_public_object_has_one_name():
+    import degenpoly
+
+    names = [name for name in degenpoly.__all__ if name != "__version__"]
+    assert len({id(getattr(degenpoly, name)) for name in names}) == len(names)
+    assert degenpoly.Param is Param
+
+
 def test_polynomial_family_has_no_egf():
     with pytest.raises(ValueError):
         build_egf(FamilySpec(FamilyId.CENTRAL_FACTORIAL_POWER), 4)
@@ -780,10 +811,3 @@ def test_triangle_families_have_no_egf():
         for order in (1, 3, -1):
             with pytest.raises(ValueError, match="triangle family"):
                 build_egf(FamilySpec(family, Fraction(order)), 4)
-
-
-def test_catalog_covers_every_family():
-    rows = list_families()
-    assert len(rows) == len(FamilyId)
-    names = {row["name"] for row in rows}
-    assert "deg-stirling2" in names and "type2-deg-bernoulli2" in names

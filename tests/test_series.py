@@ -1,6 +1,7 @@
 """Tests for truncated EGF arithmetic, with independent oracles for the
 derived expansions (long division, recurrences)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -317,13 +318,11 @@ def test_value_extraction():
 
 def test_bernoulli_value_via_recurrence_oracle():
     # Oracle: sum_{k=0..n} C(n+1, k) B_k = 0 with B_0 = 1.
-    from degenpoly.bipoly import binomial
-
     order = 8
     bern = [Fraction(1)]
     for n in range(1, order + 1):
-        acc = sum(binomial(n + 1, k) * bern[k] for k in range(n))
-        bern.append(-acc / binomial(n + 1, n))
+        acc = sum(math.comb(n + 1, k) * bern[k] for k in range(n))
+        bern.append(-acc / math.comb(n + 1, n))
     kernel = (exp_t(order + 1) - EgfSeries.one(order + 1)).shift_div_t().pow(-1)
     assert [kernel.value(n).constant() for n in range(order + 1)] == bern
     assert kernel.value(2).constant() == Fraction(1, 6)
