@@ -145,6 +145,9 @@ class BiPoly:
             return self._den == other._den and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == BiPoly.const(other)
+        if isinstance(other, float):
+            # As +, - and * do; ``float == BiPoly`` lands here by reflection.
+            raise TypeError(f"cannot compare a polynomial with a float: {other!r}")
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -6,12 +6,14 @@ Output is deterministic byte-for-byte across runs: fixed JSON field order,
 graded-lex polynomial term order, CSV with a header row.  Wall-clock
 timings are therefore omitted unless ``--timings`` is given.
 
-JSON is written by ``_json_text``, byte-identical to
-``json.dumps(payload, indent=2)`` with each ``BiPoly`` value replaced by its
-``to_records()``.  Compute values and verification residuals both reach it
-as polynomials, whose records it writes straight from the integer terms,
-building no per-term dict.  The parser is built once per process, on the
-first ``run``, and reused by every later request.
+JSON is byte-identical to ``json.dumps(payload, indent=2)`` with each
+``BiPoly`` value replaced by its ``to_records()``.  A polynomial's records
+are written by ``_poly_text`` straight from its integer terms, building no
+per-term dict.  A verification report goes through the generic writer
+``_json_text``; a compute table writes its header through ``_json_text``
+and each row with one f-string, and each text is joined once.  The parser
+is built once per process, on the first ``run``, and reused by every later
+request.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
 2 usage error.  An unknown argument, a flag outside its type or size bound,
@@ -155,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 # -- compute -----------------------------------------------------------------
 
 
-def _compute_rows(args: argparse.Namespace) -> tuple[str, list[dict[str, object]]]:
+def _compute_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
+    """The table's kind and its rows: ``(n, value)``, or ``(n, k, value)`` in a triangle."""
     family = FamilyId(args.family)
     info = CATALOG[family]
     max_n = args.max_n
@@ -163,34 +166,48 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[dict[str, object]
     lam_mode = Param.symbolic() if args.lam == "symbolic" else Param.numeric(args.lam)
 
     if info.kind == "polynomial":
-        rows = [{"n": n, "value": central_factorial_power(n)} for n in range(max_n + 1)]
-        return "polynomial", rows
+        return "polynomial", [(n, central_factorial_power(n)) for n in range(max_n + 1)]
 
     if info.kind == "triangle":
         rows = [
-            {"n": n, "k": k, "value": value}
+            (n, k, value)
             for n in range(max_n + 1)
             for k, value in enumerate(triangle_row(family, n, lam_mode))
         ]
         return "triangle", rows
 
     series = build_egf(FamilySpec(family, args.order, argument, lam_mode), max_n)
-    rows = [{"n": n, "value": series.value(n)} for n in range(max_n + 1)]
-    return "sequence", rows
+    return "sequence", [(n, series.value(n)) for n in range(max_n + 1)]
 
 
-def _render_compute(args: argparse.Namespace, kind: str, rows: list[dict[str, object]]) -> str:
+def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> str:
     if args.format == "json":
-        payload = {
+        header = {
             "family": args.family,
             "kind": kind,
             "order": str(args.order),
             "lambda": "symbolic" if args.lam == "symbolic" else str(args.lam),
             "x": "symbolic" if args.x_arg == "symbolic" else str(args.x_arg),
             "max_n": args.max_n,
-            "values": rows,
         }
-        return _json_text(payload) + "\n"
+        # The header without its closing "\n}", then the "values" list, one
+        # f-string per row dict; a table has at least row 0.
+        item, field = "\n    ", "\n      "
+        pieces = [_json_text(header)[:-2], ',\n  "values": [']
+        if kind == "triangle":
+            pieces += [
+                f'{"," if i else ""}{item}{{{field}"n": {n},{field}"k": {k},'
+                f'{field}"value": {_poly_text(value, field)}{item}}}'
+                for i, (n, k, value) in enumerate(rows)
+            ]
+        else:
+            pieces += [
+                f'{"," if i else ""}{item}{{{field}"n": {n},'
+                f'{field}"value": {_poly_text(value, field)}{item}}}'
+                for i, (n, value) in enumerate(rows)
+            ]
+        pieces.append("\n  ]\n}\n")
+        return "".join(pieces)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -199,12 +216,12 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[dict[str, ob
         writer.writerow(["n"] + [f"k={k}" for k in range(max_n + 1)])
         for n in range(max_n + 1):
             start = n * (n + 1) // 2  # rows are n-major, n + 1 entries in row n
-            cells = [row["value"].render() for row in rows[start : start + n + 1]]
+            cells = [value.render() for _, _, value in rows[start : start + n + 1]]
             writer.writerow([str(n)] + cells + [""] * (max_n - n))
     else:
         writer.writerow(["n", "value"])
-        for row in rows:
-            writer.writerow([row["n"], row["value"].render()])
+        for n, value in rows:
+            writer.writerow([n, value.render()])
     return buffer.getvalue()
 
 
@@ -215,13 +232,14 @@ def _json_text(obj: object) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for the values the CLI emits.
 
     Those are dicts with str keys, lists, str, int, bool, None, finite
-    floats and ``BiPoly``; a polynomial, a compute value or a verification
-    residual, is written as its ``to_records()`` would be, one string per
-    term from its reduced integer terms.  A non-finite float raises
-    ``ValueError`` and any other type ``TypeError``.
+    floats and ``BiPoly``; a polynomial (a verification residual) is written
+    by ``_poly_text``, as its ``to_records()`` would be.  A non-finite float
+    raises ``ValueError`` and any other type ``TypeError``.  It writes
+    verification reports and the compute header; compute rows skip its
+    per-value recursion (``_render_compute``).
     On a 25-row order-3 ``deg-bernoulli2`` table (2838 terms, Python 3.11)
-    this takes 4 ms, and ``to_records()`` plus the stdlib encoder, pure
-    Python given an indent through 3.12, takes 25 ms.  From Python 3.13 the
+    this took 4 ms, and ``to_records()`` plus the stdlib encoder, pure
+    Python given an indent through 3.12, took 25 ms.  From Python 3.13 the
     stdlib's C encoder takes the indent, but it still needs the per-term
     dicts.
     """
@@ -269,33 +287,27 @@ def _write_json(o: object, newline: str, append: Callable[[str], None]) -> None:
             raise ValueError(f"out of range float value: {o!r}")
         append(float.__repr__(o))
     elif isinstance(o, BiPoly):
-        _write_poly(o, newline, append)
+        append(_poly_text(o, newline))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_poly(poly: BiPoly, newline: str, append: Callable[[str], None]) -> None:
-    # What ``_write_json`` writes for ``poly.to_records()``, one string per term.
+def _poly_text(poly: BiPoly, newline: str) -> str:
+    """What ``_write_json`` writes for ``poly.to_records()`` at indent ``newline``."""
     terms = poly._reduced_terms()
     if not terms:
-        append("[]")
-        return
+        return "[]"
     item = newline + "  "
     field = item + "  "
-    append(
-        "["
-        + item
-        + ("," + item).join(
-            [
-                f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}/{q}"{item}}}'
-                if q != 1
-                else f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}"{item}}}'
-                for dl, dx, p, q in terms
-            ]
-        )
-        + newline
-        + "]"
+    body = ("," + item).join(
+        [
+            f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}/{q}"{item}}}'
+            if q != 1
+            else f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}"{item}}}'
+            for dl, dx, p, q in terms
+        ]
     )
+    return f"[{item}{body}{newline}]"
 
 
 # -- verify -------------------------------------------------------------------

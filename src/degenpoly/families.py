@@ -20,6 +20,10 @@ the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
   so it is never built by dividing a series by l, and no negative power
   of ``l`` enters the ring.
 
+Each ``(a, s, lag)`` has one step table, the longest such series built so
+far: a longer truncation continues it from its last coefficient, and a
+shorter one reads a prefix.
+
 A triangle's column k has the EGF g(t)^k / k! for its kernel g (the catalog
 recipe), but its entries are built row by row: each triangle pair has one
 step rule that gives row n+1 from rows n-1 and n, a recurrence that follows
@@ -28,13 +32,14 @@ from the kernel, so no series is multiplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
 
-from .bipoly import BiPoly, factorial, rational
+from .bipoly import BiPoly, rational
 from .series import EgfSeries
 
 _L = BiPoly.lam()
@@ -148,18 +153,49 @@ def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
     return prods
 
 
-@lru_cache(maxsize=64)
 def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag.
 
-    Memoized: the recipes rebuild e_l(t), log_l(1+t) and (1+t)^x for every
-    order and x-argument they are asked for, and keys and results are
-    immutable.  A verification pass repeats most of its step products within
-    a few dozen calls, so 64 entries keep nearly all of its hits.
+    Read from the step table of ``(arg, step, lag)``: a shorter truncation
+    than the table's is a prefix of it, and a longer one extends the table
+    from its last coefficient by c_n = c_{n-1}*(arg - (n-1-lag)*step)/n.
+    The recipes ask for e_l(t), log_l(1+t) and (1+t)^x at every order,
+    x-argument and truncation, so each is built once, as far as the
+    longest request.
     """
-    prods = step_products(arg, step, max(trunc - lag, 0))
-    coeffs = [_ZERO] * lag + [p * (1 / factorial(n + lag)) for n, p in enumerate(prods)]
-    return EgfSeries(coeffs[: trunc + 1])
+    if trunc < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {trunc}")
+    table = _step_table(arg, step, lag)
+    series = table[0]
+    if series.order > trunc:
+        return EgfSeries(series.coefficients[: trunc + 1])
+    if series.order < trunc:
+        coeffs = list(series.coefficients)
+        c = coeffs[-1]
+        for n in range(len(coeffs), trunc + 1):
+            # Once a factor vanishes (integer arg, step 1), every later coefficient is 0.
+            if c:
+                c = c * ((arg - step * (n - 1 - lag)) * Fraction(1, n))
+            coeffs.append(c)
+        series = EgfSeries(coeffs)
+        # Replaced whole, never mutated: a concurrent caller keeps the series
+        # it read, and all callers get equal values.
+        if series.order > table[0].order:
+            table[0] = series
+    return series
+
+
+@lru_cache(maxsize=64)
+def _step_table(arg: BiPoly, step: BiPoly, lag: int) -> list[EgfSeries]:
+    """The step table of one ``(arg, step, lag)``: a one-slot list holding the
+    longest series ``step_egf`` has built for it, first to order ``lag``,
+    where the only nonzero coefficient is 1/lag!.
+
+    A verification pass repeats most of its step products within a few dozen
+    calls, and a numeric sweep reads 55 distinct keys, so 64 entries keep
+    nearly all of their hits.
+    """
+    return [EgfSeries([_ZERO] * lag + [BiPoly.const(Fraction(1, math.factorial(lag)))])]
 
 
 def central_factorial_power(n: int) -> BiPoly:
@@ -495,7 +531,7 @@ def clear_caches() -> None:
     which time a pass from cold caches)."""
     _build_egf_cached.cache_clear()
     _kernel.cache_clear()
-    step_egf.cache_clear()
+    _step_table.cache_clear()
     _triangle_row.cache_clear()
 
 

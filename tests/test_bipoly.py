@@ -215,6 +215,26 @@ def test_equal_polynomials_hash_equally(p, q, c):
     assert {c: "c"}[BiPoly.const(c)] == "c"
 
 
+@pytest.mark.parametrize(
+    "compare",
+    [
+        lambda p: p == 1.0,
+        lambda p: p != 1.0,
+        lambda p: 1.0 == p,
+        lambda p: 1.0 != p,
+        lambda p: p + 1.0,
+        lambda p: 1.0 - p,
+        lambda p: p * 1.0,
+    ],
+    ids=["eq", "ne", "req", "rne", "add", "rsub", "mul"],
+)
+def test_float_operand_raises(compare):
+    # A float is never taken as exact, so a comparison with one is refused
+    # like arithmetic with one, not answered False.
+    with pytest.raises(TypeError, match="float"):
+        compare(BiPoly.const(1))
+
+
 def test_hash_of_zero_and_integer_constants():
     assert hash(BiPoly.zero()) == 0
     assert hash(BiPoly.const(3)) == hash(3)

@@ -21,6 +21,7 @@ from degenpoly.families import (
     TRIANGLE_FAMILIES,
     UnsupportedOrder,
     _kernel,
+    _step_table,
     _triangle_row,
     build_egf,
     central_factorial_power,
@@ -381,7 +382,7 @@ def test_every_family_cache_is_bounded_and_cleared():
     import degenpoly.families as families
 
     caches = {name: obj for name, obj in vars(families).items() if hasattr(obj, "cache_info")}
-    assert {"step_egf", "_build_egf_cached", "_kernel", "_triangle_row"} <= set(caches)
+    assert {"_step_table", "_build_egf_cached", "_kernel", "_triangle_row"} <= set(caches)
     build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2)), 4)
     triangular_numbers(FamilyId.DEG_STIRLING2, 4, 2)
     for name, cache in caches.items():
@@ -392,18 +393,80 @@ def test_every_family_cache_is_bounded_and_cleared():
         assert cache.cache_info().currsize == 0, name
 
 
+def _step_oracle(arg, step, trunc, lag):
+    """Coefficient n is (arg)_{n-lag,step}/n!, from a fresh step product; 0 below lag."""
+    return EgfSeries(
+        [
+            step_products(arg, step, n - lag)[-1] * (1 / factorial(n)) if n >= lag else 0
+            for n in range(trunc + 1)
+        ]
+    )
+
+
+_STEP_ARGS = [X, BiPoly.const(Fraction(-3, 2)), X + Fraction(5, 3), BiPoly.const(3)]
+_STEP_ARG_IDS = ["symbolic", "numeric", "shifted", "integer"]
+
+
 @pytest.mark.parametrize("lag", [0, 1])
-@pytest.mark.parametrize(
-    "arg", [X, BiPoly.const(Fraction(-3, 2)), X + Fraction(5, 3)],
-    ids=["symbolic", "numeric", "shifted"],
-)
+@pytest.mark.parametrize("arg", _STEP_ARGS[:3], ids=_STEP_ARG_IDS[:3])
 def test_memoized_step_egf_matches_unmemoized(arg, lag):
     clear_caches()
     for step in (ONE, L):
-        expected = step_egf.__wrapped__(arg, step, 7, lag)
+        expected = _step_oracle(arg, step, 7, lag)
         assert step_egf(arg, step, 7, lag) == expected
         assert step_egf(arg, step, 7, lag) == expected  # a cache hit
-    assert step_egf.cache_info().hits == 2
+    assert _step_table.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("lag", [0, 1, 2])
+@pytest.mark.parametrize("step", [ONE, L], ids=["1", "l"])
+@pytest.mark.parametrize("arg", _STEP_ARGS, ids=_STEP_ARG_IDS)
+def test_step_table_extends_and_serves_prefixes(arg, step, lag):
+    # Longer requests extend the table, shorter ones read a prefix, and
+    # trunc 0 lies below lag 1 and 2.  The integer arg 3 at step 1 gives
+    # values 0 from n = lag + 4 on.
+    clear_caches()
+    for trunc in (3, 9, 5, 0, 12):
+        got = step_egf(arg, step, trunc, lag)
+        assert got.order == trunc
+        assert got == _step_oracle(arg, step, trunc, lag), trunc
+    assert _step_table.cache_info()[:3] == (4, 1, 64)  # (hits, misses, maxsize)
+    if arg == 3 and step == ONE:
+        assert not any(step_egf(arg, step, 12, lag).coefficients[lag + 4 :])
+
+
+def test_step_table_is_one_entry_per_key():
+    clear_caches()
+    for trunc in (12, 5, 12):
+        step_egf(X, L, trunc)
+    assert _step_table.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+
+def test_step_table_is_shared_across_threads():
+    # Concurrent callers may each extend the table; every one gets the
+    # oracle's values for its own truncation.
+    clear_caches()
+    truncs = (4, 11, 7, 16)
+    results = {}
+
+    def read(trunc):
+        results[trunc] = step_egf(X - 1, L, trunc, 1)
+
+    threads = [threading.Thread(target=read, args=(trunc,)) for trunc in truncs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for trunc in truncs:
+        assert results[trunc] == _step_oracle(X - 1, L, trunc, 1), trunc
+    assert step_egf(X - 1, L, 16, 1) == results[16]
+    assert _step_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
