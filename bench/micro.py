@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -63,7 +64,6 @@ def _cases():
     from fractions import Fraction
 
     from degenpoly import cli, families
-    from degenpoly.bipoly import factorial
     from degenpoly.families import FamilyId, FamilySpec, build_egf, triangular_numbers
 
     def compute_json(n):
@@ -81,7 +81,7 @@ def _cases():
         log_l = build_egf(FamilySpec(FamilyId.DEG_LOG), n + 1)
         kernel = log_l.shift_div_t()  # log_l(1+t)/t, constant term 1
         a, b = bern.coefficient(n), exp_x.coefficient(n)
-        fact = factorial(n)
+        fact = Fraction(math.factorial(n))
         cases += [
             (f"bipoly.mul.N{n}", lambda a=a, b=b: a * b),
             (f"bipoly.scale.N{n}", lambda a=a, c=fact, r=1 / fact: (a * c, a * r)),

@@ -6,7 +6,7 @@ generating functions with exact rational arithmetic.  See ``families``
 for the catalog of builders and ``identities`` for the verification suite.
 """
 
-from .bipoly import BiPoly, factorial
+from .bipoly import BiPoly
 from .series import (
     BadConstantTerm,
     DivisionByNonUnit,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "factorial",
     "EgfSeries",
     "SeriesError",
     "DivisionByNonUnit",

@@ -36,13 +36,6 @@ Term = tuple[int, int]  # (degree in l, degree in x)
 _gcd = math.gcd
 
 
-def factorial(n: int) -> Fraction:
-    """n! as an exact rational; n must be a nonnegative integer."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument: {n}")
-    return Fraction(math.factorial(n))
-
-
 def rational(value: Scalar | str) -> Fraction:
     """``value`` as an exact ``Fraction``: an int, a Fraction or a rational string.
 
@@ -124,9 +117,6 @@ class BiPoly:
         """The canonical term map, with ``Fraction`` coefficients."""
         den = self._den
         return {key: Fraction(v, den) for key, v in self._terms.items()}
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

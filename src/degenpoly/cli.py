@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _compute_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
-    """The table's kind and its rows: ``(n, value)``, or ``(n, k, value)`` in a triangle."""
+    """The table's kind and its rows ``(n, value)``, or ``(n, row)`` in a triangle."""
     family = FamilyId(args.family)
     info = CATALOG[family]
     max_n = args.max_n
@@ -169,12 +169,7 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
         return "polynomial", [(n, central_factorial_power(n)) for n in range(max_n + 1)]
 
     if info.kind == "triangle":
-        rows = [
-            (n, k, value)
-            for n in range(max_n + 1)
-            for k, value in enumerate(triangle_row(family, n, lam_mode))
-        ]
-        return "triangle", rows
+        return "triangle", [(n, triangle_row(family, n, lam_mode)) for n in range(max_n + 1)]
 
     series = build_egf(FamilySpec(family, args.order, argument, lam_mode), max_n)
     return "sequence", [(n, series.value(n)) for n in range(max_n + 1)]
@@ -191,20 +186,21 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
             "max_n": args.max_n,
         }
         # The header without its closing "\n}", then the "values" list, one
-        # f-string per row dict; a table has at least row 0.
+        # f-string per entry dict; rows start at n = 0, which has entry 0.
         item, field = "\n    ", "\n      "
         pieces = [_json_text(header)[:-2], ',\n  "values": [']
         if kind == "triangle":
             pieces += [
-                f'{"," if i else ""}{item}{{{field}"n": {n},{field}"k": {k},'
+                f'{"," if n or k else ""}{item}{{{field}"n": {n},{field}"k": {k},'
                 f'{field}"value": {_poly_text(value, field)}{item}}}'
-                for i, (n, k, value) in enumerate(rows)
+                for n, row in rows
+                for k, value in enumerate(row)
             ]
         else:
             pieces += [
-                f'{"," if i else ""}{item}{{{field}"n": {n},'
+                f'{"," if n else ""}{item}{{{field}"n": {n},'
                 f'{field}"value": {_poly_text(value, field)}{item}}}'
-                for i, (n, value) in enumerate(rows)
+                for n, value in rows
             ]
         pieces.append("\n  ]\n}\n")
         return "".join(pieces)
@@ -214,10 +210,8 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
     if kind == "triangle":
         max_n = args.max_n
         writer.writerow(["n"] + [f"k={k}" for k in range(max_n + 1)])
-        for n in range(max_n + 1):
-            start = n * (n + 1) // 2  # rows are n-major, n + 1 entries in row n
-            cells = [value.render() for _, _, value in rows[start : start + n + 1]]
-            writer.writerow([str(n)] + cells + [""] * (max_n - n))
+        for n, row in rows:
+            writer.writerow([n] + [value.render() for value in row] + [""] * (max_n - n))
     else:
         writer.writerow(["n", "value"])
         for n, value in rows:

@@ -20,14 +20,16 @@ the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
   so it is never built by dividing a series by l, and no negative power
   of ``l`` enters the ring.
 
-Each ``(a, s, lag)`` has one step table, the longest such series built so
-far: a longer truncation continues it from its last coefficient, and a
-shorter one reads a prefix.
-
 A triangle's column k has the EGF g(t)^k / k! for its kernel g (the catalog
 recipe), but its entries are built row by row: each triangle pair has one
 step rule that gives row n+1 from rows n-1 and n, a recurrence that follows
 from the kernel, so no series is multiplied.
+
+Both recurrences are memoized the same way.  Each ``(a, s, lag)`` has one
+step table, its coefficients, and each triangle family and l one triangle
+table, its rows; each table holds the longest run built so far.  A longer
+request continues it from its last items, in a loop, and a shorter one
+reads a prefix.
 """
 
 from __future__ import annotations
@@ -156,46 +158,52 @@ def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
 def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     """The EGF whose value at n is (arg)_{n-lag,step}, and 0 for n < lag.
 
-    Read from the step table of ``(arg, step, lag)``: a shorter truncation
-    than the table's is a prefix of it, and a longer one extends the table
-    from its last coefficient by c_n = c_{n-1}*(arg - (n-1-lag)*step)/n.
-    The recipes ask for e_l(t), log_l(1+t) and (1+t)^x at every order,
-    x-argument and truncation, so each is built once, as far as the
-    longest request.
+    Read from the step table of ``(arg, step, lag)``, which grows by
+    c_n = c_{n-1}*(arg - (n-1-lag)*step)/n.  The recipes ask for e_l(t),
+    log_l(1+t) and (1+t)^x at every order, x-argument and truncation, so
+    each is built once, as far as the longest request.
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
-    table = _step_table(arg, step, lag)
-    series = table[0]
-    if series.order > trunc:
-        return EgfSeries(series.coefficients[: trunc + 1])
-    if series.order < trunc:
-        coeffs = list(series.coefficients)
+
+    def coefficient(coeffs: list[BiPoly], n: int) -> BiPoly:
         c = coeffs[-1]
-        for n in range(len(coeffs), trunc + 1):
-            # Once a factor vanishes (integer arg, step 1), every later coefficient is 0.
-            if c:
-                c = c * ((arg - step * (n - 1 - lag)) * Fraction(1, n))
-            coeffs.append(c)
-        series = EgfSeries(coeffs)
-        # Replaced whole, never mutated: a concurrent caller keeps the series
-        # it read, and all callers get equal values.
-        if series.order > table[0].order:
-            table[0] = series
-    return series
+        # Once a factor vanishes (integer arg, step 1), every later coefficient is 0.
+        return c * ((arg - step * (n - 1 - lag)) * Fraction(1, n)) if c else c
+
+    return EgfSeries(_grown(_step_table(arg, step, lag), trunc + 1, coefficient)[: trunc + 1])
 
 
 @lru_cache(maxsize=64)
-def _step_table(arg: BiPoly, step: BiPoly, lag: int) -> list[EgfSeries]:
-    """The step table of one ``(arg, step, lag)``: a one-slot list holding the
-    longest series ``step_egf`` has built for it, first to order ``lag``,
-    where the only nonzero coefficient is 1/lag!.
+def _step_table(arg: BiPoly, step: BiPoly, lag: int) -> list[tuple[BiPoly, ...]]:
+    """The step table of one ``(arg, step, lag)``, a one-slot list for
+    ``_grown``, seeded with coefficients 0..lag, of which only 1/lag! is nonzero.
 
     A verification pass repeats most of its step products within a few dozen
     calls, and a numeric sweep reads 55 distinct keys, so 64 entries keep
     nearly all of their hits.
     """
-    return [EgfSeries([_ZERO] * lag + [BiPoly.const(Fraction(1, math.factorial(lag)))])]
+    return [(_ZERO,) * lag + (BiPoly.const(Fraction(1, math.factorial(lag))),)]
+
+
+def _grown(table: list[tuple], size: int, item: Callable[[list, int], object]) -> tuple:
+    """The items of a one-slot table, at least ``size`` of them.
+
+    A short table is grown by ``item(items, n)``, which builds item n from
+    the items before it; a longer table is returned as it is, and the caller
+    reads the prefix it needs.  The slot is replaced whole, never mutated: a
+    concurrent caller keeps the tuple it read, and all callers get equal
+    values.
+    """
+    items = table[0]
+    if len(items) < size:
+        grown = list(items)
+        for n in range(len(items), size):
+            grown.append(item(grown, n))
+        items = tuple(grown)
+        if len(items) > len(table[0]):
+            table[0] = items
+    return items
 
 
 def central_factorial_power(n: int) -> BiPoly:
@@ -474,14 +482,21 @@ def _kernel(family: FamilyId, order: Fraction, lam: BiPoly, trunc: int) -> EgfSe
 def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tuple[BiPoly, ...]:
     """Row n >= 0 of a connection-coefficient triangle: entries k = 0..n.
 
-    Rows are memoized, built by the family's row recurrence, immutable and
-    safe to share across threads.  A classical family reads one table at l
-    symbolic and at l = 0.
+    Read from the triangle table of ``(family, l)``, which the family's step
+    rule grows from its last two rows.  Rows are immutable and safe to share
+    across threads.  A classical family reads one table at l symbolic and
+    at l = 0.
     """
     mode = _table_mode(family, lambda_mode)
     if n < 0:
         raise ValueError(f"triangle row index must be nonnegative, got {n}")
-    return _triangle_row(family, mode, n)
+
+    def next_row(rows: list[tuple[BiPoly, ...]], i: int) -> tuple[BiPoly, ...]:
+        older, row = rows[i - 2] + (_ZERO, _ZERO), rows[i - 1] + (_ZERO,)
+        step, lam = CATALOG[family].build, _deformation(family, mode)
+        return (_ZERO,) + tuple(step(lam, i - 1, k, older, row) for k in range(1, i + 1))
+
+    return _grown(_triangle_table(family, mode), n + 1, next_row)[n]
 
 
 def triangular_numbers(
@@ -506,33 +521,27 @@ def _table_mode(family: FamilyId, mode: Param) -> Param:
     return mode if CATALOG[family].degenerate else _SYMBOLIC
 
 
-@lru_cache(maxsize=4096)
-def _triangle_row(family: FamilyId, mode: Param, n: int) -> tuple[BiPoly, ...]:
-    """Entries k = 0..n of row n >= 0; row n comes from rows n-2 and n-1 by the step rule.
+@lru_cache(maxsize=64)
+def _triangle_table(family: FamilyId, mode: Param) -> list[tuple[tuple[BiPoly, ...], ...]]:
+    """The triangle table of one family and l, a one-slot list for ``_grown``,
+    seeded with rows 0 and 1.
 
     Every triangle starts from T(0,0) = T(1,1) = 1, and column 0 is zero
-    below row 0.  A miss first fetches row n-32, so a deep row recurses
-    about n/32 + 32 calls deep instead of n.
+    below row 0.  A full verification pass reads 7 tables and a numeric
+    sweep 24 (three triangles at eight l), so 64, as for the step tables,
+    keep all of their hits.
     """
-    if n < 2:
-        return (_ONE,) if n == 0 else (_ZERO, _ONE)
-    if n > 32:
-        _triangle_row(family, mode, n - 32)
-    older = _triangle_row(family, mode, n - 2) + (_ZERO, _ZERO)
-    row = _triangle_row(family, mode, n - 1) + (_ZERO,)
-    step = CATALOG[family].build
-    lam = _deformation(family, mode)
-    return (_ZERO,) + tuple(step(lam, n - 1, k, older, row) for k in range(1, n + 1))
+    return [((_ONE,), (_ZERO, _ONE))]
 
 
 def clear_caches() -> None:
     """Empty the four bounded caches: built family series, sequence kernels,
-    step-product series and triangle rows (mainly for tests and benchmarks,
-    which time a pass from cold caches)."""
+    step tables and triangle tables (mainly for tests and benchmarks, which
+    time a pass from cold caches)."""
     _build_egf_cached.cache_clear()
     _kernel.cache_clear()
     _step_table.cache_clear()
-    _triangle_row.cache_clear()
+    _triangle_table.cache_clear()
 
 
 # -- the alternative second-kind route ----------------------------------------

@@ -95,7 +95,7 @@ class Case:
 
     @property
     def passed(self) -> bool:
-        return self.residual.is_zero()
+        return not self.residual
 
 
 @dataclass(frozen=True)

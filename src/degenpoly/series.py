@@ -11,10 +11,11 @@ only inverse.  Everything is exact in Q[l, x]; no rounding ever occurs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
-from .bipoly import BiPoly, dot, factorial, rational
+from .bipoly import BiPoly, dot, rational
 
 _ONE = BiPoly.const(1)
 
@@ -82,7 +83,7 @@ class EgfSeries:
 
     def value(self, n: int) -> BiPoly:
         """The family value at index n, i.e. n! * a_n."""
-        return self.coefficient(n) * factorial(n)
+        return self.coefficient(n) * math.factorial(n)
 
     def values(self) -> list[BiPoly]:
         return [self.value(n) for n in range(self.order + 1)]

@@ -276,7 +276,7 @@ def test_oversized_rational_is_usage_error(capsys, argv):
     code, out, err = run_capture(capsys, ["compute", "--max-n", "3"] + argv)
     assert code == 2 and out == ""
     assert f"rational literal above the limit {cli.LITERAL_LIMIT}" in err
-    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
+    assert families._triangle_table.cache_info().misses == 0  # rejected before any work
     assert families._build_egf_cached.cache_info().misses == 0
 
 
@@ -383,7 +383,7 @@ def test_max_n_above_size_limit_is_usage_error(capsys):
     )
     assert code == 2
     assert "argument --max-n: 65 is above the limit 64" in err
-    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
+    assert families._triangle_table.cache_info().misses == 0  # rejected before any work
     code, _, err = run_capture(
         capsys, ["verify", "--identity", "eq23", "--max-n", str(cli.SIZE_LIMIT + 1)]
     )
@@ -415,7 +415,7 @@ def test_order_above_size_limit_is_usage_error(capsys):
     )
     assert code == 2 and out == ""
     assert "argument --order: 65 is above the limit 64" in err
-    assert families._triangle_row.cache_info().misses == 0  # rejected before any work
+    assert families._triangle_table.cache_info().misses == 0  # rejected before any work
     assert families._build_egf_cached.cache_info().misses == 0
     # The limit itself is accepted.
     code, out, _ = run_capture(

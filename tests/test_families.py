@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from degenpoly import cli
-from degenpoly.bipoly import BiPoly, factorial
+from degenpoly.bipoly import BiPoly
 from degenpoly.families import (
     CATALOG,
     E_L,
@@ -22,7 +22,7 @@ from degenpoly.families import (
     UnsupportedOrder,
     _kernel,
     _step_table,
-    _triangle_row,
+    _triangle_table,
     build_egf,
     central_factorial_power,
     clear_caches,
@@ -319,9 +319,24 @@ def test_triangle_tables_match_egf_powers(family, mode):
         return
     lam = mode.to_poly(L) if degenerate else BiPoly.zero()
     expected = triangle_by_egf_powers(kernel(lam, size), size)
-    assert [_triangle_row(family, mode, n) for n in range(size + 1)] == [
+    assert [triangle_row(family, n, mode) for n in range(size + 1)] == [
         row[: n + 1] for n, row in enumerate(expected)
     ]
+
+
+@pytest.mark.parametrize("family", list(TRIANGLE_KERNELS), ids=lambda f: f.value)
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+def test_triangle_table_extends_and_serves_prefixes(family, numeric):
+    # Longer requests extend the one table, shorter ones read a prefix.
+    kernel, degenerate = TRIANGLE_KERNELS[family]
+    # A classical table runs at l = 0, its only numeric l.
+    mode = Param.numeric(Fraction(-37, 42) if degenerate else 0) if numeric else Param.symbolic()
+    lam = mode.to_poly(L) if degenerate else BiPoly.zero()
+    expected = triangle_by_egf_powers(kernel(lam, 12), 12)
+    clear_caches()
+    for n in (3, 9, 5, 0, 12):
+        assert triangle_row(family, n, mode) == expected[n][: n + 1], n
+    assert _triangle_table.cache_info()[:2] == (4, 1)  # (hits, misses)
 
 
 def test_triangle_column_edge_cases():
@@ -341,7 +356,8 @@ def test_triangle_rows_are_built_once(capsys):
     for max_n, built in (("24", 25), ("30", 31), ("24", 31)):
         assert cli.run(["compute", "--family", "deg-stirling2", "--max-n", max_n]) == 0
         capsys.readouterr()
-        assert _triangle_row.cache_info().misses == built, max_n
+        assert len(_triangle_table(FamilyId.DEG_STIRLING2, Param.symbolic())[0]) == built, max_n
+    assert _triangle_table.cache_info().misses == 1
 
 
 def test_deep_row_recursion_stays_shallow():
@@ -365,24 +381,24 @@ def test_triangle_table_cache_is_bounded():
     clear_caches()
     for j in range(1, 1401):
         triangular_numbers(FamilyId.DEG_STIRLING2, 2, 1, Param.numeric(Fraction(j, 1401)))
-    info = _triangle_row.cache_info()
-    assert info.misses == 4200  # rows 0, 1 and 2 for each l
-    assert info.currsize == info.maxsize == 4096
+    info = _triangle_table.cache_info()
+    assert info.misses == 1400  # one table for each l
+    assert info.currsize == info.maxsize == 64
 
 
 def test_classical_modes_share_one_table():
     clear_caches()
     symbolic = triangular_numbers(FamilyId.STIRLING2, 10, 2)
-    assert _triangle_row.cache_info().currsize == 11
+    assert _triangle_table.cache_info().currsize == 1
     assert triangular_numbers(FamilyId.STIRLING2, 10, 2, Param.numeric(0)) == symbolic
-    assert _triangle_row.cache_info().currsize == 11
+    assert _triangle_table.cache_info()[:4] == (1, 1, 64, 1)  # (hits, misses, maxsize, currsize)
 
 
 def test_every_family_cache_is_bounded_and_cleared():
     import degenpoly.families as families
 
     caches = {name: obj for name, obj in vars(families).items() if hasattr(obj, "cache_info")}
-    assert {"_step_table", "_build_egf_cached", "_kernel", "_triangle_row"} <= set(caches)
+    assert {"_step_table", "_build_egf_cached", "_kernel", "_triangle_table"} == set(caches)
     build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2)), 4)
     triangular_numbers(FamilyId.DEG_STIRLING2, 4, 2)
     for name, cache in caches.items():
@@ -397,7 +413,7 @@ def _step_oracle(arg, step, trunc, lag):
     """Coefficient n is (arg)_{n-lag,step}/n!, from a fresh step product; 0 below lag."""
     return EgfSeries(
         [
-            step_products(arg, step, n - lag)[-1] * (1 / factorial(n)) if n >= lag else 0
+            step_products(arg, step, n - lag)[-1] * Fraction(1, math.factorial(n)) if n >= lag else 0
             for n in range(trunc + 1)
         ]
     )
@@ -431,6 +447,7 @@ def test_step_table_extends_and_serves_prefixes(arg, step, lag):
         assert got.order == trunc
         assert got == _step_oracle(arg, step, trunc, lag), trunc
     assert _step_table.cache_info()[:3] == (4, 1, 64)  # (hits, misses, maxsize)
+    assert len(_step_table(arg, step, lag)[0]) == 13  # kept at its longest
     if arg == 3 and step == ONE:
         assert not any(step_egf(arg, step, 12, lag).coefficients[lag + 4 :])
 
@@ -467,6 +484,35 @@ def test_step_table_is_shared_across_threads():
         assert results[trunc] == _step_oracle(X - 1, L, trunc, 1), trunc
     assert step_egf(X - 1, L, 16, 1) == results[16]
     assert _step_table.cache_info().currsize == 1
+
+
+def test_triangle_table_is_shared_across_threads():
+    # Concurrent callers may each extend the table; every one gets the
+    # EGF route's row for its own index.
+    family, mode = FamilyId.DEG_CENTRAL_FACTORIAL, Param.numeric(Fraction(-37, 42))
+    expected = triangle_by_egf_powers(central_difference_kernel(mode.to_poly(L), 16), 16)
+    clear_caches()
+    ns = (4, 11, 7, 16)
+    results = {}
+
+    def read(n):
+        results[n] = triangle_row(family, n, mode)
+
+    threads = [threading.Thread(target=read, args=(n,)) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for n in ns:
+        assert results[n] == expected[n][: n + 1], n
+    assert triangle_row(family, 16, mode) == results[16]
+    assert _triangle_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
@@ -542,7 +588,7 @@ def test_triangle_row_refuses_what_entries_refuse(family, n, mode, match):
     else:
         # An entry outside the triangle is zero; a row outside it does not exist.
         assert triangular_numbers(family, n, 1, mode) == BiPoly.zero()
-    assert _triangle_row.cache_info().currsize == 0
+    assert _triangle_table.cache_info().currsize == 0
 
 
 def test_triangle_requires_triangle_family():
@@ -613,7 +659,7 @@ def test_daehee_closed_form():
     # D_n = (-1)^n n!/(n+1), by termwise expansion of the kernel.
     vals = values(FamilyId.DAEHEE, 8, argument=AT0)
     for n in range(9):
-        assert vals[n] == BiPoly.const(Fraction((-1) ** n * factorial(n).numerator, n + 1))
+        assert vals[n] == BiPoly.const(Fraction((-1) ** n * math.factorial(n), n + 1))
 
 
 def test_type2_base_values():
@@ -790,7 +836,7 @@ def test_unused_parameter_is_refused(build):
     clear_caches()
     with pytest.raises(ValueError, match="is classical|takes no argument"):
         build()
-    assert _triangle_row.cache_info().currsize == 0
+    assert _triangle_table.cache_info().currsize == 0
 
 
 def test_classical_family_accepts_lambda_zero():

@@ -57,7 +57,7 @@ X = BiPoly.x()
 def test_identity_passes(identity, kwargs):
     report = verify(identity, **kwargs)
     assert report.all_pass, [dict(c.indices) for c in report.cases if not c.passed]
-    assert all(case.residual.is_zero() for case in report.cases)
+    assert all(not case.residual for case in report.cases)
 
 
 def test_minimal_range_single_case():
