@@ -8,9 +8,12 @@ l = 0, and coefficients are polynomial in ``l`` by construction, so the
 classical limit is the exact substitution l -> 0.
 
 A sequence recipe is an x-free kernel K(order, l, trunc) times a base
-that carries x: e_l^x(t), (1+t)^x or none.  Kernels are memoized, so a
-family read at several x-arguments (symbolic, x - 1, 0, k) builds its
-kernel once.  Every series is built from one primitive, the step product
+that carries x: e_l^x(t), (1+t)^x or none.  A base is 1 at x = 0, so a
+kernel is its family's series at x = 0, and one series cache, keyed by
+the polynomials x and l a recipe receives, holds both: a family read at
+several x-arguments (symbolic, x - 1, 0, k) builds its kernel once.
+
+Every series is built from one primitive, the step product
 (a)_{n,s} = a*(a - s)*...*(a - (n-1)*s), through ``step_egf(a, s, N, lag)``,
 the series whose value at n is (a)_{n-lag,s} (zero below n = lag):
 
@@ -125,7 +128,6 @@ class Param:
 
 LambdaMode = Param  # the former name of Param, still imported by the benchmark harness
 _SYMBOLIC = Param.symbolic()
-_CLASSICAL_MODES = (_SYMBOLIC, Param.numeric(0))  # the lambda modes of a classical family
 
 
 @dataclass(frozen=True)
@@ -296,10 +298,11 @@ def _type2_bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
     """(((1+t) - (1+t)^(-1))/log_l(1+t))^a, built as N^a * L^(-a) with
     N = ((1+t) - (1+t)^(-1))/t and L = log_l(1+t)/t.  N has constant term 2, so
     only integer orders stay inside Q[l, x], and for those (N/L)^a = N^a * L^(-a).
-    L^(-a) is ``deg-bernoulli2``'s kernel, read from the kernel cache.
+    L^(-a) is ``deg-bernoulli2``'s kernel, its series at x = 0, read from the
+    series cache.
     """
     numerator = step_egf(_ONE, _ONE, trunc + 1) - step_egf(-_ONE, _ONE, trunc + 1)
-    return numerator.shift_div_t().pow(a) * _kernel(FamilyId.DEG_BERNOULLI2, a, lam, trunc)
+    return numerator.shift_div_t().pow(a) * _egf(FamilyId.DEG_BERNOULLI2, a, _ZERO, lam, trunc)
 
 
 _bernoulli = partial(_bernoulli_like, _ZERO)
@@ -403,30 +406,15 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
 TRIANGLE_FAMILIES = frozenset(f for f, info in CATALOG.items() if info.kind == "triangle")
 
 
-def _check_spec(spec: FamilySpec) -> None:
-    """Reject an order outside the family's domain, or an x or l it ignores,
-    before any work starts."""
-    family, order, info = spec.family, spec.order, CATALOG[spec.family]
-    if info.order_domain == "none" and order != 1:
-        raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
-    if info.order_domain == "integer" and order.denominator != 1:
-        raise UnsupportedOrder(
-            f"{family.value} needs an integer order for exact coefficients, got {order}"
-        )
-    if not (info.takes_argument or spec.argument == _SYMBOLIC):
-        raise ValueError(f"{family.value} takes no argument x, got {spec.argument}")
-    _check_mode(family, spec.lambda_mode)
-
-
-def _check_mode(family: FamilyId, mode: Param) -> None:
-    """Reject an l the family ignores: a classical family runs at l = 0."""
-    if not (CATALOG[family].degenerate or mode in _CLASSICAL_MODES):
-        raise ValueError(f"{family.value} is classical: its l must be symbolic or 0, got {mode}")
-
-
 def _deformation(family: FamilyId, mode: Param) -> BiPoly:
-    """The l a recipe receives: the mode's value, or 0 for a classical family."""
-    return mode.to_poly(_L) if CATALOG[family].degenerate else _ZERO
+    """The l a recipe receives: the mode's polynomial, or 0 for a classical
+    family, which refuses a mode that denotes neither l nor 0."""
+    lam = mode.to_poly(_L)
+    if CATALOG[family].degenerate:
+        return lam
+    if lam and lam != _L:
+        raise ValueError(f"{family.value} is classical: its l must be l or 0, got {mode}")
+    return _ZERO
 
 
 # -- EGF dispatch ------------------------------------------------------------
@@ -438,42 +426,43 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
     The value of the result at index n (``.value(n)``) is the n-th family
     member; coefficients are polynomial in ``l`` and ``x``.  Triangle
     entries come from ``triangular_numbers`` and central factorial powers
-    from ``central_factorial_power``.
+    from ``central_factorial_power``.  An order outside the family's
+    domain, or an x or l it ignores, is refused before any work starts.
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
-    kind = CATALOG[spec.family].kind
-    if kind != "sequence":
-        raise ValueError(f"{spec.family.value} is a {kind} family; build_egf builds sequences")
-    return _build_egf_cached(spec, trunc)
+    family, order, info = spec.family, spec.order, CATALOG[spec.family]
+    if info.kind != "sequence":
+        raise ValueError(f"{family.value} is a {info.kind} family; build_egf builds sequences")
+    if info.order_domain == "none" and order != 1:
+        raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
+    if info.order_domain == "integer" and order.denominator != 1:
+        raise UnsupportedOrder(
+            f"{family.value} needs an integer order for exact coefficients, got {order}"
+        )
+    arg = spec.argument.to_poly(_X)
+    if not (info.takes_argument or arg == _X):
+        raise ValueError(f"{family.value} takes no argument x, got {spec.argument}")
+    return _egf(family, order, arg, _deformation(family, spec.lambda_mode), trunc)
 
 
 @lru_cache(maxsize=1024)
-def _build_egf_cached(spec: FamilySpec, trunc: int) -> EgfSeries:
-    fid = spec.family
-    _check_spec(spec)
-    info = CATALOG[fid]
-    lam = _deformation(fid, spec.lambda_mode)
-    kernel = None if info.build is None else _kernel(fid, spec.order, lam, trunc)
-    if info.base is None:
-        return kernel
-    base = step_egf(spec.argument.to_poly(_X), lam if info.base == E_L else _ONE, trunc)
-    return base if kernel is None else kernel * base
+def _egf(family: FamilyId, order: Fraction, arg: BiPoly, lam: BiPoly, trunc: int) -> EgfSeries:
+    """The series of a sequence family at one order, x-argument, l and truncation.
 
-
-@lru_cache(maxsize=16)
-def _kernel(family: FamilyId, order: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
-    """The x-free kernel of a sequence family at one order, l and truncation.
-
-    Memoized: the paper's higher-order identities read one family at up to
-    four x-arguments (symbolic, x - 1, 0, k), which share this factor, and
-    ``type2-deg-bernoulli2``'s kernel reuses ``deg-bernoulli2``'s.  Kernels
-    are not shared with the alternative route ``deg_bernoulli2_alt_egf``,
-    which ``eq18-equivalence`` compares with the direct one.  A cold
-    ``verify --profile full`` pass asks for 74 kernels, 59 of them distinct,
-    and 16 entries keep all 15 repeats.
+    A kernel is read here at ``arg`` 0, where the base is 1: the paper's
+    higher-order identities read one family at up to four x-arguments
+    (symbolic, x - 1, 0, k), which share it, ``type2-deg-bernoulli2``
+    reuses the kernel of ``deg-bernoulli2``, and a classical family shares
+    one entry at every l it accepts.  Kernels are not shared with the
+    alternative route ``deg_bernoulli2_alt_egf``, which ``eq18-equivalence``
+    compares with the direct one.
     """
-    return CATALOG[family].build(order, lam, trunc)
+    info = CATALOG[family]
+    if info.build is not None and (info.base is None or not arg):
+        return info.build(order, lam, trunc)
+    base = step_egf(arg, lam if info.base == E_L else _ONE, trunc)
+    return base if info.build is None else _egf(family, order, _ZERO, lam, trunc) * base
 
 
 # -- triangle rows -----------------------------------------------------------
@@ -516,8 +505,8 @@ def _table_mode(family: FamilyId, mode: Param) -> Param:
     """Reject a non-triangle family or an l it ignores; return the table's cache key."""
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
-    _check_mode(family, mode)
-    # Both classical modes read one table, built at l = 0.
+    _deformation(family, mode)
+    # Every classical mode, l or 0, reads one table, built at l = 0.
     return mode if CATALOG[family].degenerate else _SYMBOLIC
 
 
@@ -535,11 +524,10 @@ def _triangle_table(family: FamilyId, mode: Param) -> list[tuple[tuple[BiPoly, .
 
 
 def clear_caches() -> None:
-    """Empty the four bounded caches: built family series, sequence kernels,
+    """Empty the three bounded caches: family series (kernels among them),
     step tables and triangle tables (mainly for tests and benchmarks, which
     time a pass from cold caches)."""
-    _build_egf_cached.cache_clear()
-    _kernel.cache_clear()
+    _egf.cache_clear()
     _step_table.cache_clear()
     _triangle_table.cache_clear()
 

@@ -277,7 +277,7 @@ def test_oversized_rational_is_usage_error(capsys, argv):
     assert code == 2 and out == ""
     assert f"rational literal above the limit {cli.LITERAL_LIMIT}" in err
     assert families._triangle_table.cache_info().misses == 0  # rejected before any work
-    assert families._build_egf_cached.cache_info().misses == 0
+    assert families._egf.cache_info().misses == 0
 
 
 def test_rational_literals_within_the_limit():
@@ -416,7 +416,7 @@ def test_order_above_size_limit_is_usage_error(capsys):
     assert code == 2 and out == ""
     assert "argument --order: 65 is above the limit 64" in err
     assert families._triangle_table.cache_info().misses == 0  # rejected before any work
-    assert families._build_egf_cached.cache_info().misses == 0
+    assert families._egf.cache_info().misses == 0
     # The limit itself is accepted.
     code, out, _ = run_capture(
         capsys, ["verify", "--identity", "thm4", "--max-n", "0", "--order", "64"]
@@ -435,7 +435,7 @@ def test_compute_order_above_size_limit_is_usage_error(capsys, order):
     )
     assert code == 2 and out == ""
     assert f"argument --order: {order} is" in err and "the limit" in err
-    assert families._build_egf_cached.cache_info().misses == 0  # rejected before any work
+    assert families._egf.cache_info().misses == 0  # rejected before any work
 
 
 def test_range_flags_rejected_with_all(capsys):

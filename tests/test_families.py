@@ -20,7 +20,7 @@ from degenpoly.families import (
     Param,
     TRIANGLE_FAMILIES,
     UnsupportedOrder,
-    _kernel,
+    _egf,
     _step_table,
     _triangle_table,
     build_egf,
@@ -398,7 +398,7 @@ def test_every_family_cache_is_bounded_and_cleared():
     import degenpoly.families as families
 
     caches = {name: obj for name, obj in vars(families).items() if hasattr(obj, "cache_info")}
-    assert {"_step_table", "_build_egf_cached", "_kernel", "_triangle_table"} == set(caches)
+    assert {"_step_table", "_egf", "_triangle_table"} == set(caches)
     build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2)), 4)
     triangular_numbers(FamilyId.DEG_STIRLING2, 4, 2)
     for name, cache in caches.items():
@@ -528,22 +528,34 @@ def test_triangle_table_is_shared_across_threads():
     ids=lambda v: getattr(v, "value", None),
 )
 def test_memoized_kernel_matches_unmemoized(family, order, lam):
+    # A kernel is its family's series at x = 0.
     clear_caches()
-    expected = _kernel.__wrapped__(family, order, lam, 7)
-    assert _kernel(family, order, lam, 7) == expected
-    assert _kernel(family, order, lam, 7) == expected  # a cache hit
-    assert _kernel.cache_info().hits >= 1
+    expected = CATALOG[family].build(order, lam, 7)
+    assert _egf.__wrapped__(family, order, 0, lam, 7) == expected
+    assert _egf(family, order, 0, lam, 7) == expected
+    hits = _egf.cache_info().hits
+    assert _egf(family, order, 0, lam, 7) == expected
+    assert _egf.cache_info().hits == hits + 1  # a cache hit
 
 
 def test_kernel_is_built_once_per_order_and_l():
-    # deg-bernoulli2 at three x-arguments shares one kernel, and the kernel
-    # of type2-deg-bernoulli2 at the same order reads it.
+    # deg-bernoulli2 at three x-arguments shares one kernel, the series at
+    # x = 0, and the kernel of type2-deg-bernoulli2 at the same order reads it.
     clear_caches()
     for argument in (SYM, Param.shifted(-1), Param.numeric(0)):
         build_egf(FamilySpec(FamilyId.DEG_BERNOULLI2, Fraction(2), argument), 6)
-    assert _kernel.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert _egf.cache_info()[:2] == (2, 3)  # (hits, misses)
     build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(2)), 6)
-    assert _kernel.cache_info()[:2] == (3, 2)
+    assert _egf.cache_info()[:2] == (3, 5)
+
+
+def test_classical_modes_share_one_series():
+    # euler at symbolic x is two entries: its series and its kernel at x = 0.
+    clear_caches()
+    symbolic = build_egf(FamilySpec(FamilyId.EULER), 6)
+    assert _egf.cache_info().currsize == 2
+    assert build_egf(FamilySpec(FamilyId.EULER, lambda_mode=Param.numeric(0)), 6) == symbolic
+    assert _egf.cache_info()[:4] == (1, 2, 1024, 2)  # (hits, misses, maxsize, currsize)
 
 
 def test_step_product_length_must_be_nonnegative():
@@ -836,13 +848,17 @@ def test_unused_parameter_is_refused(build):
     clear_caches()
     with pytest.raises(ValueError, match="is classical|takes no argument"):
         build()
-    assert _triangle_table.cache_info().currsize == 0
+    assert _triangle_table.cache_info().currsize == _egf.cache_info().currsize == 0
 
 
 def test_classical_family_accepts_lambda_zero():
-    for mode in (Param.symbolic(), Param.numeric(0)):
+    # l and x are checked by the polynomial they denote: a classical l is l
+    # or 0, and the x of an argument-free family is x.
+    for mode in (Param.symbolic(), Param.numeric(0), Param.shifted(0), Param.scaled(0)):
         assert values(FamilyId.EULER, 3, argument=AT0, lam=mode)[1] == BiPoly.const(Fraction(-1, 2))
         assert triangular_numbers(FamilyId.STIRLING2, 4, 2, mode) == BiPoly.const(7)
+    for argument in (Param.shifted(0), Param.scaled(1)):
+        assert values(FamilyId.DEG_LOG, 5, argument=argument) == values(FamilyId.DEG_LOG, 5)
 
 
 def test_alt_second_kind_rejects_negative_trunc():

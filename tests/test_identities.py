@@ -338,8 +338,9 @@ def test_order_range_starts_at_the_first_order(identity, key, first):
 def test_eq21_builds_one_classical_series_per_order():
     families.clear_caches()
     verify(IdentityId.EQ21, 12, max_order=4)
-    # Per order: the order-r series b^(r) and the classical B2*^(r) it is weighed by.
-    assert families._build_egf_cached.cache_info().misses == 8
+    # Per order: the order-r series b^(r) and the classical B2*^(r) it is
+    # weighed by, each with its kernel, the series at x = 0.
+    assert families._egf.cache_info().misses == 16
 
 
 def test_default_ranges_profiles():
