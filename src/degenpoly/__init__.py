@@ -7,20 +7,11 @@ for the catalog of builders and ``identities`` for the verification suite.
 """
 
 from .bipoly import BiPoly
-from .series import (
-    BadConstantTerm,
-    DivisionByNonUnit,
-    EgfSeries,
-    IndexBeyondTruncation,
-    NonzeroConstantInner,
-    NonzeroLowOrder,
-    SeriesError,
-)
+from .series import EgfSeries, SeriesError
 from .families import (
     FamilyId,
     FamilySpec,
     Param,
-    UnsupportedOrder,
     build_egf,
     central_factorial_power,
     deg_bernoulli2_alt_egf,
@@ -30,7 +21,6 @@ from .families import (
 from .identities import (
     Case,
     IdentityId,
-    UnknownIdentity,
     VerificationReport,
     verify,
     verify_all,
@@ -42,22 +32,15 @@ __all__ = [
     "BiPoly",
     "EgfSeries",
     "SeriesError",
-    "DivisionByNonUnit",
-    "NonzeroLowOrder",
-    "NonzeroConstantInner",
-    "BadConstantTerm",
-    "IndexBeyondTruncation",
     "FamilyId",
     "FamilySpec",
     "Param",
-    "UnsupportedOrder",
     "build_egf",
     "triangle_row",
     "triangular_numbers",
     "central_factorial_power",
     "deg_bernoulli2_alt_egf",
     "IdentityId",
-    "UnknownIdentity",
     "Case",
     "VerificationReport",
     "verify",

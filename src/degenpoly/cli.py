@@ -369,7 +369,9 @@ def run(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except SystemExit as exc:  # parse errors and args.subparser.error
         return int(exc.code or 0)
-    # Refused by the library, by str() (ints above 4300 digits) or by writing --output.
+    # A request the library refuses (ValueError), a broken series precondition
+    # (SeriesError, an ArithmeticError), str() of an int above 4300 digits
+    # (ValueError) or writing --output (OSError).
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

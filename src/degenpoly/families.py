@@ -33,6 +33,10 @@ step table, its coefficients, and each triangle family and l one triangle
 table, its rows; each table holds the longest run built so far.  A longer
 request continues it from its last items, in a loop, and a shorter one
 reads a prefix.
+
+A request the catalog cannot honour (an order outside a family's domain,
+an x or l the family ignores, a negative size) raises ``ValueError``.  The
+recipes meet the ``SeriesError`` preconditions of every series they build.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ _X = BiPoly.x()
 _ONE = BiPoly.const(1)
 _ZERO = BiPoly.zero()
 _HALF = Fraction(1, 2)
-
-
-class UnsupportedOrder(ValueError):
-    """The requested order parameter is outside the family's exact domain."""
 
 
 class FamilyId(Enum):
@@ -230,7 +230,7 @@ E_L = "e_l^x(t)"  # base with values (x)_{n,l}: step l, and 0 in a classical fam
 POW1P = "(1+t)^x"  # base with values (x)_{n,1}: step 1
 
 
-def _log1p(lam: BiPoly, trunc: int) -> EgfSeries:
+def _log1p(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
     """log_l(1+t)."""
     return step_egf(lam - 1, _ONE, trunc, lag=1)
 
@@ -264,11 +264,6 @@ def _central_factorial_step(
     return below + weight * older[k] - lam * (2 * n - 1) * row[k]
 
 
-def _deg_log(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
-    """log_l(1+t)."""
-    return _log1p(lam, trunc)
-
-
 def _bernoulli_like(low: BiPoly, a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
     """(t/(e_l(t) - e_l^low(t)))^a; e_l^0(t) is 1."""
     diff = step_egf(_ONE, lam, trunc + 1) - step_egf(low, lam, trunc + 1)
@@ -283,7 +278,7 @@ def _euler_like(low: BiPoly, a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
 
 def _daehee(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
     """log_l(1+t)/t."""
-    return _log1p(lam, trunc + 1).shift_div_t()
+    return _log1p(a, lam, trunc + 1).shift_div_t()
 
 
 def _bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
@@ -291,7 +286,7 @@ def _bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
 
     The normalized kernel has constant term 1, so any rational order is exact.
     """
-    return _log1p(lam, trunc + 1).shift_div_t().pow(-a)
+    return _log1p(a, lam, trunc + 1).shift_div_t().pow(-a)
 
 
 def _type2_bernoulli2(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
@@ -366,7 +361,7 @@ CATALOG: dict[FamilyId, FamilyInfo] = {
         "sequence", "none", True, "e_l^x(t) = (1 + l*t)^(x/l)", None, E_L
     ),
     FamilyId.DEG_LOG: FamilyInfo(
-        "sequence", "none", True, "log_l(1+t) = ((1+t)^l - 1)/l", _deg_log
+        "sequence", "none", True, "log_l(1+t) = ((1+t)^l - 1)/l", _log1p
     ),
     FamilyId.DEG_BERNOULLI: FamilyInfo(
         "sequence", "none", True, "t/(e_l(t) - 1) * e_l^x(t)", _bernoulli, E_L
@@ -427,7 +422,8 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
     member; coefficients are polynomial in ``l`` and ``x``.  Triangle
     entries come from ``triangular_numbers`` and central factorial powers
     from ``central_factorial_power``.  An order outside the family's
-    domain, or an x or l it ignores, is refused before any work starts.
+    domain, or an x or l it ignores, is refused with ``ValueError`` before
+    any work starts.
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
@@ -435,9 +431,9 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
     if info.kind != "sequence":
         raise ValueError(f"{family.value} is a {info.kind} family; build_egf builds sequences")
     if info.order_domain == "none" and order != 1:
-        raise UnsupportedOrder(f"{family.value} takes no order parameter (got {order})")
+        raise ValueError(f"{family.value} takes no order parameter (got {order})")
     if info.order_domain == "integer" and order.denominator != 1:
-        raise UnsupportedOrder(
+        raise ValueError(
             f"{family.value} needs an integer order for exact coefficients, got {order}"
         )
     arg = spec.argument.to_poly(_X)

@@ -12,7 +12,8 @@ which substitute l = 0.  A checker verifies one order of its identity;
 This module alone holds the range policy: ``default_ranges`` gives each
 identity's ranges under the ``quick`` and ``full`` profiles, and
 ``verify()`` fills every range it is not given from them, so the CLI
-passes its flags straight through.
+passes its flags straight through.  An unknown identity or profile, or a
+range it cannot honour, raises ``ValueError`` before any work starts.
 
 A checker builds every series to ``max_n``, the largest index its cases
 read.  Truncated series arithmetic is exact and coefficient n of a
@@ -52,10 +53,6 @@ _ZERO = BiPoly.zero()
 _SYM = Param.symbolic()
 _TWO = Fraction(2)
 _HALF_L = Param.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
-
-
-class UnknownIdentity(ValueError):
-    """The requested identity name is not in the catalog."""
 
 
 class IdentityId(Enum):
@@ -421,7 +418,7 @@ _CATALOG: dict[IdentityId, _Entry] = {
 
 
 def coerce_identity(name: "IdentityId | str") -> IdentityId:
-    """Resolve an IdentityId, its kebab name, or an accepted alias."""
+    """Resolve an IdentityId, its kebab name, or an accepted alias; refuse any other name."""
     if isinstance(name, IdentityId):
         return name
     try:
@@ -430,7 +427,7 @@ def coerce_identity(name: "IdentityId | str") -> IdentityId:
         pass
     if name in ALIASES:
         return ALIASES[name]
-    raise UnknownIdentity(f"unknown identity {name!r}")
+    raise ValueError(f"unknown identity {name!r}")
 
 
 _TRUNC_FLOOR = {"full": 16, "quick": 12}  # the least trunc a report states, per profile

@@ -7,6 +7,10 @@ functions: extraction must multiply by the factorial.
 
 Binary operations truncate to the smaller operand order; ``pow(-1)`` is the
 only inverse.  Everything is exact in Q[l, x]; no rounding ever occurs.
+
+A broken precondition (a coefficient beyond the truncation order, a nonzero
+term where t-division or composition needs zero, a power's constant term
+that is not a usable unit) raises ``SeriesError``, whose message names it.
 """
 
 from __future__ import annotations
@@ -21,27 +25,7 @@ _ONE = BiPoly.const(1)
 
 
 class SeriesError(ArithmeticError):
-    """Base class for truncated-series contract violations."""
-
-
-class DivisionByNonUnit(SeriesError):
-    """A power's constant term is zero or not a pure rational."""
-
-
-class NonzeroLowOrder(SeriesError):
-    """A leading coefficient that must vanish for t-division is nonzero."""
-
-
-class NonzeroConstantInner(SeriesError):
-    """Inner series of a composition has a nonzero constant term."""
-
-
-class BadConstantTerm(SeriesError):
-    """Constant term violates the precondition of a fractional power."""
-
-
-class IndexBeyondTruncation(SeriesError):
-    """Requested index exceeds the truncation order."""
+    """A truncated-series operation's precondition does not hold."""
 
 
 class EgfSeries:
@@ -78,7 +62,7 @@ class EgfSeries:
 
     def coefficient(self, n: int) -> BiPoly:
         if n < 0 or n > self.order:
-            raise IndexBeyondTruncation(f"coefficient {n} beyond truncation order {self.order}")
+            raise SeriesError(f"coefficient {n} beyond truncation order {self.order}")
         return self._coeffs[n]
 
     def value(self, n: int) -> BiPoly:
@@ -117,9 +101,9 @@ class EgfSeries:
     def shift_div_t(self) -> "EgfSeries":
         """Divide by t; the constant term must vanish.  Order drops by 1."""
         if self.order < 1:
-            raise IndexBeyondTruncation("cannot divide an order-0 series by t")
+            raise SeriesError("cannot divide an order-0 series by t")
         if self._coeffs[0]:
-            raise NonzeroLowOrder(f"coefficient of t^0 is nonzero: {self._coeffs[0]!r}")
+            raise SeriesError(f"coefficient of t^0 is nonzero: {self._coeffs[0]!r}")
         return EgfSeries(self._coeffs[1:])
 
     def compose(self, inner: "EgfSeries") -> "EgfSeries":
@@ -130,9 +114,7 @@ class EgfSeries:
         inner = t*h, each step is f_k + t*(h * acc) at one order more.
         """
         if inner._coeffs[0]:
-            raise NonzeroConstantInner(
-                f"inner series has nonzero constant term {inner._coeffs[0]!r}"
-            )
+            raise SeriesError(f"inner series has nonzero constant term {inner._coeffs[0]!r}")
         order = min(self.order, inner.order)
         acc = EgfSeries([self._coeffs[order]])
         if order == 0:
@@ -159,11 +141,9 @@ class EgfSeries:
         alpha = rational(alpha)
         f0 = self._coeffs[0].constant()
         if alpha.denominator != 1 and f0 != 1:
-            raise BadConstantTerm(
-                f"fractional power needs constant term 1, got {self._coeffs[0]!r}"
-            )
+            raise SeriesError(f"fractional power needs constant term 1, got {self._coeffs[0]!r}")
         if not f0:
-            raise DivisionByNonUnit(
+            raise SeriesError(
                 f"power needs a nonzero rational constant term, got {self._coeffs[0]!r}"
             )
         if alpha == 1:

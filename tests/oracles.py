@@ -12,7 +12,7 @@ from fractions import Fraction
 from degenpoly.bipoly import BiPoly, Term
 from degenpoly.families import FamilyId, FamilySpec, Param, build_egf
 from degenpoly.identities import _eq21_weight
-from degenpoly.series import BadConstantTerm, EgfSeries, IndexBeyondTruncation
+from degenpoly.series import EgfSeries, SeriesError
 
 _ONE = BiPoly.const(1)
 
@@ -39,7 +39,7 @@ def series_t(order: int) -> EgfSeries:
 def truncate(f: EgfSeries, order: int) -> EgfSeries:
     """Discard coefficients above ``order``, which must not exceed f's order."""
     if order < 0 or order > f.order:
-        raise IndexBeyondTruncation(f"cannot truncate order-{f.order} series to {order}")
+        raise SeriesError(f"cannot truncate order-{f.order} series to {order}")
     return EgfSeries(f.coefficients[: order + 1])
 
 
@@ -62,7 +62,7 @@ def series_exp(f: EgfSeries) -> EgfSeries:
     g_n = (1/n) * sum_{k=1..n} k f_k g_{n-k}."""
     c = f.coefficients
     if c[0]:
-        raise BadConstantTerm(f"exp needs constant term 0, got {c[0]!r}")
+        raise SeriesError(f"exp needs constant term 0, got {c[0]!r}")
     out = [_ONE]
     for n in range(1, f.order + 1):
         acc = BiPoly.zero()
@@ -78,7 +78,7 @@ def series_log(f: EgfSeries) -> EgfSeries:
     L_n = f_n - (1/n) * sum_{k=1..n-1} k L_k f_{n-k}."""
     c = f.coefficients
     if c[0] != _ONE:
-        raise BadConstantTerm(f"log needs constant term 1, got {c[0]!r}")
+        raise SeriesError(f"log needs constant term 1, got {c[0]!r}")
     out = [BiPoly.zero()]
     for n in range(1, f.order + 1):
         corr = BiPoly.zero()

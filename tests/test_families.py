@@ -19,7 +19,6 @@ from degenpoly.families import (
     FamilySpec,
     Param,
     TRIANGLE_FAMILIES,
-    UnsupportedOrder,
     _egf,
     _step_table,
     _triangle_table,
@@ -32,7 +31,8 @@ from degenpoly.families import (
     triangle_row,
     triangular_numbers,
 )
-from degenpoly.series import EgfSeries
+from degenpoly.identities import verify
+from degenpoly.series import EgfSeries, SeriesError
 from oracles import classical_value, series_exp
 
 L = BiPoly.lam()
@@ -821,12 +821,50 @@ def test_triangle_entry_has_l_degree_n_minus_k(family):
 
 
 def test_unsupported_orders():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="deg-exp takes no order parameter"):
         build_egf(FamilySpec(FamilyId.DEG_EXP, Fraction(2)), 4)
-    with pytest.raises(UnsupportedOrder):
+    integer_order = "needs an integer order for exact coefficients"
+    with pytest.raises(ValueError, match=f"type2-deg-bernoulli2 {integer_order}"):
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(1, 2)), 4)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match=f"type2-deg-bernoulli {integer_order}"):
         build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI, Fraction(3, 2)), 4)
+
+
+def test_library_refusals_raise_value_or_series_error():
+    # The library raises exactly two types: ValueError for a request it
+    # refuses and SeriesError for a broken series precondition.
+    refusals = {
+        "unknown identity": (lambda: verify("bogus"), ValueError),
+        "type2-deg-bernoulli2 order 1/2": (
+            lambda: build_egf(FamilySpec(FamilyId.TYPE2_DEG_BERNOULLI2, Fraction(1, 2)), 4),
+            ValueError,
+        ),
+        "euler order 2": (
+            lambda: build_egf(FamilySpec(FamilyId.EULER, Fraction(2)), 4), ValueError
+        ),
+        "deg-log at x = 7": (
+            lambda: build_egf(FamilySpec(FamilyId.DEG_LOG, argument=Param.numeric(7)), 3),
+            ValueError,
+        ),
+        "pow(1/2) of constant term 2": (
+            lambda: EgfSeries([2, 1, 0]).pow(Fraction(1, 2)), SeriesError
+        ),
+        "pow(-1) of constant term 0": (lambda: EgfSeries([0, 1, 0]).pow(-1), SeriesError),
+        "[1, 1] divided by t": (lambda: EgfSeries([1, 1]).shift_div_t(), SeriesError),
+        "order-0 series divided by t": (lambda: EgfSeries([0]).shift_div_t(), SeriesError),
+        "inner constant term 1": (
+            lambda: EgfSeries([1, 1]).compose(EgfSeries([1, 1])), SeriesError
+        ),
+        "coefficient 5 of order 3": (
+            lambda: EgfSeries([1, 2, 3, 4]).coefficient(5), SeriesError
+        ),
+    }
+    raised = {}
+    for name, (refusal, _) in refusals.items():
+        with pytest.raises(Exception) as caught:
+            refusal()
+        raised[name] = type(caught.value)
+    assert raised == {name: error for name, (_, error) in refusals.items()}
 
 
 @pytest.mark.parametrize(

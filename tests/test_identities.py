@@ -18,7 +18,6 @@ from degenpoly.families import (
 )
 from degenpoly.identities import (
     IdentityId,
-    UnknownIdentity,
     coerce_identity,
     default_ranges,
     verify,
@@ -283,9 +282,9 @@ def test_limits_cover_the_degenerate_catalog():
 
 
 def test_unknown_identity_rejected():
-    with pytest.raises(UnknownIdentity):
+    with pytest.raises(ValueError, match="unknown identity 'no-such-identity'"):
         verify("no-such-identity", 4)
-    with pytest.raises(UnknownIdentity):
+    with pytest.raises(ValueError, match="unknown identity 'thm9'"):
         coerce_identity("thm9")
 
 
