@@ -25,7 +25,6 @@ reports a request the library refuses, or an unwritable ``--output``, as
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -205,6 +204,8 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
         pieces.append("\n  ]\n}\n")
         return "".join(pieces)
 
+    import csv  # here, not at the top: most requests write JSON
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if kind == "triangle":
@@ -340,6 +341,8 @@ def _render_reports(
                 "reports": [_report_json(r, timings) for r in reports],
             }
         return _json_text(payload) + "\n"
+
+    import csv
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -42,13 +42,12 @@ recipes meet the ``SeriesError`` preconditions of every series they build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .bipoly import BiPoly, rational
+from .bipoly import BiPoly, dot, rational
 from .series import EgfSeries
 
 _L = BiPoly.lam()
@@ -56,6 +55,7 @@ _X = BiPoly.x()
 _ONE = BiPoly.const(1)
 _ZERO = BiPoly.zero()
 _HALF = Fraction(1, 2)
+_QUARTER = BiPoly.const(Fraction(1, 4))
 
 
 class FamilyId(Enum):
@@ -85,19 +85,30 @@ class FamilyId(Enum):
     CENTRAL_FACTORIAL_POWER = "central-factorial-power"
 
 
-@dataclass(frozen=True)
-class Param:
+# A NamedTuple class may not define __new__, so a record that checks or
+# coerces its fields subclasses a NamedTuple of them; the subclass's __new__
+# holds the defaults, and its _make sends _replace through __new__.
+class _ParamFields(NamedTuple):
+    kind: str
+    value: Fraction
+
+
+class Param(_ParamFields):
     """How x or l enters a family: symbolic, a rational, shifted by a rational or scaled by one."""
 
-    kind: str = "symbolic"
-    value: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("symbolic", "numeric", "shifted", "scaled"):
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
-        object.__setattr__(self, "value", rational(self.value))
-        if self.kind == "symbolic" and self.value:
-            raise ValueError(f"a symbolic parameter has no value, got {self.value}")
+    def __new__(cls, kind: str = "symbolic", value: Fraction | int | str = Fraction(0)) -> "Param":
+        if kind not in ("symbolic", "numeric", "shifted", "scaled"):
+            raise ValueError(f"unknown parameter kind {kind!r}")
+        value = rational(value)
+        if kind == "symbolic" and value:
+            raise ValueError(f"a symbolic parameter has no value, got {value}")
+        return super().__new__(cls, kind, value)
+
+    @classmethod
+    def _make(cls, fields) -> "Param":
+        return cls(*fields)
 
     @classmethod
     def symbolic(cls) -> "Param":
@@ -130,17 +141,30 @@ LambdaMode = Param  # the former name of Param, still imported by the benchmark 
 _SYMBOLIC = Param.symbolic()
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _SpecFields(NamedTuple):
+    family: FamilyId
+    order: Fraction
+    argument: Param
+    lambda_mode: Param
+
+
+class FamilySpec(_SpecFields):
     """Selects one sequence family's generating function: family, order, x-argument, lambda mode."""
 
-    family: FamilyId
-    order: Fraction = Fraction(1)
-    argument: Param = field(default_factory=Param)
-    lambda_mode: Param = field(default_factory=Param)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", rational(self.order))
+    def __new__(
+        cls,
+        family: FamilyId,
+        order: Fraction | int | str = Fraction(1),
+        argument: Param = _SYMBOLIC,
+        lambda_mode: Param = _SYMBOLIC,
+    ) -> "FamilySpec":
+        return super().__new__(cls, family, rational(order), argument, lambda_mode)
+
+    @classmethod
+    def _make(cls, fields) -> "FamilySpec":
+        return cls(*fields)
 
 
 # -- the step product ---------------------------------------------------------
@@ -221,8 +245,9 @@ def central_factorial_power(n: int) -> BiPoly:
 #
 # A sequence kernel maps (order a, deformation l, truncation N) to its x-free
 # series, and the catalog names the base it is multiplied by.  A triangle rule
-# maps (l, n, k, row n-1, row n) to entry (n+1, k) for 1 <= n and
-# 1 <= k <= n+1; rows are indexed by k and hold zeros right of the diagonal.
+# maps (l, n, row n-1, row n) to entries k = 1..n+1 of row n+1 for 1 <= n,
+# each one weighted ``dot``; rows are indexed by k and hold zeros right of
+# the diagonal.
 # A classical family shares the kernel or rule of its degenerate twin and
 # receives l = 0.
 
@@ -236,22 +261,26 @@ def _log1p(a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
 
 
 def _stirling1_step(
-    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
-) -> BiPoly:
+    lam: BiPoly, n: int, older: tuple[BiPoly, ...], row: tuple[BiPoly, ...]
+) -> list[BiPoly]:
     """S1_l(n+1,k) = S1_l(n,k-1) + (k*l - n)*S1_l(n,k), column k of log_l(1+t)^k/k!."""
-    return row[k - 1] + (lam * k - n) * row[k]
+    return [
+        dot((row[k - 1], row[k], row[k]), (_ONE, lam, _ONE), (1, k, -n)) for k in range(1, n + 2)
+    ]
 
 
 def _stirling2_step(
-    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
-) -> BiPoly:
+    lam: BiPoly, n: int, older: tuple[BiPoly, ...], row: tuple[BiPoly, ...]
+) -> list[BiPoly]:
     """S2_l(n+1,k) = S2_l(n,k-1) + (k - n*l)*S2_l(n,k), column k of (e_l(t) - 1)^k/k!."""
-    return row[k - 1] + (k - lam * n) * row[k]
+    return [
+        dot((row[k - 1], row[k], row[k]), (_ONE, _ONE, lam), (1, k, -n)) for k in range(1, n + 2)
+    ]
 
 
 def _central_factorial_step(
-    lam: BiPoly, n: int, k: int, older: list[BiPoly], row: list[BiPoly]
-) -> BiPoly:
+    lam: BiPoly, n: int, older: tuple[BiPoly, ...], row: tuple[BiPoly, ...]
+) -> list[BiPoly]:
     """T_l(n+1,k) = T_l(n-1,k-2) + (k^2/4 - l^2*(n-1)^2)*T_l(n-1,k)
                     - l*(2n-1)*T_l(n,k), column k of f^k/k!.
 
@@ -259,9 +288,15 @@ def _central_factorial_step(
     and (D f)^2 = (f^2 + 4)/4, so D^2 (f^k/k!) = (k^2/4)*f^k/k! + f^(k-2)/(k-2)!.
     On EGF coefficients D^2 is c_{n+2} + l*(2n+1)*c_{n+1} + l^2*n^2*c_n.
     """
-    below = older[k - 2] if k >= 2 else _ZERO
-    weight = Fraction(k * k, 4) - lam * lam * (n - 1) ** 2
-    return below + weight * older[k] - lam * (2 * n - 1) * row[k]
+    lam2 = lam * lam
+    return [
+        dot(
+            (older[k - 2] if k >= 2 else _ZERO, older[k], older[k], row[k]),
+            (_ONE, _QUARTER, lam2, lam),
+            (1, k * k, -((n - 1) ** 2), 1 - 2 * n),
+        )
+        for k in range(1, n + 2)
+    ]
 
 
 def _bernoulli_like(low: BiPoly, a: Fraction, lam: BiPoly, trunc: int) -> EgfSeries:
@@ -306,8 +341,7 @@ _euler = partial(_euler_like, _ZERO)
 _type2_euler = partial(_euler_like, -_ONE)
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     """Catalog entry: output kind, parameter surface, the defining recipe and its builder."""
 
     kind: str  # "sequence" | "triangle" | "polynomial"
@@ -478,8 +512,7 @@ def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tupl
 
     def next_row(rows: list[tuple[BiPoly, ...]], i: int) -> tuple[BiPoly, ...]:
         older, row = rows[i - 2] + (_ZERO, _ZERO), rows[i - 1] + (_ZERO,)
-        step, lam = CATALOG[family].build, _deformation(family, mode)
-        return (_ZERO,) + tuple(step(lam, i - 1, k, older, row) for k in range(1, i + 1))
+        return (_ZERO, *CATALOG[family].build(_deformation(family, mode), i - 1, older, row))
 
     return _grown(_triangle_table(family, mode), n + 1, next_row)[n]
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .bipoly import BiPoly, dot
 from .series import EgfSeries
@@ -83,8 +82,7 @@ ALIASES: dict[str, IdentityId] = {
 }
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One verified index tuple: its indices and the exact residual polynomial."""
 
     indices: Mapping[str, object]
@@ -95,8 +93,7 @@ class Case:
         return not self.residual
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity over its index ranges."""
 
     identity: IdentityId
@@ -386,8 +383,7 @@ def _check_compositional_inverse(max_n: int, order: None) -> list[Case]:
 # -- catalog and entry points -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     checker: Callable[[int, int | None], list[Case]]  # (max_n, order)
     full: tuple[int, int | None]  # (max_n, max_order); max_order is None iff no order
     min_order: int = 1  # the identity's first order, read only when it has an order

@@ -1,8 +1,10 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -568,6 +570,35 @@ def test_parser_is_built_once_and_reused(capsys):
         cli.build_parser.cache_clear()
         fresh.append(run_capture(capsys, argv))
     assert shared == fresh
+
+
+# A fresh interpreter: the modules that importing the CLI adds, then whether
+# csv is loaded after one CSV request.
+COLD_START = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import degenpoly.cli
+added = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = degenpoly.cli.run(["compute", "--family", "deg-stirling2", "--max-n", "3", "--format", "csv"])
+print(json.dumps({"added": added, "code": code, "csv": "csv" in sys.modules}))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_inspect_nor_csv():
+    # Every request runs in a fresh process, so what importing the CLI loads is
+    # start-up time paid per request; csv is loaded only by a CSV writer.
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, src],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(done.stdout)
+    assert "degenpoly.cli" in result["added"]
+    assert not {"dataclasses", "inspect", "csv"} & set(result["added"])
+    assert result["code"] == 0
+    assert result["csv"]
 
 
 # -- list-families ----------------------------------------------------------------------

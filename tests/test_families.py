@@ -31,7 +31,8 @@ from degenpoly.families import (
     triangle_row,
     triangular_numbers,
 )
-from degenpoly.identities import verify
+from degenpoly import identities
+from degenpoly.identities import Case, IdentityId, VerificationReport, verify
 from degenpoly.series import EgfSeries, SeriesError
 from oracles import classical_value, series_exp
 
@@ -924,6 +925,55 @@ def test_param_kinds():
     with pytest.raises(ValueError, match="unknown parameter kind"):
         Param("affine", 1)
     assert Param("symbolic", 0) == Param.symbolic()
+
+
+RECORDS = {
+    "Param": (Param.numeric(5), "value"),
+    "FamilySpec": (FamilySpec(FamilyId.DEG_BERNOULLI2, 2), "order"),
+    "FamilyInfo": (CATALOG[FamilyId.DEG_STIRLING1], "build"),
+    "Case": (Case({"n": 0}, ONE), "residual"),
+    "VerificationReport": (
+        VerificationReport(IdentityId.EQ23, 0, None, 12, None, (Case({"n": 0}, ONE),), 0.0),
+        "cases",
+    ),
+    "_Entry": (identities._CATALOG[IdentityId.THM4], "min_order"),
+}
+
+
+@pytest.mark.parametrize("record, name", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+
+
+def test_equal_params_share_one_cache_entry():
+    first, second = Param.numeric(5), Param("numeric", Fraction(10, 2))
+    assert first == second and hash(first) == hash(second)
+    assert first != Param.shifted(5)
+    clear_caches()
+    triangle_row(FamilyId.DEG_STIRLING2, 4, first)
+    triangle_row(FamilyId.DEG_STIRLING2, 4, second)
+    assert _triangle_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_param_repr_names_kind_and_value():
+    assert repr(Param.numeric(5)) == "Param(kind='numeric', value=Fraction(5, 1))"
+    with pytest.raises(ValueError) as refused:
+        triangle_row(FamilyId.STIRLING2, 4, Param.numeric(5))
+    assert str(refused.value).endswith("got Param(kind='numeric', value=Fraction(5, 1))")
+
+
+def test_replace_checks_fields_like_the_constructor():
+    assert Param.numeric(5)._replace(value="1/3") == Param.numeric(Fraction(1, 3))
+    assert type(Param.numeric(5)._replace(value=2).value) is Fraction
+    assert FamilySpec(FamilyId.DEG_BERNOULLI2)._replace(order="1/2").order == Fraction(1, 2)
+    with pytest.raises(ValueError, match="unknown parameter kind"):
+        Param.numeric(5)._replace(kind="affine")
+    with pytest.raises(ValueError, match="symbolic parameter has no value"):
+        Param.symbolic()._replace(value=1)
+    # A record is a tuple of its fields.
+    assert Param.numeric(5) == ("numeric", Fraction(5))
+    assert Param.numeric(5)._asdict() == {"kind": "numeric", "value": Fraction(5)}
 
 
 def test_symbolic_param_takes_no_value():

@@ -17,7 +17,6 @@ of t^n in kernel^k.  The central factorial power x^[n] is checked against
 x * ``sympy.ff``(x + n/2 - 1, n - 1).
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -281,7 +280,7 @@ def test_oracle_rejects_a_mutated_recipe(monkeypatch):
         return type(series)(coeffs)
 
     monkeypatch.setitem(families.CATALOG, FamilyId.TYPE2_DEG_BERNOULLI2,
-                        replace(info, build=mutated))
+                        info._replace(build=mutated))
     families.clear_caches()
     try:
         assert _sequence_mismatches(
