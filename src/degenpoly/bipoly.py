@@ -3,9 +3,17 @@
 Every coefficient in this package lives in the ring Q[l, x]: polynomials
 in the deformation parameter (printed ``l``) and the argument ``x``.  A
 polynomial is stored as integer numerators over one common denominator,
-the layout of FLINT's ``fmpq_poly``: ``_terms`` maps exponent pairs
-``(dl, dx)`` to ``int`` numerators and ``_den`` is a positive ``int``, so
-the coefficient of l^dl x^dx is ``_terms[(dl, dx)] / _den``.  Arithmetic
+the layout of FLINT's ``fmpq_poly``: ``_terms`` maps term keys to ``int``
+numerators and ``_den`` is a positive ``int``, so the coefficient of
+l^dl x^dx is ``_terms[key] / _den``.  A term key packs the exponent pair
+into one int, total degree above degree in ``l``:
+``key = (dl + dx) << 15 | dl`` (the graded packed exponent vectors of
+Monagan and Pearce).  The key of the product of two terms is then the sum
+of their keys, and ascending keys are graded-lex order.  Total degree is
+bounded by 16383, so a key stays below 2**30 and the ``dl`` fields of two
+factors sum without carrying into the degree field.  The constructor
+refuses a term past the bound, and ``dot``, the one routine that raises
+degrees, checks its result once, so every stored key is exact.  Arithmetic
 runs on plain ints and reduces each result once, by a single gcd over its
 denominator and numerators.  ``dot(xs, ys, ws)``, the sum of w*x*y over
 paired polynomials with optional integer weights, is the one product
@@ -35,6 +43,26 @@ Term = tuple[int, int]  # (degree in l, degree in x)
 
 _gcd = math.gcd
 
+# Term keys: (dl + dx) << _SHIFT | dl.  The keys of l and x are _L_KEY and
+# _X_KEY, so l^dl x^dx has the key dl * _L_KEY + dx * _X_KEY.  Two degrees
+# within _MAX_DEGREE sum below 2**_SHIFT, so adding keys never carries.
+_SHIFT = 15
+_DL_MASK = (1 << _SHIFT) - 1
+_MAX_DEGREE = 16383
+_X_KEY = 1 << _SHIFT
+_L_KEY = _X_KEY | 1
+
+
+def _key(dl: int, dx: int) -> int:
+    """The term key of l^dl x^dx."""
+    return (dl + dx) << _SHIFT | dl
+
+
+def _pair(key: int) -> Term:
+    """The exponent pair ``(dl, dx)`` of a term key."""
+    dl = key & _DL_MASK
+    return dl, (key >> _SHIFT) - dl
+
 
 def rational(value: Scalar | str) -> Fraction:
     """``value`` as an exact ``Fraction``: an int, a Fraction or a rational string.
@@ -47,7 +75,7 @@ def rational(value: Scalar | str) -> Fraction:
     return Fraction(value)
 
 
-def _raw(nums: dict[Term, int], den: int) -> "BiPoly":
+def _raw(nums: dict[int, int], den: int) -> "BiPoly":
     """A BiPoly from numerators and denominator already in canonical form."""
     p = object.__new__(BiPoly)
     p._terms = nums
@@ -55,7 +83,7 @@ def _raw(nums: dict[Term, int], den: int) -> "BiPoly":
     return p
 
 
-def _make(nums: dict[Term, int], den: int) -> "BiPoly":
+def _make(nums: dict[int, int], den: int) -> "BiPoly":
     """A BiPoly from nonzero numerators over ``den > 0``, reduced by one gcd pass."""
     if not nums:
         return _raw(nums, 1)
@@ -70,22 +98,33 @@ def _make(nums: dict[Term, int], den: int) -> "BiPoly":
 class BiPoly:
     """A polynomial in ``l`` and ``x`` with exact rational coefficients.
 
-    ``_terms`` maps exponent pairs ``(dl, dx)`` to nonzero integer
+    ``_terms`` maps term keys ``(dl + dx) << 15 | dl`` to nonzero integer
     numerators over the common denominator ``_den`` (see the module
-    docstring for the canonical form).  All operations return new instances.
+    docstring for the key layout and the canonical form); ``terms()`` gives
+    them back keyed by ``(dl, dx)``.  The product of two terms has the sum
+    of their keys as its key, and sorted keys are in graded-lex order.  An
+    exponent must be an ``int``, and a total degree past 16383 raises
+    ``ValueError``: here for a term given to the constructor, and in ``dot``
+    for a product.  All operations return new instances.
     """
 
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Term, Scalar] | None = None):
-        coeffs: dict[Term, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         if terms:
             for (dl, dx), c in terms.items():
+                if not isinstance(dl, int) or not isinstance(dx, int):
+                    raise ValueError(f"an exponent is not an int in term ({dl!r}, {dx!r})")
                 if dl < 0 or dx < 0:
                     raise ValueError(f"negative exponent in term ({dl}, {dx})")
+                if dl + dx > _MAX_DEGREE:
+                    raise ValueError(
+                        f"total degree of term ({dl}, {dx}) exceeds {_MAX_DEGREE}"
+                    )
                 c = rational(c)
                 if c:
-                    coeffs[(int(dl), int(dx))] = c
+                    coeffs[_key(dl, dx)] = c
         # Over the lcm of reduced denominators the numerators share no factor with it.
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
@@ -99,24 +138,24 @@ class BiPoly:
     def const(cls, c: Scalar) -> "BiPoly":
         if not isinstance(c, (int, Fraction)):
             c = rational(c)
-        return _raw({(0, 0): c.numerator}, c.denominator) if c else _raw({}, 1)
+        return _raw({0: c.numerator}, c.denominator) if c else _raw({}, 1)
 
     @classmethod
     def lam(cls) -> "BiPoly":
         """The variable ``l``."""
-        return _raw({(1, 0): 1}, 1)
+        return _raw({_L_KEY: 1}, 1)
 
     @classmethod
     def x(cls) -> "BiPoly":
         """The variable ``x``."""
-        return _raw({(0, 1): 1}, 1)
+        return _raw({_X_KEY: 1}, 1)
 
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> dict[Term, Fraction]:
         """The canonical term map, with ``Fraction`` coefficients."""
         den = self._den
-        return {key: Fraction(v, den) for key, v in self._terms.items()}
+        return {_pair(key): Fraction(v, den) for key, v in self._terms.items()}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -126,8 +165,8 @@ class BiPoly:
         terms = self._terms
         if not terms:
             return Fraction(0)
-        if len(terms) == 1 and (0, 0) in terms:
-            return Fraction(terms[(0, 0)], self._den)
+        if len(terms) == 1 and 0 in terms:
+            return Fraction(terms[0], self._den)
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -201,11 +240,11 @@ class BiPoly:
     def __mul__(self, other: object) -> "BiPoly":
         if isinstance(other, BiPoly):
             c = other._terms
-            if len(c) == 1 and (0, 0) in c:
-                return _scale(self, c[(0, 0)], other._den)
+            if len(c) == 1 and 0 in c:
+                return _scale(self, c[0], other._den)
             c = self._terms
-            if len(c) == 1 and (0, 0) in c:
-                return _scale(other, c[(0, 0)], self._den)
+            if len(c) == 1 and 0 in c:
+                return _scale(other, c[0], self._den)
             return dot((self,), (other,))
         if isinstance(other, int):
             return _scale(self, other, 1)
@@ -238,16 +277,20 @@ class BiPoly:
         terms = self._terms
         if not terms:
             return self
-        top = max(key[axis] for key in terms)
+        # Each term as (d, key of the monomial left once v^d is taken out, n).
+        split = []
+        for key, v in terms.items():
+            dl = key & _DL_MASK
+            dx = (key >> _SHIFT) - dl
+            split.append((dl, dx * _X_KEY, v) if axis == 0 else (dx, dl * _L_KEY, v))
+        top = max(d for d, _, _ in split)
         p_pow = [1]
         q_pow = [1]
         for _ in range(top):
             p_pow.append(p_pow[-1] * p)
             q_pow.append(q_pow[-1] * q)
-        out: dict[Term, int] = {}
-        for key, v in terms.items():
-            d = key[axis]
-            rest = (0, key[1]) if axis == 0 else (key[0], 0)
+        out: dict[int, int] = {}
+        for d, rest, v in split:
             out[rest] = out.get(rest, 0) + v * p_pow[d] * q_pow[top - d]
         return _make({key: v for key, v in out.items() if v}, self._den * q_pow[top])
 
@@ -263,9 +306,10 @@ class BiPoly:
         """Substitute x -> q for an arbitrary polynomial q, by Horner's scheme."""
         if not self._terms:
             return self
-        buckets: dict[int, dict[Term, int]] = {}
-        for (dl, dx), v in self._terms.items():
-            buckets.setdefault(dx, {})[(dl, 0)] = v
+        buckets: dict[int, dict[int, int]] = {}
+        for key, v in self._terms.items():
+            dl, dx = _pair(key)
+            buckets.setdefault(dx, {})[_key(dl, 0)] = v
         den = self._den
         top = max(buckets)
         acc = _make(buckets[top], den)
@@ -275,20 +319,22 @@ class BiPoly:
 
     def div_lam(self) -> "BiPoly":
         """Exact division by ``l``; every term must contain ``l``."""
-        for (dl, _dx) in self._terms:
-            if dl == 0:
+        for key in self._terms:
+            if not key & _DL_MASK:
                 raise ValueError("polynomial is not divisible by l")
-        return _raw({(dl - 1, dx): v for (dl, dx), v in self._terms.items()}, self._den)
+        return _raw({key - _L_KEY: v for key, v in self._terms.items()}, self._den)
 
     # -- serialization and printing --------------------------------------
 
     def _reduced_terms(self) -> list[tuple[int, int, int, int]]:
         """``(dl, dx, p, q)`` per term in graded-lex order, coefficient p/q reduced, q > 0."""
-        den = self._den
+        terms, den = self._terms, self._den
         out = []
-        for (dl, dx), v in sorted(self._terms.items(), key=_graded_lex):
+        for key in sorted(terms):
+            v = terms[key]
+            dl = key & _DL_MASK
             g = _gcd(v, den)
-            out.append((dl, dx, v // g, den // g))
+            out.append((dl, (key >> _SHIFT) - dl, v // g, den // g))
         return out
 
     def to_records(self) -> list[dict[str, object]]:
@@ -348,7 +394,7 @@ def dot(
             pairs.append((a, b, d, w) if len(a) <= len(b) else (b, a, d, w))
             if d != den:
                 den = math.lcm(den, d)
-    out: dict[Term, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     products = 0
     for a, b, d, w in pairs:
@@ -356,14 +402,18 @@ def dot(
         scale = den // d * w
         b_items = b.items()
         products += len(a) * len(b)
-        for (al, ax), ac in a.items():
+        for ka, ac in a.items():
             ac *= scale
-            for (bl, bx), bc in b_items:
-                key = (al + bl, ax + bx)
+            for kb, bc in b_items:
+                key = ka + kb
                 out[key] = get(key, 0) + ac * bc
     # Only a sum that merged some products can hold a zero numerator.
     if len(out) < products:
         out = {key: v for key, v in out.items() if v}
+    # Factors within the degree bound sum their dl fields without a carry,
+    # so the largest key holds the largest total degree exactly.
+    if out and max(out) >> _SHIFT > _MAX_DEGREE:
+        raise ValueError(f"total degree {max(out) >> _SHIFT} of a product exceeds {_MAX_DEGREE}")
     return _make(out, den)
 
 
@@ -390,12 +440,6 @@ def _scale(poly: BiPoly, p: int, q: int) -> BiPoly:
     if p != 1:
         nums = {key: v * p for key, v in nums.items()}
     return _raw(nums, den * q)
-
-
-def _graded_lex(item: tuple[Term, int]) -> tuple[int, int]:
-    """Sort key of a term: total degree, then degree in ``l``."""
-    (dl, dx), _ = item
-    return (dl + dx, dl)
 
 
 def _pow_str(name: str, d: int) -> str:

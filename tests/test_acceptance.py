@@ -143,6 +143,7 @@ FULL_SUITE_SHA256 = "699f0ff3a60d78c61ddd966098311c83a2bbefe61f0eec5f3e8ba06d1a0
 QUICK_CSV_SHA256 = "1ec4ffc443566a5d315386b7b2a05a65351f8288ba86dedd73aa140d37aa98ef"
 COMPUTE_JSON_SHA256 = "3bb0dec14e880c18b79c2f9ec91319f25b7c6804b11ab3961f79646f5ce6c96d"
 COMPUTE_CSV_SHA256 = "f1ea2185de2e5c15154533da1e27d0eefef3a2aa26bb13ba7ff15224736023a7"
+FULL_DEGREE_CSV_SHA256 = "191e341d3f8b843199fe402c432f99a4c4153216f1892b0a4075b39e248f6179"
 
 
 def test_criterion_12_full_cli_suite_under_budget(capsys):
@@ -188,3 +189,11 @@ def test_compute_json_is_pinned(capsys):
 
 def test_compute_csv_is_pinned(capsys):
     assert _compute_catalog(capsys, "csv") == COMPUTE_CSV_SHA256
+
+
+def test_full_degree_compute_csv_is_pinned(capsys):
+    # The largest symbolic table the CLI allows: degrees up to 64 in l and in x.
+    argv = ["compute", "--family", "deg-bernoulli2", "--max-n", "64", "--order", "3"]
+    assert cli.run(argv + ["--format", "csv"]) == 0
+    payload = capsys.readouterr().out
+    assert hashlib.sha256(payload.encode()).hexdigest() == FULL_DEGREE_CSV_SHA256

@@ -152,6 +152,90 @@ def test_negative_exponent_rejected():
         BiPoly({(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "term", [(1.5, 0), (0, 2.9), (2.0, 0), (0, Fraction(1, 2)), ("2", 1)], ids=repr
+)
+def test_non_int_exponent_rejected(term):
+    # Neither truncated (1.5 is not 1) nor compared as a str: refused by name.
+    with pytest.raises(ValueError, match=r"not an int in term \("):
+        BiPoly({term: 3})
+
+
+# -- the degree bound of the packed term keys --------------------------------------
+
+MAX_DEGREE = 16383
+
+
+@pytest.mark.parametrize(
+    "make, pair",
+    [
+        (lambda: BiPoly({(MAX_DEGREE, 0): 1}), (MAX_DEGREE, 0)),
+        (lambda: BiPoly({(8191, 8192): 1}), (8191, 8192)),
+        (lambda: BiPoly({(0, MAX_DEGREE): 1}), (0, MAX_DEGREE)),
+        (lambda: L**8192 * L**8191, (MAX_DEGREE, 0)),
+        (lambda: L**8191 * X**8192, (8191, 8192)),
+    ],
+    ids=["term l^16383", "term l^8191*x^8192", "term x^16383", "l^8192 * l^8191", "l^8191 * x^8192"],
+)
+def test_terms_at_the_degree_bound_round_trip(make, pair):
+    p = make()
+    assert p.terms() == {pair: 1}
+    assert BiPoly(p.terms()) == p
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BiPoly({(MAX_DEGREE + 1, 0): 1}),
+        lambda: BiPoly({(8192, 8192): 1}),
+        lambda: BiPoly({(0, MAX_DEGREE + 1): 1}),
+        lambda: L**8192 * L**8192,
+        lambda: (L**10000) * (L**10000),
+        lambda: X**8192 * (L * X**8191 + 1),
+    ],
+    ids=[
+        "term l^16384",
+        "term l^8192*x^8192",
+        "term x^16384",
+        "l^8192 * l^8192",
+        "l^10000 * l^10000",
+        "x^8192 * (l*x^8191 + 1)",
+    ],
+)
+def test_degree_past_the_bound_raises(make):
+    with pytest.raises(ValueError, match="exceeds 16383"):
+        make()
+
+
+_bounded_pairs = st.integers(0, MAX_DEGREE).flatmap(
+    lambda total: st.integers(0, total).map(lambda dl: (dl, total - dl))
+)
+_bounded_bipolys = st.dictionaries(_bounded_pairs, rationals, max_size=8).map(BiPoly)
+
+
+@settings(max_examples=150)
+@given(_bounded_bipolys)
+@example(BiPoly({(MAX_DEGREE, 0): 1, (0, MAX_DEGREE): 2, (8191, 8192): 3, (0, 0): 4}))
+def test_packed_keys_round_trip_in_graded_lex_order(p):
+    assert BiPoly(p.terms()) == p
+    pairs = [(dl, dx) for dl, dx, _, _ in p._reduced_terms()]
+    assert pairs == sorted(p.terms(), key=lambda pair: (pair[0] + pair[1], pair[0]))
+
+
+@settings(max_examples=100)
+@given(_bounded_bipolys, _bounded_bipolys)
+@example(BiPoly({(MAX_DEGREE, 0): 1}), BiPoly({(0, 0): 1, (1, 0): 1}))
+@example(BiPoly({(8191, 0): 1, (0, 8191): 1}), BiPoly({(8192, 0): 1, (0, 8192): -1}))
+def test_products_near_the_degree_bound_match_reference(a, b):
+    # A product is exact up to the bound and refused past it, never wrapped.
+    expected = RefPoly.of(a) * RefPoly.of(b)
+    if max((dl + dx for dl, dx in expected.terms), default=0) > MAX_DEGREE:
+        with pytest.raises(ValueError):
+            dot([a], [b])
+    else:
+        assert agrees(dot([a], [b]), expected)
+
+
 def test_zero_polynomial_is_falsy():
     assert not BiPoly.zero()
     assert BiPoly.const(0) == BiPoly.zero()
@@ -491,14 +575,19 @@ def test_product_cancellation_leaves_no_zero_terms():
     assert_canonical(prod)
 
 
+def packed(dl, dx):
+    """The storage key of l^dl x^dx: total degree above degree in l."""
+    return (dl + dx) << 15 | dl
+
+
 def test_common_denominator_is_reduced():
     # 1/6 + 1/3 = 1/2 and (2/3) * (3/4) = 1/2: both need the gcd pass.
     half = BiPoly.const(frac(1, 6)) + BiPoly.const(frac(1, 3))
-    assert (half._terms, half._den) == ({(0, 0): 1}, 2)
+    assert (half._terms, half._den) == ({packed(0, 0): 1}, 2)
     prod = (L * frac(2, 3)) * (X * frac(3, 4))
-    assert (prod._terms, prod._den) == ({(1, 1): 1}, 2)
+    assert (prod._terms, prod._den) == ({packed(1, 1): 1}, 2)
     mixed = BiPoly({(0, 0): frac(1, 4), (1, 0): frac(1, 6)})
-    assert (mixed._terms, mixed._den) == ({(0, 0): 3, (1, 0): 2}, 12)
+    assert (mixed._terms, mixed._den) == ({packed(0, 0): 3, packed(1, 0): 2}, 12)
     assert_canonical(mixed - BiPoly.const(frac(1, 4)))
     zero = mixed - mixed
     assert (zero._terms, zero._den) == ({}, 1)
