@@ -72,7 +72,21 @@ def rational(value: Scalar | str) -> Fraction:
     """
     if isinstance(value, float):
         raise ValueError(f"a float is not an exact rational: {value!r}; pass a Fraction or a str")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"a rational with denominator 0: {value!r}") from exc
+
+
+def as_size(value: int, name: str) -> int:
+    """``value``, a size such as a truncation order or an index bound, if it is an ``int``.
+
+    A ``bool`` or any other type is refused with ``ValueError`` naming the
+    argument ``name``; the caller checks the bound.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def _raw(nums: dict[int, int], den: int) -> "BiPoly":

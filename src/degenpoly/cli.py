@@ -7,13 +7,13 @@ graded-lex polynomial term order, CSV with a header row.  Wall-clock
 timings are therefore omitted unless ``--timings`` is given.
 
 JSON is byte-identical to ``json.dumps(payload, indent=2)`` with each
-``BiPoly`` value replaced by its ``to_records()``.  A polynomial's records
-are written by ``_poly_text`` straight from its integer terms, building no
-per-term dict.  A verification report goes through the generic writer
-``_json_text``; a compute table writes its header through ``_json_text``
-and each row with one f-string, and each text is joined once.  The parser
-is built once per process, on the first ``run``, and reused by every later
-request.
+``BiPoly`` value replaced by its ``to_records()``.  Every JSON text is a
+fixed layout: the compute header and rows, a verification report and the
+suite envelope are each written by f-strings, with every scalar encoded by
+``_scalar`` and every polynomial by ``_poly_text`` straight from its
+integer terms, building no per-term or per-case dict, and each text is
+joined once.  The parser is built once per process, on the first ``run``,
+and reused by every later request.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
 2 usage error.  An unknown argument, a flag outside its type or size bound,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -176,18 +175,15 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
 
 def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> str:
     if args.format == "json":
-        header = {
-            "family": args.family,
-            "kind": kind,
-            "order": str(args.order),
-            "lambda": "symbolic" if args.lam == "symbolic" else str(args.lam),
-            "x": "symbolic" if args.x_arg == "symbolic" else str(args.x_arg),
-            "max_n": args.max_n,
-        }
-        # The header without its closing "\n}", then the "values" list, one
-        # f-string per entry dict; rows start at n = 0, which has entry 0.
+        lam = "symbolic" if args.lam == "symbolic" else str(args.lam)
+        x = "symbolic" if args.x_arg == "symbolic" else str(args.x_arg)
+        # Rows start at n = 0, which has entry 0, so "values" is never empty.
         item, field = "\n    ", "\n      "
-        pieces = [_json_text(header)[:-2], ',\n  "values": [']
+        pieces = [
+            f'{{\n  "family": {_scalar(args.family)},\n  "kind": {_scalar(kind)},'
+            f'\n  "order": {_scalar(str(args.order))},\n  "lambda": {_scalar(lam)},'
+            f'\n  "x": {_scalar(x)},\n  "max_n": {_scalar(args.max_n)},\n  "values": ['
+        ]
         if kind == "triangle":
             pieces += [
                 f'{"," if n or k else ""}{item}{{{field}"n": {n},{field}"k": {k},'
@@ -220,75 +216,20 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
     return buffer.getvalue()
 
 
-# -- JSON -------------------------------------------------------------------------
+# -- JSON layouts ----------------------------------------------------------------
 
 
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for the values the CLI emits.
-
-    Those are dicts with str keys, lists, str, int, bool, None, finite
-    floats and ``BiPoly``; a polynomial (a verification residual) is written
-    by ``_poly_text``, as its ``to_records()`` would be.  A non-finite float
-    raises ``ValueError`` and any other type ``TypeError``.  It writes
-    verification reports and the compute header; compute rows skip its
-    per-value recursion (``_render_compute``).
-    On a 25-row order-3 ``deg-bernoulli2`` table (2838 terms, Python 3.11)
-    this took 4 ms, and ``to_records()`` plus the stdlib encoder, pure
-    Python given an indent through 3.12, took 25 ms.  From Python 3.13 the
-    stdlib's C encoder takes the indent, but it still needs the per-term
-    dicts.
-    """
-    chunks: list[str] = []
-    _write_json(obj, "\n", chunks.append)
-    return "".join(chunks)
-
-
-def _write_json(o: object, newline: str, append: Callable[[str], None]) -> None:
-    # A module-level function, not a closure over ``chunks``: a recursive
-    # closure is a reference cycle that would keep every chunk alive until
-    # the next garbage collection.
-    if isinstance(o, str):
-        append(encode_basestring_ascii(o))
-    elif isinstance(o, dict):
-        if not o:
-            append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in o.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, append)
-            sep = "," + inner
-        append(newline + "}")
-    elif isinstance(o, list):
-        if not o:
-            append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
-            append(sep)
-            _write_json(item, inner, append)
-            sep = "," + inner
-        append(newline + "]")
-    elif o is None or o is True or o is False:
-        append("null" if o is None else "true" if o else "false")
-    elif isinstance(o, int):
-        append(int.__repr__(o))
-    elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"out of range float value: {o!r}")
-        append(float.__repr__(o))
-    elif isinstance(o, BiPoly):
-        append(_poly_text(o, newline))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _scalar(value: str | int | bool | None | float) -> str:
+    """``json.dumps(value)`` for a str, int, bool, None or finite float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:  # before int: a bool is an int
+        return "null" if value is None else "true" if value else "false"
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
 def _poly_text(poly: BiPoly, newline: str) -> str:
-    """What ``_write_json`` writes for ``poly.to_records()`` at indent ``newline``."""
+    """``json.dumps(poly.to_records(), indent=2)`` with its lines indented by ``newline``."""
     terms = poly._reduced_terms()
     if not terms:
         return "[]"
@@ -308,24 +249,30 @@ def _poly_text(poly: BiPoly, newline: str) -> str:
 # -- verify -------------------------------------------------------------------
 
 
-def _report_json(report: VerificationReport, timings: bool) -> dict[str, object]:
-    """One report as the JSON object ``verify`` writes; the wall time only with ``timings``."""
-    out: dict[str, object] = {
-        "identity": report.identity.value,
-        "ranges": {"max_n": report.max_n, "max_order": report.max_order, "trunc": report.trunc},
-        "profile": report.profile,
-        "cases": [
-            {
-                "indices": dict(case.indices),
-                "status": "pass" if case.passed else "fail",
-                "residual": case.residual,
-            }
-            for case in report.cases
-        ],
-    }
-    if timings:
-        out["wall_time_ms"] = round(report.wall_time_ms, 3)
-    return out
+def _report_text(report: VerificationReport, timings: bool, newline: str) -> str:
+    """One report as the JSON object ``verify`` writes, its lines indented by ``newline``.
+
+    The wall time is written only with ``timings``.  ``verify`` returns at
+    least one case, each with at least one index, so neither list is empty.
+    """
+    field, item = newline + "  ", newline + "    "
+    key, entry = item + "  ", item + "    "
+    cases = [
+        f'{item}{{{key}"indices": {{{entry}'
+        + ("," + entry).join([f"{_scalar(k)}: {_scalar(v)}" for k, v in case.indices.items()])
+        + f'{key}}},{key}"status": {_scalar("pass" if case.passed else "fail")},'
+        f'{key}"residual": {_poly_text(case.residual, key)}{item}}}'
+        for case in report.cases
+    ]
+    tail = f',{field}"wall_time_ms": {_scalar(round(report.wall_time_ms, 3))}' if timings else ""
+    return (
+        f'{{{field}"identity": {_scalar(report.identity.value)},'
+        f'{field}"ranges": {{{item}"max_n": {_scalar(report.max_n)},'
+        f'{item}"max_order": {_scalar(report.max_order)},{item}"trunc": {_scalar(report.trunc)}'
+        f'{field}}},{field}"profile": {_scalar(report.profile)},{field}"cases": ['
+        + ",".join(cases)
+        + f"{field}]{tail}{newline}}}"
+    )
 
 
 def _render_reports(
@@ -333,14 +280,13 @@ def _render_reports(
 ) -> str:
     if fmt == "json":
         if profile is None:
-            payload: object = _report_json(reports[0], timings)
-        else:
-            payload = {
-                "profile": profile,
-                "all_pass": all(r.all_pass for r in reports),
-                "reports": [_report_json(r, timings) for r in reports],
-            }
-        return _json_text(payload) + "\n"
+            return _report_text(reports[0], timings, "\n") + "\n"
+        return (
+            f'{{\n  "profile": {_scalar(profile)},'
+            f'\n  "all_pass": {_scalar(all(r.all_pass for r in reports))},\n  "reports": [\n    '
+            + ",\n    ".join([_report_text(r, timings, "\n    ") for r in reports])
+            + "\n  ]\n}\n"
+        )
 
     import csv
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from .bipoly import BiPoly, dot, rational
+from .bipoly import BiPoly, as_size, dot, rational
 from .series import EgfSeries
 
 _L = BiPoly.lam()
@@ -172,7 +172,7 @@ class FamilySpec(_SpecFields):
 
 def step_products(arg: BiPoly, step: BiPoly, n: int) -> list[BiPoly]:
     """The prefix products [1, arg, arg*(arg - step), ..., (arg)_{n,step}]."""
-    if n < 0:
+    if as_size(n, "n") < 0:
         raise ValueError(f"product length must be nonnegative, got {n}")
     prods = [_ONE]
     for j in range(n):
@@ -189,7 +189,7 @@ def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     log_l(1+t) and (1+t)^x at every order, x-argument and truncation, so
     each is built once, as far as the longest request.
     """
-    if trunc < 0:
+    if as_size(trunc, "trunc") < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
 
     def coefficient(coeffs: list[BiPoly], n: int) -> BiPoly:
@@ -234,7 +234,7 @@ def _grown(table: list[tuple], size: int, item: Callable[[list, int], object]) -
 
 def central_factorial_power(n: int) -> BiPoly:
     """The central factorial x^[n] = x * (x + n/2 - 1) * (x + n/2 - 2) * ... * (x - n/2 + 1)."""
-    if n < 0:
+    if as_size(n, "n") < 0:
         raise ValueError(f"central factorial power needs n >= 0, got {n}")
     if n == 0:
         return _ONE
@@ -459,7 +459,7 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
     domain, or an x or l it ignores, is refused with ``ValueError`` before
     any work starts.
     """
-    if trunc < 0:
+    if as_size(trunc, "trunc") < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
     family, order, info = spec.family, spec.order, CATALOG[spec.family]
     if info.kind != "sequence":
@@ -507,7 +507,7 @@ def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tupl
     at l = 0.
     """
     mode = _table_mode(family, lambda_mode)
-    if n < 0:
+    if as_size(n, "n") < 0:
         raise ValueError(f"triangle row index must be nonnegative, got {n}")
 
     def next_row(rows: list[tuple[BiPoly, ...]], i: int) -> tuple[BiPoly, ...]:
@@ -573,7 +573,7 @@ def deg_bernoulli2_alt_egf(order: Fraction | int, trunc: int) -> EgfSeries:
     The denominator's coefficients are odd polynomials in ``l``, so dividing
     by ``l*t`` is exact polynomial division.
     """
-    if trunc < 0:
+    if as_size(trunc, "trunc") < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
     order = rational(order)
     half_l = _L * _HALF

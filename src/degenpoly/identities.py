@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
-from .bipoly import BiPoly, dot
+from .bipoly import BiPoly, as_size, dot
 from .series import EgfSeries
 from .families import (
     FamilyId,
@@ -469,9 +469,9 @@ def verify(
     from_profile = max_n is None or (max_order is None and uses_order)
     max_n = d_max_n if max_n is None else max_n
     max_order = d_order if max_order is None else max_order
-    if max_n < 0:
+    if as_size(max_n, "max_n") < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    if uses_order and max_order < entry.min_order:
+    if uses_order and as_size(max_order, "max_order") < entry.min_order:
         raise ValueError(
             f"identity {identity.value} starts at order {entry.min_order}, got {max_order}"
         )

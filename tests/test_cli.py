@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from degenpoly import cli, families
 from degenpoly.bipoly import BiPoly
-from degenpoly.identities import Case, IdentityId, VerificationReport, verify
+from degenpoly.identities import Case, IdentityId, VerificationReport, verify, verify_all
 from test_bipoly import big_bipolys
 
 
@@ -471,6 +471,17 @@ def test_usage_error_shows_the_subcommand_usage(capsys, argv):
     assert err.splitlines()[0].startswith(f"usage: degenpoly {argv[0]}")
 
 
+def as_records(tree):
+    """``tree`` with each ``BiPoly`` replaced by its ``to_records()``."""
+    if isinstance(tree, BiPoly):
+        return tree.to_records()
+    if isinstance(tree, dict):
+        return {key: as_records(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [as_records(item) for item in tree]
+    return tree
+
+
 def test_negative_fraction_with_equals_form(capsys):
     # argparse takes "-1/2" after a space for a flag, so the value is attached with "=".
     code, out, _ = run_capture(
@@ -491,10 +502,10 @@ def test_negative_fraction_with_equals_form(capsys):
         "values": [{"n": n, "value": series.value(n)} for n in range(4)],
     }
     assert code == 0
-    assert out == cli._json_text(payload) + "\n"
+    assert out == json.dumps(as_records(payload), indent=2) + "\n"
 
 
-# -- JSON writer and parser reuse ------------------------------------------------------
+# -- JSON layouts and parser reuse ------------------------------------------------------
 
 
 json_scalars = st.one_of(
@@ -508,51 +519,115 @@ json_scalars = st.one_of(
 )
 
 
-def json_containers(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    )
-
-
-json_trees = st.recursive(json_scalars, json_containers, max_leaves=24)
-
-
 @settings(max_examples=300)
-@given(json_trees)
-@example({"": [], "k\u00e9\x00": {}, "v": [[], {}, [{}], True, False, None, -0.0, 1e-300]})
-def test_json_text_equals_stdlib_indent_2(tree):
-    assert cli._json_text(tree) == json.dumps(tree, indent=2)
-
-
-def as_records(tree):
-    """``tree`` with each ``BiPoly`` replaced by its ``to_records()``."""
-    if isinstance(tree, BiPoly):
-        return tree.to_records()
-    if isinstance(tree, dict):
-        return {key: as_records(value) for key, value in tree.items()}
-    if isinstance(tree, list):
-        return [as_records(item) for item in tree]
-    return tree
+@given(json_scalars)
+@example("k\u00e9\x00\"\\\n")
+@example(-0.0)
+@example(1e-300)
+def test_scalar_equals_stdlib(value):
+    assert cli._scalar(value) == json.dumps(value)
 
 
 POLY = BiPoly.x() * 3 - BiPoly.lam() * BiPoly.x() * Fraction(5, 6) + Fraction(-7, 4)
 
 
 @settings(max_examples=300)
-@given(st.recursive(st.one_of(json_scalars, big_bipolys), json_containers, max_leaves=24))
+@given(big_bipolys)
 @example(BiPoly.zero())
 @example(BiPoly.const(Fraction(-2, 3)))
 @example(POLY)
-@example({"a": [{"value": POLY}], "b": [[{"z": BiPoly.zero(), "c": BiPoly.const(5)}]]})
-def test_json_text_writes_polynomials_as_records(tree):
-    assert cli._json_text(tree) == json.dumps(as_records(tree), indent=2)
+def test_poly_text_equals_stdlib_records(poly):
+    assert cli._poly_text(poly, "\n") == json.dumps(poly.to_records(), indent=2)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}], ids=["Fraction", "set"])
-def test_json_text_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        cli._json_text({"values": [{"n": 0, "value": value}]})
+def report_payload(report, timings):
+    """One report as the object ``json.dumps`` would write for ``verify``."""
+    out = {
+        "identity": report.identity.value,
+        "ranges": {"max_n": report.max_n, "max_order": report.max_order, "trunc": report.trunc},
+        "profile": report.profile,
+        "cases": [
+            {
+                "indices": dict(case.indices),
+                "status": "pass" if case.passed else "fail",
+                "residual": case.residual.to_records(),
+            }
+            for case in report.cases
+        ],
+    }
+    if timings:
+        out["wall_time_ms"] = round(report.wall_time_ms, 3)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--identity", "all", "--profile", "quick"],
+        ["--identity", "all", "--profile", "quick", "--timings"],
+        ["--identity", "eq23", "--max-n", "2"],
+        ["--identity", "thm3", "--max-n", "2", "--order", "2", "--timings"],
+        ["--identity", "compositional-inverse", "--max-n", "2"],
+        ["--identity", "eq18-equivalence", "--max-n", "2", "--profile", "quick"],
+    ],
+    ids=["quick-suite", "quick-suite-timed", "eq23-no-profile", "thm3-order-timed",
+         "str-indices", "fraction-indices"],
+)
+def test_report_json_equals_stdlib_indent_2(capsys, monkeypatch, argv):
+    # The CLI writes the very reports the library returned to it, wall times too.
+    returned = []
+
+    def keep(produce):
+        def kept(*args, **kwargs):
+            result = produce(*args, **kwargs)
+            returned.extend(result if isinstance(result, list) else [result])
+            return result
+        return kept
+
+    monkeypatch.setattr(cli, "verify", keep(verify))
+    monkeypatch.setattr(cli, "verify_all", keep(verify_all))
+    code, out, _ = run_capture(capsys, ["verify"] + argv)
+    assert code == 0
+    timings = "--timings" in argv
+    if argv[1] == "all":
+        payload = {
+            "profile": "quick",
+            "all_pass": True,
+            "reports": [report_payload(report, timings) for report in returned],
+        }
+        assert len(returned) == len(IdentityId)
+    else:
+        (report,) = returned
+        payload = report_payload(report, timings)
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["--family", "deg-bernoulli2", "--max-n", "3", "--order", "1/2"],
+         ["deg-bernoulli2", "sequence", "1/2", "symbolic", "symbolic", 3]),
+        (["--family", "type2-deg-bernoulli2", "--max-n", "3", "--order", "2",
+          "--lambda=-37/42", "--x=5/3"],
+         ["type2-deg-bernoulli2", "sequence", "2", "-37/42", "5/3", 3]),
+        (["--family", "deg-stirling2", "--max-n", "3"],
+         ["deg-stirling2", "triangle", "1", "symbolic", "symbolic", 3]),
+        (["--family", "deg-stirling1", "--max-n", "0", "--lambda=1/3"],
+         ["deg-stirling1", "triangle", "1", "1/3", "symbolic", 0]),
+        (["--family", "central-factorial-power", "--max-n", "2"],
+         ["central-factorial-power", "polynomial", "1", "symbolic", "symbolic", 2]),
+    ],
+    ids=["sequence-symbolic", "sequence-numeric", "triangle-symbolic", "triangle-numeric",
+         "polynomial"],
+)
+def test_compute_header_equals_stdlib_indent_2(capsys, argv, header):
+    code, out, _ = run_capture(capsys, ["compute"] + argv)
+    assert code == 0
+    payload = json.loads(out)
+    keys = ["family", "kind", "order", "lambda", "x", "max_n"]
+    assert list(payload) == keys + ["values"]
+    expected = dict(zip(keys, header), values=payload["values"])
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_parser_is_built_once_and_reused(capsys):

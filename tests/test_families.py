@@ -2,6 +2,7 @@
 classical limits, and parameter validation."""
 
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -10,7 +11,7 @@ from functools import partial
 import pytest
 
 from degenpoly import cli
-from degenpoly.bipoly import BiPoly
+from degenpoly.bipoly import BiPoly, rational
 from degenpoly.families import (
     CATALOG,
     E_L,
@@ -859,6 +860,12 @@ def test_library_refusals_raise_value_or_series_error():
         "coefficient 5 of order 3": (
             lambda: EgfSeries([1, 2, 3, 4]).coefficient(5), SeriesError
         ),
+        "rational 1/0": (lambda: rational("1/0"), ValueError),
+        "numeric parameter 1/0": (lambda: Param.numeric("1/0"), ValueError),
+        "order 1/0": (lambda: FamilySpec(FamilyId.DEG_BERNOULLI2, "1/0"), ValueError),
+        "coefficient 1/0": (lambda: BiPoly({(0, 0): "1/0"}), ValueError),
+        "pow(1/0)": (lambda: EgfSeries([1, 1]).pow("1/0"), ValueError),
+        "alternative route at order 1/0": (lambda: deg_bernoulli2_alt_egf("1/0", 2), ValueError),
     }
     raised = {}
     for name, (refusal, _) in refusals.items():
@@ -866,6 +873,29 @@ def test_library_refusals_raise_value_or_series_error():
             refusal()
         raised[name] = type(caught.value)
     assert raised == {name: error for name, (_, error) in refusals.items()}
+
+
+SIZE_REFUSALS = {
+    "verify-max-n": ("max_n", lambda size: verify("eq2", max_n=size)),
+    "verify-max-order": ("max_order", lambda size: verify("thm2", 2, size)),
+    "build-egf-trunc": ("trunc", lambda size: build_egf(FamilySpec(FamilyId.DEG_EXP), size)),
+    "step-egf-trunc": ("trunc", lambda size: step_egf(X, L, size)),
+    "alt-egf-trunc": ("trunc", lambda size: deg_bernoulli2_alt_egf(1, size)),
+    "triangle-row-n": ("n", lambda size: triangle_row(FamilyId.DEG_STIRLING2, size)),
+    "step-products-n": ("n", lambda size: step_products(X, L, size)),
+    "central-factorial-power-n": ("n", lambda size: central_factorial_power(size)),
+}
+
+
+@pytest.mark.parametrize("size", [True, False, 2.5, 2.0, Fraction(2), "2"],
+                         ids=["True", "False", "2.5", "2.0", "Fraction", "str"])
+@pytest.mark.parametrize("name, request_", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS)
+def test_size_that_is_not_an_int_is_refused(name, request_, size):
+    clear_caches()
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {size!r}")):
+        request_(size)
+    assert _egf.cache_info().misses == _step_table.cache_info().misses == 0
+    assert _triangle_table.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(
