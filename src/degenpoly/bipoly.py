@@ -117,9 +117,9 @@ class BiPoly:
     docstring for the key layout and the canonical form); ``terms()`` gives
     them back keyed by ``(dl, dx)``.  The product of two terms has the sum
     of their keys as its key, and sorted keys are in graded-lex order.  An
-    exponent must be an ``int``, and a total degree past 16383 raises
-    ``ValueError``: here for a term given to the constructor, and in ``dot``
-    for a product.  All operations return new instances.
+    exponent must be an ``int``, not a ``bool``, and a total degree past
+    16383 raises ``ValueError``: here for a term given to the constructor,
+    and in ``dot`` for a product.  All operations return new instances.
     """
 
     __slots__ = ("_terms", "_den")
@@ -128,7 +128,7 @@ class BiPoly:
         coeffs: dict[int, Fraction] = {}
         if terms:
             for (dl, dx), c in terms.items():
-                if not isinstance(dl, int) or not isinstance(dx, int):
+                if type(dl) is not int or type(dx) is not int:  # True is not l^1
                     raise ValueError(f"an exponent is not an int in term ({dl!r}, {dx!r})")
                 if dl < 0 or dx < 0:
                     raise ValueError(f"negative exponent in term ({dl}, {dx})")
@@ -269,7 +269,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is refused, as sizes are
             raise ValueError(f"polynomial power must be a nonnegative integer, got {n!r}")
         result = BiPoly.const(1)
         base = self

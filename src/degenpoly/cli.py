@@ -15,6 +15,12 @@ integer terms, building no per-term or per-case dict, and each text is
 joined once.  The parser is built once per process, on the first ``run``,
 and reused by every later request.
 
+Every request runs in a fresh process, and most are ``compute`` tables, so
+this module does not import ``identities``: the verify branch imports
+``verify`` and ``verify_all`` when it runs, and the ``verify`` help's list
+of identity names is built only when that help is printed.  A ``compute``
+or ``list-families`` request never compiles the verification suite.
+
 Exit codes: 0 success / all identities pass, 1 any verification failure,
 2 usage error.  An unknown argument, a flag outside its type or size bound,
 or one the request cannot honour prints the subcommand's usage line; ``run``
@@ -30,7 +36,7 @@ import io
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .bipoly import BiPoly
 from .families import (
@@ -42,7 +48,9 @@ from .families import (
     central_factorial_power,
     triangle_row,
 )
-from .identities import ALIASES, IdentityId, VerificationReport, verify, verify_all
+
+if TYPE_CHECKING:
+    from .identities import VerificationReport
 
 
 #: Largest accepted --max-n and |--order|, well above the ranges of the profiles and the tests.
@@ -83,6 +91,24 @@ def _bounded(parse: Callable[[str], int | Fraction], low: int) -> Callable[[str]
     return bounded
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose epilog may be a callable, replaced by its
+    text the first time help is printed."""
+
+    def format_help(self) -> str:
+        if callable(self.epilog):
+            self.epilog = self.epilog()
+        return super().format_help()
+
+
+def _identity_names() -> str:
+    from .identities import ALIASES, IdentityId
+
+    return "identity names: " + ", ".join(
+        [i.value for i in IdentityId] + sorted(ALIASES) + ["all"]
+    )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by later ones.
@@ -97,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tables and identity verification for degenerate "
         "special-polynomial families over Q[l, x].",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     comp = sub.add_parser("compute", help="tabulate one family")
     comp.set_defaults(subparser=comp)
@@ -130,12 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--format", choices=["json", "csv"], default="json")
     comp.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
-    ver = sub.add_parser(
-        "verify",
-        help="verify identities",
-        epilog="identity names: "
-        + ", ".join([i.value for i in IdentityId] + sorted(ALIASES) + ["all"]),
-    )
+    ver = sub.add_parser("verify", help="verify identities", epilog=_identity_names)
     ver.set_defaults(subparser=ver)
     ver.add_argument("--identity", required=True, help="identity name or 'all'")
     ver.add_argument("--max-n", type=_bounded(int, 0), help="largest index, inclusive")
@@ -365,6 +386,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         for flag in ("max_n", "order"):
             if getattr(args, flag) is not None:
                 args.subparser.error(f"--{flag.replace('_', '-')} applies to a single identity")
+    from .identities import verify, verify_all  # here: the first verify request compiles it
+
+    if suite:
         reports = verify_all(args.profile)
     else:
         reports = [verify(args.identity, args.max_n, args.order, profile=args.profile)]

@@ -191,6 +191,8 @@ def step_egf(arg: BiPoly, step: BiPoly, trunc: int, lag: int = 0) -> EgfSeries:
     """
     if as_size(trunc, "trunc") < 0:
         raise ValueError(f"truncation order must be nonnegative, got {trunc}")
+    if as_size(lag, "lag") < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
 
     def coefficient(coeffs: list[BiPoly], n: int) -> BiPoly:
         c = coeffs[-1]

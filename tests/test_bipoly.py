@@ -153,12 +153,18 @@ def test_negative_exponent_rejected():
 
 
 @pytest.mark.parametrize(
-    "term", [(1.5, 0), (0, 2.9), (2.0, 0), (0, Fraction(1, 2)), ("2", 1)], ids=repr
+    "term",
+    [(1.5, 0), (0, 2.9), (2.0, 0), (0, Fraction(1, 2)), ("2", 1), (True, 0), (0, False)],
+    ids=repr,
 )
 def test_non_int_exponent_rejected(term):
-    # Neither truncated (1.5 is not 1) nor compared as a str: refused by name.
+    # Neither truncated (1.5 is not 1), compared as a str nor read as an int
+    # (True is not 1): refused by name, in a term and as a power.
     with pytest.raises(ValueError, match=r"not an int in term \("):
         BiPoly({term: 3})
+    (exponent,) = [e for e in term if type(e) is not int]
+    with pytest.raises(ValueError, match="polynomial power must be a nonnegative integer"):
+        X ** exponent
 
 
 # -- the degree bound of the packed term keys --------------------------------------

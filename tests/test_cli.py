@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenpoly import cli, families
+from degenpoly import cli, families, identities
 from degenpoly.bipoly import BiPoly
-from degenpoly.identities import Case, IdentityId, VerificationReport, verify, verify_all
+from degenpoly.identities import ALIASES, Case, IdentityId, VerificationReport, verify
 from test_bipoly import big_bipolys
 
 
@@ -214,7 +214,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         cases=(Case({"n": 0}, BiPoly.x() ** 2 - BiPoly.lam()),),
         wall_time_ms=0.0,
     )
-    monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
+    monkeypatch.setattr(identities, "verify", lambda *a, **k: failing)
     code, out, _ = run_capture(
         capsys, ["verify", "--identity", "eq23", "--max-n", "0"]
     )
@@ -575,17 +575,15 @@ def report_payload(report, timings):
 )
 def test_report_json_equals_stdlib_indent_2(capsys, monkeypatch, argv):
     # The CLI writes the very reports the library returned to it, wall times too.
+    # verify_all calls verify, so patching verify alone records every report once.
     returned = []
 
-    def keep(produce):
-        def kept(*args, **kwargs):
-            result = produce(*args, **kwargs)
-            returned.extend(result if isinstance(result, list) else [result])
-            return result
-        return kept
+    def kept(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        returned.append(report)
+        return report
 
-    monkeypatch.setattr(cli, "verify", keep(verify))
-    monkeypatch.setattr(cli, "verify_all", keep(verify_all))
+    monkeypatch.setattr(identities, "verify", kept)
     code, out, _ = run_capture(capsys, ["verify"] + argv)
     assert code == 0
     timings = "--timings" in argv
@@ -674,6 +672,79 @@ def test_cli_import_loads_neither_dataclasses_inspect_nor_csv():
     assert not {"dataclasses", "inspect", "csv"} & set(result["added"])
     assert result["code"] == 0
     assert result["csv"]
+
+
+# A fresh interpreter: after each request in turn, its exit code and whether
+# the verification suite is loaded.
+COMPUTE_PATH = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import degenpoly.cli
+requests = [
+    ["compute", "--family", "deg-bernoulli", "--max-n", "4", "--lambda=-37/42"],
+    ["compute", "--family", "deg-stirling2", "--max-n", "3", "--format", "csv"],
+    ["list-families"],
+    ["verify", "--identity", "eq23", "--max-n", "2"],
+]
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in requests:
+        code = degenpoly.cli.run(argv)
+        loaded.append([code, "degenpoly.identities" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_compute_requests_leave_the_verification_suite_unloaded():
+    # A table never verifies, so it does not pay for compiling identities;
+    # the first verify request loads it.
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", COMPUTE_PATH, src],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(done.stdout) == [[0, False], [0, False], [0, False], [0, True]]
+
+
+# A fresh interpreter: whether importing the package loads the suite, then
+# the public names a star import binds and those that resolve as attributes.
+PACKAGE_NAMES = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import degenpoly
+eager = "degenpoly.identities" in sys.modules
+namespace = {}
+exec("from degenpoly import *", namespace)
+resolved = [name for name in degenpoly.__all__ if getattr(degenpoly, name, None) is not None]
+same = degenpoly.verify is sys.modules["degenpoly.identities"].verify
+print(json.dumps({"eager": eager, "all": degenpoly.__all__, "bound": sorted(namespace),
+                  "resolved": resolved, "same": same}))
+"""
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", PACKAGE_NAMES, src],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(done.stdout)
+    assert not result["eager"]
+    assert {"Case", "IdentityId", "VerificationReport", "verify", "verify_all"} < set(result["all"])
+    assert set(result["all"]) <= set(result["bound"])
+    assert result["resolved"] == result["all"]
+    assert result["same"]
+
+
+def test_verify_help_ends_with_the_identity_names(capsys):
+    names = [i.value for i in IdentityId] + sorted(ALIASES) + ["all"]
+    expected = "identity names: " + ", ".join(names)
+    helps = [run_capture(capsys, ["verify", "-h"]) for _ in range(2)]  # the epilog is built once
+    for code, out, _ in helps:
+        assert code == 0
+        # Help is wrapped to the terminal, at spaces and after hyphens.
+        assert "".join(out.split()).endswith("".join(expected.split()))
+    assert helps[0] == helps[1]
 
 
 # -- list-families ----------------------------------------------------------------------

@@ -880,6 +880,7 @@ SIZE_REFUSALS = {
     "verify-max-order": ("max_order", lambda size: verify("thm2", 2, size)),
     "build-egf-trunc": ("trunc", lambda size: build_egf(FamilySpec(FamilyId.DEG_EXP), size)),
     "step-egf-trunc": ("trunc", lambda size: step_egf(X, L, size)),
+    "step-egf-lag": ("lag", lambda size: step_egf(X, L, 3, lag=size)),
     "alt-egf-trunc": ("trunc", lambda size: deg_bernoulli2_alt_egf(1, size)),
     "triangle-row-n": ("n", lambda size: triangle_row(FamilyId.DEG_STIRLING2, size)),
     "step-products-n": ("n", lambda size: step_products(X, L, size)),
@@ -934,6 +935,14 @@ def test_alt_second_kind_rejects_negative_trunc():
     for trunc in (-1, -5):
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             deg_bernoulli2_alt_egf(1, trunc)
+
+
+def test_step_egf_rejects_negative_lag():
+    clear_caches()
+    for lag in (-1, -5):
+        with pytest.raises(ValueError, match="lag must be nonnegative"):
+            step_egf(X, L, 3, lag=lag)
+    assert _step_table.cache_info().misses == _step_table.cache_info().currsize == 0
 
 
 def test_rational_order_allowed_for_second_kind():
