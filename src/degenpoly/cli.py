@@ -12,8 +12,10 @@ fixed layout: the compute header and rows, a verification report and the
 suite envelope are each written by f-strings, with every scalar encoded by
 ``_scalar`` and every polynomial by ``_poly_text`` straight from its
 integer terms, building no per-term or per-case dict, and each text is
-joined once.  The parser is built once per process, on the first ``run``,
-and reused by every later request.
+joined once.  Strings are escaped by ``_json.encode_basestring_ascii``, the
+C function that ``json.dumps`` uses, so the CLI imports no ``json``.  The
+parser is built once per process, on the first ``run``, and reused by every
+later request.
 
 Every request runs in a fresh process, and most are ``compute`` tables, so
 this module does not import ``identities``: the verify branch imports
@@ -34,8 +36,8 @@ import argparse
 import functools
 import io
 import sys
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable
 
 from .bipoly import BiPoly
@@ -241,7 +243,11 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
 
 
 def _scalar(value: str | int | bool | None | float) -> str:
-    """``json.dumps(value)`` for a str, int, bool, None or finite float."""
+    """``json.dumps(value)`` for a str, int, bool, None or finite float.
+
+    A string is escaped by ``_json.encode_basestring_ascii``, the C function
+    that ``json.dumps`` uses, imported directly so the CLI loads no ``json``.
+    """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:  # before int: a bool is an int

@@ -522,6 +522,10 @@ json_scalars = st.one_of(
 @settings(max_examples=300)
 @given(json_scalars)
 @example("k\u00e9\x00\"\\\n")
+@example("\x7f")  # DEL: ASCII but not printable, written as \u007f
+@example("\U0001d11e")  # outside the BMP: written as the surrogate pair \ud834\udd1e
+@example(" ")
+@example("")
 @example(-0.0)
 @example(1e-300)
 def test_scalar_equals_stdlib(value):
@@ -648,20 +652,23 @@ def test_parser_is_built_once_and_reused(capsys):
 # A fresh interpreter: the modules that importing the CLI adds, then whether
 # csv is loaded after one CSV request.
 COLD_START = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import degenpoly.cli
 added = sorted(set(sys.modules) - before)
 with contextlib.redirect_stdout(io.StringIO()):
     code = degenpoly.cli.run(["compute", "--family", "deg-stirling2", "--max-n", "3", "--format", "csv"])
-print(json.dumps({"added": added, "code": code, "csv": "csv" in sys.modules}))
+csv = "csv" in sys.modules
+import json
+print(json.dumps({"added": added, "code": code, "csv": csv}))
 """
 
 
-def test_cli_import_loads_neither_dataclasses_inspect_nor_csv():
+def test_cli_import_loads_no_json_dataclasses_inspect_or_csv():
     # Every request runs in a fresh process, so what importing the CLI loads is
-    # start-up time paid per request; csv is loaded only by a CSV writer.
+    # start-up time paid per request; csv is loaded only by a CSV writer, and
+    # strings are escaped by the C module _json, not through the json package.
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", COLD_START, src],
@@ -670,6 +677,7 @@ def test_cli_import_loads_neither_dataclasses_inspect_nor_csv():
     result = json.loads(done.stdout)
     assert "degenpoly.cli" in result["added"]
     assert not {"dataclasses", "inspect", "csv"} & set(result["added"])
+    assert [name for name in result["added"] if name.split(".")[0] == "json"] == []
     assert result["code"] == 0
     assert result["csv"]
 
