@@ -51,7 +51,9 @@ _ONE = BiPoly.const(1)
 _ZERO = BiPoly.zero()
 _SYM = Param.symbolic()
 _TWO = Fraction(2)
+_LAM0 = Param.numeric(0)
 _HALF_L = Param.scaled(Fraction(1, 2))  # the l/2 of S2_{l/2} in thm2 and its corollary
+_ALPHAS = (Fraction(1), Fraction(2), Fraction(1, 2))  # the orders eq18 and its limits check
 
 
 class IdentityId(Enum):
@@ -137,20 +139,13 @@ def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
     return dot(a[: n + 1], b[n::-1], [math.comb(n, m) for m in range(n + 1)])
 
 
-def _eq21_weight(poly: BiPoly, j: int, r: int) -> BiPoly:
-    """l^j * poly(2x/l - r) for a polynomial of degree at most j in x alone.
-
-    Writing poly as sum_i c_i y^i, the weight is sum_i c_i (2x - r*l)^i
-    l^(j-i): the homogenized polynomial {(j-i, i): c_i} at x -> 2x - r*l.
-    Every power of l is nonnegative because i <= j, so the result lives in
-    Q[l, x].
-    """
-    homogenized: dict[tuple[int, int], Fraction] = {}
-    for (dl, dx), c in poly.terms().items():
-        if dl != 0:
-            raise AssertionError("classical value unexpectedly contains l")
-        homogenized[(j - dx, dx)] = c
-    return BiPoly(homogenized).subs_x_poly(_X * 2 - _L * r)
+def _cases(lhs: "list[BiPoly]", rhs: "list[BiPoly]", start: int = 0,
+           **indices: object) -> list[Case]:
+    """One case per index n = start, start + 1, ...: residual lhs - rhs, indices n first."""
+    return [
+        Case({"n": start + i, **indices}, a - b)
+        for i, (a, b) in enumerate(zip(lhs, rhs, strict=True))
+    ]
 
 
 # -- identity checkers --------------------------------------------------------
@@ -161,26 +156,25 @@ def _check_eq23(max_n: int, order: None) -> list[Case]:
     lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n)
     rhs_a = _series(FamilyId.DEG_BERNOULLI2, max_n)
     rhs_b = _series(FamilyId.DEG_BERNOULLI2, max_n, argument=Param.shifted(-1))
-    return [
-        Case({"n": n}, lhs[n] - rhs_a[n] - rhs_b[n]) for n in range(max_n + 1)
-    ]
+    return _cases(lhs, [a + b for a, b in zip(rhs_a, rhs_b)])
 
 
 def _check_eq21(max_n: int, r: int) -> list[Case]:
     # sum_m b_{m,l}^(r)(x) S2(n,m)
     #   = sum_m C(n,m) [l^(n-m) B2*_(n-m)^(r)(2x/l - r)] S2(m+r,r)/C(m+r,r) 2^(m+r-n)
+    # The weight is an Appell sum over the order-r numbers B2*_i^(r):
+    #   l^j B2*_j^(r)(2x/l - r) = sum_i C(j,i) [l^i B2*_i^(r)] (2x - r*l)^(j-i).
     b_r = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r)
-    classical = _series(
-        FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r, lambda_mode=Param.numeric(0)
-    )
+    numbers = _series(FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=r,
+                      argument=Param.numeric(0), lambda_mode=_LAM0)
+    scaled = [b * _L**i for i, b in enumerate(numbers)]
+    powers = step_products(_X * 2 - _L * r, _ZERO, max_n)  # (2x - r*l)^j
     s2_col = _column(FamilyId.STIRLING2, r, range(r, max_n + r + 1))
     s2_weights = [s2 * Fraction(1, math.comb(m + r, r)) for m, s2 in enumerate(s2_col)]
-    terms = [_eq21_weight(classical[j], j, r) * _TWO ** (r - j) for j in range(max_n + 1)]
-    return [
-        Case({"n": n, "r": r},
-             _transform(b_r, FamilyId.STIRLING2, n) - _convolve(s2_weights, terms, n))
-        for n in range(max_n + 1)
-    ]
+    terms = [_convolve(scaled, powers, j) * _TWO ** (r - j) for j in range(max_n + 1)]
+    ns = range(max_n + 1)
+    return _cases([_transform(b_r, FamilyId.STIRLING2, n) for n in ns],
+                  [_convolve(s2_weights, terms, n) for n in ns], r=r)
 
 
 def _check_eq25(max_n: int, order: None) -> list[Case]:
@@ -190,10 +184,7 @@ def _check_eq25(max_n: int, order: None) -> list[Case]:
         FamilyId.TYPE2_DEG_BERNOULLI2, max_n, argument=Param.numeric(0)
     )
     ff = step_products(_X, _ONE, max_n)  # (x)_j
-    return [
-        Case({"n": n}, poly_values[n] - _convolve(number_values, ff, n))
-        for n in range(max_n + 1)
-    ]
+    return _cases(poly_values, [_convolve(number_values, ff, n) for n in range(max_n + 1)])
 
 
 def _check_thm2(max_n: int, k: int) -> list[Case]:
@@ -203,11 +194,9 @@ def _check_thm2(max_n: int, k: int) -> list[Case]:
     ff = step_products(_X - k, _L, max_n)  # (x-k)_{j,l}
     s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
     weights = [s2 * (_TWO ** (m + k) / math.comb(m + k, k)) for m, s2 in enumerate(s2_col)]
-    return [
-        Case({"n": n, "k": k},
-             _transform(bstar, FamilyId.DEG_STIRLING2, n) - _convolve(weights, ff, n))
-        for n in range(max_n + 1)
-    ]
+    ns = range(max_n + 1)
+    return _cases([_transform(bstar, FamilyId.DEG_STIRLING2, n) for n in ns],
+                  [_convolve(weights, ff, n) for n in ns], k=k)
 
 
 def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
@@ -216,22 +205,17 @@ def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
         FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(k)
     )
     s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
-    return [
-        Case({"n": n, "k": k},
-             s2_col[n] * _TWO ** (n + k)
-             - _transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * math.comb(n + k, k))
-        for n in range(max_n + 1)
-    ]
+    ns = range(max_n + 1)
+    rhs = [_transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * math.comb(n + k, k) for n in ns]
+    return _cases([s2 * _TWO ** (n + k) for n, s2 in enumerate(s2_col)], rhs, k=k)
 
 
 def _check_thm3(max_n: int, k: int) -> list[Case]:
     # b2*_{n,l}^(k)(x) = sum_l beta2*_{l,l}^(-k)(x) S1_l(n,l)
     bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
     beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=-k)
-    return [
-        Case({"n": n, "k": k}, bstar[n] - _transform(beta, FamilyId.DEG_STIRLING1, n))
-        for n in range(max_n + 1)
-    ]
+    return _cases(bstar, [_transform(beta, FamilyId.DEG_STIRLING1, n) for n in range(max_n + 1)],
+                  k=k)
 
 
 def _check_thm4(max_n: int, k: int) -> list[Case]:
@@ -243,10 +227,9 @@ def _check_thm4(max_n: int, k: int) -> list[Case]:
     t_col = _column(FamilyId.DEG_CENTRAL_FACTORIAL, k, range(max_n + 1))
     inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
     s1_col = _column(FamilyId.DEG_STIRLING1, k, range(max_n + 1))
-    return [
-        Case({"n": n, "k": k}, _convolve(inner, ff, n) - _convolve(s1_col, b_k, n))
-        for n in range(k, max_n + 1)
-    ]
+    ns = range(k, max_n + 1)
+    return _cases([_convolve(inner, ff, n) for n in ns],
+                  [_convolve(s1_col, b_k, n) for n in ns], start=k, k=k)
 
 
 def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
@@ -255,25 +238,22 @@ def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
     lhs = _series(type2, max_n)
     rhs = _series(classical, max_n)
     half_shift = (_X + 1) * Fraction(1, 2)
-    return [
-        Case({"n": n}, lhs[n] - rhs[n].subs_x_poly(half_shift) * _TWO ** (n + shift))
-        for n in range(max_n + 1)
-    ]
+    return _cases(lhs, [v.subs_x_poly(half_shift) * _TWO ** (n + shift)
+                        for n, v in enumerate(rhs)])
 
 
 def _check_eq5_recon(max_n: int, order: None) -> list[Case]:
     # x^n = sum_k T(n,k) x^[k]
-    powers = [central_factorial_power(k) for k in range(max_n + 1)]
-    return [
-        Case({"n": n}, _transform(powers, FamilyId.CENTRAL_FACTORIAL, n) - _X**n)
-        for n in range(max_n + 1)
-    ]
+    ns = range(max_n + 1)
+    powers = [central_factorial_power(k) for k in ns]
+    return _cases([_transform(powers, FamilyId.CENTRAL_FACTORIAL, n) for n in ns],
+                  [_X**n for n in ns])
 
 
 def _check_eq18_equiv(max_n: int, order: None) -> list[Case]:
     # (t/log_l(1+t))^a (1+t)^x  ==  (l*t/((1+t)^(l/2)-(1+t)^(-l/2)))^a (1+t)^(x-l*a/2)
     cases = []
-    for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)):
+    for alpha in _ALPHAS:
         direct = _series(FamilyId.DEG_BERNOULLI2, max_n, order=alpha)
         alt = deg_bernoulli2_alt_egf(alpha, trunc=max_n).values()
         for n in range(max_n + 1):
@@ -283,39 +263,22 @@ def _check_eq18_equiv(max_n: int, order: None) -> list[Case]:
 
 def _check_b_second_kind(max_n: int, r: int) -> list[Case]:
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
-    lam0 = Param.numeric(0)
-    classical_b = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r, lambda_mode=lam0)
-    return [
-        Case({"n": n, "r": r}, classical_b[n] - build_egf(
-            FamilySpec(FamilyId.BERNOULLI_ORDER_R, Fraction(n - r + 1), Param.shifted(1), lam0),
-            max_n,
-        ).value(n))
-        for n in range(max_n + 1)
-    ]
+    classical_b = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r, lambda_mode=_LAM0)
+    rhs = [build_egf(FamilySpec(FamilyId.BERNOULLI_ORDER_R, n - r + 1, Param.shifted(1), _LAM0),
+                     max_n).value(n) for n in range(max_n + 1)]
+    return _cases(classical_b, rhs, r=r)
 
 
-def _limit_pairs() -> list[tuple[dict[str, object], FamilySpec, FamilySpec]]:
-    """The classical-limit catalog: (case indices, degenerate spec, classical spec)."""
-    lam0 = Param.numeric(0)
-    pairs: list[tuple[dict[str, object], FamilySpec, FamilySpec]] = []
-
-    def seq(family: FamilyId, classical: FamilyId | None = None,
-            order: Fraction | int = 1, **extra: object) -> None:
-        deg = FamilySpec(family, Fraction(order), _SYM, _SYM)
-        cls = FamilySpec(classical or family, Fraction(order) if classical is None else Fraction(1), _SYM, lam0)
-        pairs.append(({"family": family.value, **extra}, deg, cls))
-
-    seq(FamilyId.DEG_EXP)
-    seq(FamilyId.DEG_LOG)
-    seq(FamilyId.DEG_BERNOULLI, FamilyId.BERNOULLI_ORDER_R)
-    seq(FamilyId.DEG_EULER, FamilyId.EULER)
-    seq(FamilyId.DEG_DAEHEE, FamilyId.DAEHEE)
-    seq(FamilyId.TYPE2_DEG_BERNOULLI, FamilyId.TYPE2_BERNOULLI)
-    seq(FamilyId.TYPE2_DEG_BERNOULLI2)
-    for alpha in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        seq(FamilyId.DEG_BERNOULLI2, order=alpha, alpha=str(alpha))
-    return pairs
-
+#: The classical-limit catalog: each degenerate family and the classical one it meets at l = 0.
+_LIMIT_SEQUENCES = [
+    (FamilyId.DEG_EXP, FamilyId.DEG_EXP),
+    (FamilyId.DEG_LOG, FamilyId.DEG_LOG),
+    (FamilyId.DEG_BERNOULLI, FamilyId.BERNOULLI_ORDER_R),
+    (FamilyId.DEG_EULER, FamilyId.EULER),
+    (FamilyId.DEG_DAEHEE, FamilyId.DAEHEE),
+    (FamilyId.TYPE2_DEG_BERNOULLI, FamilyId.TYPE2_BERNOULLI),
+    (FamilyId.TYPE2_DEG_BERNOULLI2, FamilyId.TYPE2_DEG_BERNOULLI2),
+]
 
 _LIMIT_TRIANGLES = [
     (FamilyId.DEG_STIRLING1, FamilyId.STIRLING1),
@@ -327,10 +290,14 @@ _LIMIT_TRIANGLES = [
 def _check_limits(max_n: int, order: None) -> list[Case]:
     # Substituting l = 0 in each degenerate family reproduces its classical
     # counterpart -- the assertable form of every classical-limit statement.
+    # Each sequence at order 1, then deg-bernoulli2 at eq18's orders alpha.
+    b2 = FamilyId.DEG_BERNOULLI2
+    sequences = [({"family": deg.value}, deg, classical, 1) for deg, classical in _LIMIT_SEQUENCES]
+    sequences += [({"family": b2.value, "alpha": str(a)}, b2, b2, a) for a in _ALPHAS]
     cases = []
-    for extra, deg_spec, classical_spec in _limit_pairs():
-        deg_values = build_egf(deg_spec, max_n).values()
-        classical_values = build_egf(classical_spec, max_n).values()
+    for extra, deg, classical, order in sequences:
+        deg_values = _series(deg, max_n, order)
+        classical_values = _series(classical, max_n, order, lambda_mode=_LAM0)
         for n in range(max_n + 1):
             residual = deg_values[n].subs_lam(0) - classical_values[n]
             cases.append(Case({**extra, "n": n}, residual))

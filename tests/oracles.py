@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from degenpoly.bipoly import BiPoly, Term
 from degenpoly.families import FamilyId, FamilySpec, Param, build_egf
-from degenpoly.identities import _eq21_weight
 from degenpoly.series import EgfSeries, SeriesError
 
 _ONE = BiPoly.const(1)
+_L = BiPoly.lam()
+_X = BiPoly.x()
 
 
 def sorted_terms(p: BiPoly) -> list[tuple[Term, Fraction]]:
@@ -98,11 +99,19 @@ def classical_value(family: FamilyId, n: int, order: Fraction | int = 1) -> BiPo
 def eq21_rhs_term(j: int, r: int) -> BiPoly:
     """The weight l^j * B2*_j^(r)(2x/l - r) of eq. (21), expanded as a polynomial.
 
-    It is built from one classical value of degree j, not from the order-r
-    series that ``_check_eq21`` reads all its weights from.
+    It is built from one classical polynomial of degree j, not from the
+    order-r numbers that ``_check_eq21`` convolves with powers of 2x - r*l.
+    Writing that polynomial as sum_i c_i y^i, the weight is sum_i c_i
+    (2x - r*l)^i l^(j-i): the homogenized polynomial {(j-i, i): c_i} at
+    x -> 2x - r*l.  Every power of l is nonnegative because i <= j.
     """
     if j < 0:
         raise ValueError(f"degree must be nonnegative, got {j}")
     if r < 1:
         raise ValueError(f"order must be a positive integer, got {r}")
-    return _eq21_weight(classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r), j, r)
+    homogenized: dict[Term, Fraction] = {}
+    for (dl, dx), c in classical_value(FamilyId.TYPE2_DEG_BERNOULLI, j, order=r).terms().items():
+        if dl != 0:
+            raise AssertionError("classical value unexpectedly contains l")
+        homogenized[(j - dx, dx)] = c
+    return BiPoly(homogenized).subs_x_poly(_X * 2 - _L * r)

@@ -1,9 +1,11 @@
 """Verification-suite tests: catalog behavior, report structure, the weight
 polynomial for the summation identity, and cross-checks between identities."""
 
+import ast
 import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,30 @@ def test_weight_argument_validation():
         eq21_rhs_term(2, 0)
 
 
+def test_weight_is_the_appell_sum_over_the_order_r_numbers():
+    # l^j B2*_j^(r)(2x/l - r) = sum_i C(j,i) [l^i B2*_i^(r)] (2x - r*l)^(j-i), the
+    # convolution eq21's checker reads its weights from.
+    for r in (1, 2, 3):
+        numbers = [classical_value(FamilyId.TYPE2_DEG_BERNOULLI, i, order=r).subs_x(0)
+                   for i in range(6)]
+        scaled = [b * L**i for i, b in enumerate(numbers)]
+        powers = [(X * 2 - L * r) ** j for j in range(6)]
+        for j in range(6):
+            assert identities._convolve(scaled, powers, j) == eq21_rhs_term(j, r)
+
+
+def test_eq21_oracle_is_independent_of_the_checkers():
+    # The weight oracle must not share code with the module it checks.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if name.startswith("degenpoly.identities")]
+
+
 def test_eq21_weight_needs_the_order_superscript():
     # Dropping the order from the weight polynomial (using the order-1
     # polynomial for every r) breaks the identity already at n=0, r=2:
@@ -132,6 +158,7 @@ TRIANGLE_MUTANTS = [
 
 FAMILY_MUTANTS = [
     (IdentityId.EQ21, FamilyId.DEG_BERNOULLI2, dict(max_n=5, max_order=1)),
+    (IdentityId.EQ21, FamilyId.TYPE2_DEG_BERNOULLI, dict(max_n=5, max_order=1)),
     (IdentityId.EQ25, FamilyId.TYPE2_DEG_BERNOULLI2, dict(max_n=5)),
     (IdentityId.THM2, FamilyId.TYPE2_DEG_BERNOULLI2, dict(max_n=5, max_order=1)),
     (IdentityId.THM2_COROLLARY, FamilyId.TYPE2_DEG_BERNOULLI2, dict(max_n=5, max_order=1)),
@@ -337,9 +364,9 @@ def test_order_range_starts_at_the_first_order(identity, key, first):
 def test_eq21_builds_one_classical_series_per_order():
     families.clear_caches()
     verify(IdentityId.EQ21, 12, max_order=4)
-    # Per order: the order-r series b^(r) and the classical B2*^(r) it is
-    # weighed by, each with its kernel, the series at x = 0.
-    assert families._egf.cache_info().misses == 16
+    # Per order: the order-r series b^(r), its kernel (the series at x = 0),
+    # and the order-r numbers B2*_i^(r) at x = 0 and l = 0 its weights come from.
+    assert families._egf.cache_info().misses == 12
 
 
 def test_default_ranges_profiles():

@@ -40,6 +40,8 @@ print(json.dumps({"codes": codes, "ran": ran}))
 #: Functions that no CLI request runs, each with the reason it stays.
 ALLOWED_UNREACHED = {
     "degenpoly.__getattr__": "library API: `from degenpoly import verify` loads the suite on first access",
+    "bipoly.BiPoly.__init__": "library API: README's term-map constructor; the recipes build from keys",
+    "bipoly.BiPoly.terms": "library API: README's coefficients read back as Fractions keyed by (dl, dx)",
     "bipoly.BiPoly.__rsub__": "library API: `scalar - poly`; no recipe subtracts a polynomial from a scalar",
     "bipoly.BiPoly.subs_x": "library API; perfbench's numeric-sweep exactness check reads it",
     "bipoly.BiPoly.to_records": "the JSON record form the CLI's writer is tested against",
