@@ -6,6 +6,12 @@ Output is deterministic byte-for-byte across runs: fixed JSON field order,
 graded-lex polynomial term order, CSV with a header row.  Wall-clock
 timings are therefore omitted unless ``--timings`` is given.
 
+CSV is byte-identical to ``csv.writer(..., lineterminator="\n")`` over the
+same rows, with each row written as its fields joined by ``,``, so the CLI
+imports no ``csv``.  That is exact because no field needs quoting: no
+rendered polynomial, index or name holds ``,``, ``"``, ``\r`` or ``\n``, and
+no row is a single empty field.
+
 JSON is byte-identical to ``json.dumps(payload, indent=2)`` with each
 ``BiPoly`` value replaced by its ``to_records()``.  Every JSON text is a
 fixed layout: the compute header and rows, a verification report and the
@@ -24,17 +30,18 @@ of identity names is built only when that help is printed.  A ``compute``
 or ``list-families`` request never compiles the verification suite.
 
 Exit codes: 0 success / all identities pass, 1 any verification failure,
-2 usage error.  An unknown argument, a flag outside its type or size bound,
-or one the request cannot honour prints the subcommand's usage line; ``run``
-reports a request the library refuses, or an unwritable ``--output``, as
-``error: ...``.
+2 usage error or refused request.  A usage error prints the subcommand's
+usage line: an unknown argument, a flag outside its type or size bound, a
+compute flag the family ignores (``--order``, ``--x``, ``--lambda``),
+``--timings`` with csv, or ``--max-n``/``--order`` with ``all``.  ``run``
+reports a request the library refuses, such as ``--order`` for an identity
+without one, or an unwritable ``--output``, as ``error: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 from _json import encode_basestring_ascii
 from fractions import Fraction
@@ -223,20 +230,16 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
         pieces.append("\n  ]\n}\n")
         return "".join(pieces)
 
-    import csv  # here, not at the top: most requests write JSON
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     if kind == "triangle":
         max_n = args.max_n
-        writer.writerow(["n"] + [f"k={k}" for k in range(max_n + 1)])
-        for n, row in rows:
-            writer.writerow([n] + [value.render() for value in row] + [""] * (max_n - n))
+        lines = ["n," + ",".join([f"k={k}" for k in range(max_n + 1)])]
+        lines += [
+            f"{n}," + ",".join([value.render() for value in row]) + "," * (max_n - n)
+            for n, row in rows
+        ]
     else:
-        writer.writerow(["n", "value"])
-        for n, value in rows:
-            writer.writerow([n, value.render()])
-    return buffer.getvalue()
+        lines = ["n,value"] + [f"{n},{value.render()}" for n, value in rows]
+    return "\n".join(lines) + "\n"
 
 
 # -- JSON layouts ----------------------------------------------------------------
@@ -315,23 +318,14 @@ def _render_reports(
             + "\n  ]\n}\n"
         )
 
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["identity", "indices", "status", "residual"])
-    for report in reports:
-        for case in report.cases:
-            indices = ";".join(f"{key}={value}" for key, value in case.indices.items())
-            writer.writerow(
-                [
-                    report.identity.value,
-                    indices,
-                    "pass" if case.passed else "fail",
-                    case.residual.render(),
-                ]
-            )
-    return buffer.getvalue()
+    lines = ["identity,indices,status,residual"] + [
+        f"{report.identity.value},"
+        + ";".join([f"{key}={value}" for key, value in case.indices.items()])
+        + f",{'pass' if case.passed else 'fail'},{case.residual.render()}"
+        for report in reports
+        for case in report.cases
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # -- entry points ---------------------------------------------------------------

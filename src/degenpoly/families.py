@@ -456,7 +456,7 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 
     The value of the result at index n (``.value(n)``) is the n-th family
     member; coefficients are polynomial in ``l`` and ``x``.  Triangle
-    entries come from ``triangular_numbers`` and central factorial powers
+    entries come from ``triangle_row`` and central factorial powers
     from ``central_factorial_power``.  An order outside the family's
     domain, or an x or l it ignores, is refused with ``ValueError`` before
     any work starts.

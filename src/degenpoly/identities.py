@@ -129,23 +129,24 @@ def _column(family: FamilyId, k: int, ns: range, lambda_mode: Param = _SYM) -> "
     return [row[k] if k < len(row) else _ZERO for row in rows]
 
 
-def _transform(values: "list[BiPoly]", family: FamilyId, n: int) -> BiPoly:
-    """The triangle transform sum_{m<=n} values[m] * T(n, m) of one value list."""
-    return dot(values[: n + 1], triangle_row(family, n))
+def _transformed(values: "list[BiPoly]", family: FamilyId, ns: range) -> "list[BiPoly]":
+    """The triangle transforms sum_{m<=n} values[m] * T(n, m) of one value list, n in ``ns``."""
+    return [dot(values[: n + 1], triangle_row(family, n)) for n in ns]
 
 
-def _convolve(a: "list[BiPoly]", b: "list[BiPoly]", n: int) -> BiPoly:
-    """The binomial convolution sum_{m<=n} C(n,m) a[m] b[n-m]: value n of an EGF product."""
-    return dot(a[: n + 1], b[n::-1], [math.comb(n, m) for m in range(n + 1)])
+def _convolved(a: "list[BiPoly]", b: "list[BiPoly]", ns: range) -> "list[BiPoly]":
+    """The binomial convolutions sum_{m<=n} C(n,m) a[m] b[n-m], n in ``ns``: EGF product values."""
+    return [dot(a[: n + 1], b[n::-1], [math.comb(n, m) for m in range(n + 1)]) for n in ns]
 
 
-def _cases(lhs: "list[BiPoly]", rhs: "list[BiPoly]", start: int = 0,
-           **indices: object) -> list[Case]:
-    """One case per index n = start, start + 1, ...: residual lhs - rhs, indices n first."""
-    return [
-        Case({"n": start + i, **indices}, a - b)
-        for i, (a, b) in enumerate(zip(lhs, rhs, strict=True))
-    ]
+def _cases(lhs: "list[BiPoly]", rhs: "list[BiPoly]", **indices: object) -> list[Case]:
+    """One case per value of the one ``range`` index, residual lhs - rhs, indices in given order.
+
+    The range index runs along with the sides and every other index stays
+    fixed; ``ValueError`` unless exactly one index is a ``range``.
+    """
+    ((key, ns),) = [(k, v) for k, v in indices.items() if isinstance(v, range)]
+    return [Case({**indices, key: i}, a - b) for i, a, b in zip(ns, lhs, rhs, strict=True)]
 
 
 # -- identity checkers --------------------------------------------------------
@@ -156,7 +157,7 @@ def _check_eq23(max_n: int, order: None) -> list[Case]:
     lhs = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n)
     rhs_a = _series(FamilyId.DEG_BERNOULLI2, max_n)
     rhs_b = _series(FamilyId.DEG_BERNOULLI2, max_n, argument=Param.shifted(-1))
-    return _cases(lhs, [a + b for a, b in zip(rhs_a, rhs_b)])
+    return _cases(lhs, [a + b for a, b in zip(rhs_a, rhs_b)], n=range(max_n + 1))
 
 
 def _check_eq21(max_n: int, r: int) -> list[Case]:
@@ -171,10 +172,10 @@ def _check_eq21(max_n: int, r: int) -> list[Case]:
     powers = step_products(_X * 2 - _L * r, _ZERO, max_n)  # (2x - r*l)^j
     s2_col = _column(FamilyId.STIRLING2, r, range(r, max_n + r + 1))
     s2_weights = [s2 * Fraction(1, math.comb(m + r, r)) for m, s2 in enumerate(s2_col)]
-    terms = [_convolve(scaled, powers, j) * _TWO ** (r - j) for j in range(max_n + 1)]
     ns = range(max_n + 1)
-    return _cases([_transform(b_r, FamilyId.STIRLING2, n) for n in ns],
-                  [_convolve(s2_weights, terms, n) for n in ns], r=r)
+    terms = [t * _TWO ** (r - j) for j, t in enumerate(_convolved(scaled, powers, ns))]
+    return _cases(_transformed(b_r, FamilyId.STIRLING2, ns), _convolved(s2_weights, terms, ns),
+                  n=ns, r=r)
 
 
 def _check_eq25(max_n: int, order: None) -> list[Case]:
@@ -184,7 +185,8 @@ def _check_eq25(max_n: int, order: None) -> list[Case]:
         FamilyId.TYPE2_DEG_BERNOULLI2, max_n, argument=Param.numeric(0)
     )
     ff = step_products(_X, _ONE, max_n)  # (x)_j
-    return _cases(poly_values, [_convolve(number_values, ff, n) for n in range(max_n + 1)])
+    ns = range(max_n + 1)
+    return _cases(poly_values, _convolved(number_values, ff, ns), n=ns)
 
 
 def _check_thm2(max_n: int, k: int) -> list[Case]:
@@ -195,8 +197,8 @@ def _check_thm2(max_n: int, k: int) -> list[Case]:
     s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
     weights = [s2 * (_TWO ** (m + k) / math.comb(m + k, k)) for m, s2 in enumerate(s2_col)]
     ns = range(max_n + 1)
-    return _cases([_transform(bstar, FamilyId.DEG_STIRLING2, n) for n in ns],
-                  [_convolve(weights, ff, n) for n in ns], k=k)
+    return _cases(_transformed(bstar, FamilyId.DEG_STIRLING2, ns), _convolved(weights, ff, ns),
+                  n=ns, k=k)
 
 
 def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
@@ -206,16 +208,17 @@ def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:
     )
     s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
     ns = range(max_n + 1)
-    rhs = [_transform(bstar_at_k, FamilyId.DEG_STIRLING2, n) * math.comb(n + k, k) for n in ns]
-    return _cases([s2 * _TWO ** (n + k) for n, s2 in enumerate(s2_col)], rhs, k=k)
+    sums = _transformed(bstar_at_k, FamilyId.DEG_STIRLING2, ns)
+    return _cases([s2 * _TWO ** (n + k) for n, s2 in enumerate(s2_col)],
+                  [s * math.comb(n + k, k) for n, s in enumerate(sums)], n=ns, k=k)
 
 
 def _check_thm3(max_n: int, k: int) -> list[Case]:
     # b2*_{n,l}^(k)(x) = sum_l beta2*_{l,l}^(-k)(x) S1_l(n,l)
     bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
     beta = _series(FamilyId.TYPE2_DEG_BERNOULLI, max_n, order=-k)
-    return _cases(bstar, [_transform(beta, FamilyId.DEG_STIRLING1, n) for n in range(max_n + 1)],
-                  k=k)
+    ns = range(max_n + 1)
+    return _cases(bstar, _transformed(beta, FamilyId.DEG_STIRLING1, ns), n=ns, k=k)
 
 
 def _check_thm4(max_n: int, k: int) -> list[Case]:
@@ -225,11 +228,10 @@ def _check_thm4(max_n: int, k: int) -> list[Case]:
     b_k = _series(FamilyId.DEG_BERNOULLI2, max_n, order=k, argument=Param.numeric(0))
     ff = step_products(BiPoly.const(Fraction(k, 2)), _ONE, max_n)  # (k/2)_j
     t_col = _column(FamilyId.DEG_CENTRAL_FACTORIAL, k, range(max_n + 1))
-    inner = [_transform(t_col, FamilyId.DEG_STIRLING1, m) for m in range(max_n + 1)]
+    inner = _transformed(t_col, FamilyId.DEG_STIRLING1, range(max_n + 1))
     s1_col = _column(FamilyId.DEG_STIRLING1, k, range(max_n + 1))
     ns = range(k, max_n + 1)
-    return _cases([_convolve(inner, ff, n) for n in ns],
-                  [_convolve(s1_col, b_k, n) for n in ns], start=k, k=k)
+    return _cases(_convolved(inner, ff, ns), _convolved(s1_col, b_k, ns), n=ns, k=k)
 
 
 def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
@@ -239,15 +241,14 @@ def _check_half_argument(type2: FamilyId, classical: FamilyId, shift: int,
     rhs = _series(classical, max_n)
     half_shift = (_X + 1) * Fraction(1, 2)
     return _cases(lhs, [v.subs_x_poly(half_shift) * _TWO ** (n + shift)
-                        for n, v in enumerate(rhs)])
+                        for n, v in enumerate(rhs)], n=range(max_n + 1))
 
 
 def _check_eq5_recon(max_n: int, order: None) -> list[Case]:
     # x^n = sum_k T(n,k) x^[k]
     ns = range(max_n + 1)
     powers = [central_factorial_power(k) for k in ns]
-    return _cases([_transform(powers, FamilyId.CENTRAL_FACTORIAL, n) for n in ns],
-                  [_X**n for n in ns])
+    return _cases(_transformed(powers, FamilyId.CENTRAL_FACTORIAL, ns), [_X**n for n in ns], n=ns)
 
 
 def _check_eq18_equiv(max_n: int, order: None) -> list[Case]:
@@ -256,17 +257,17 @@ def _check_eq18_equiv(max_n: int, order: None) -> list[Case]:
     for alpha in _ALPHAS:
         direct = _series(FamilyId.DEG_BERNOULLI2, max_n, order=alpha)
         alt = deg_bernoulli2_alt_egf(alpha, trunc=max_n).values()
-        for n in range(max_n + 1):
-            cases.append(Case({"alpha": str(alpha), "n": n}, direct[n] - alt[n]))
+        cases += _cases(direct, alt, alpha=str(alpha), n=range(max_n + 1))
     return cases
 
 
 def _check_b_second_kind(max_n: int, r: int) -> list[Case]:
     # b_n^(r)(x) = B_n^(n-r+1)(x+1); the right-hand order may be <= 0.
     classical_b = _series(FamilyId.DEG_BERNOULLI2, max_n, order=r, lambda_mode=_LAM0)
+    ns = range(max_n + 1)
     rhs = [build_egf(FamilySpec(FamilyId.BERNOULLI_ORDER_R, n - r + 1, Param.shifted(1), _LAM0),
-                     max_n).value(n) for n in range(max_n + 1)]
-    return _cases(classical_b, rhs, r=r)
+                     max_n).value(n) for n in ns]
+    return _cases(classical_b, rhs, n=ns, r=r)
 
 
 #: The classical-limit catalog: each degenerate family and the classical one it meets at l = 0.
@@ -294,31 +295,29 @@ def _check_limits(max_n: int, order: None) -> list[Case]:
     b2 = FamilyId.DEG_BERNOULLI2
     sequences = [({"family": deg.value}, deg, classical, 1) for deg, classical in _LIMIT_SEQUENCES]
     sequences += [({"family": b2.value, "alpha": str(a)}, b2, b2, a) for a in _ALPHAS]
+    ns = range(max_n + 1)
     cases = []
     for extra, deg, classical, order in sequences:
-        deg_values = _series(deg, max_n, order)
-        classical_values = _series(classical, max_n, order, lambda_mode=_LAM0)
-        for n in range(max_n + 1):
-            residual = deg_values[n].subs_lam(0) - classical_values[n]
-            cases.append(Case({**extra, "n": n}, residual))
-    for deg_family, classical_family in _LIMIT_TRIANGLES:
-        for n in range(max_n + 1):
-            classical_row = triangle_row(classical_family, n)
-            for k, entry in enumerate(triangle_row(deg_family, n)):
-                residual = entry.subs_lam(0) - classical_row[k]
-                cases.append(Case({"family": deg_family.value, "n": n, "k": k}, residual))
+        at_zero = [v.subs_lam(0) for v in _series(deg, max_n, order)]
+        cases += _cases(at_zero, _series(classical, max_n, order, lambda_mode=_LAM0), **extra, n=ns)
+    for deg, classical in _LIMIT_TRIANGLES:
+        for n in ns:
+            at_zero = [entry.subs_lam(0) for entry in triangle_row(deg, n)]
+            cases += _cases(at_zero, triangle_row(classical, n), family=deg.value, n=n,
+                            k=range(n + 1))
     return cases
 
 
 def _check_stirling_inversion(max_n: int, order: None) -> list[Case]:
     # sum_l S2_l(n,l) S1_l(l,m) = delta(n,m), symbolic l
-    s1_cols = [_column(FamilyId.DEG_STIRLING1, m, range(max_n + 1)) for m in range(max_n + 1)]
+    # sums[m][n - m] is the left side at (n, m), formed only for m <= n.
+    ns = range(max_n + 1)
+    sums = [_transformed(_column(FamilyId.DEG_STIRLING1, m, ns), FamilyId.DEG_STIRLING2,
+                         range(m, max_n + 1)) for m in ns]
     cases = []
-    for n in range(max_n + 1):
-        for m in range(n + 1):
-            delta = _ONE if n == m else _ZERO
-            residual = _transform(s1_cols[m], FamilyId.DEG_STIRLING2, n) - delta
-            cases.append(Case({"n": n, "m": m}, residual))
+    for n in ns:
+        cases += _cases([sums[m][n - m] for m in range(n + 1)], [_ZERO] * n + [_ONE],
+                        n=n, m=range(n + 1))
     return cases
 
 
@@ -333,18 +332,11 @@ def _check_compositional_inverse(max_n: int, order: None) -> list[Case]:
     )
     one_plus_t = e_series.compose(log_series)
     back = log_series.compose(e_series - EgfSeries.one(max_n))
-    cases = []
-    for n in range(max_n + 1):
-        expected = _ONE if n <= 1 else _ZERO
-        cases.append(
-            Case({"direction": "exp-after-log", "n": n}, one_plus_t.value(n) - expected)
-        )
-    for n in range(max_n + 1):
-        expected = _ONE if n == 1 else _ZERO
-        cases.append(
-            Case({"direction": "log-after-exp", "n": n}, back.value(n) - expected)
-        )
-    return cases
+    ns = range(max_n + 1)
+    return (_cases(one_plus_t.values(), [_ONE if n <= 1 else _ZERO for n in ns],
+                   direction="exp-after-log", n=ns)
+            + _cases(back.values(), [_ONE if n == 1 else _ZERO for n in ns],
+                     direction="log-after-exp", n=ns))
 
 
 # -- catalog and entry points -------------------------------------------------

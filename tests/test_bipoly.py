@@ -406,6 +406,15 @@ def test_serialization_matches_fraction_reference(p):
     assert p.render() == render_reference(ordered)
 
 
+@settings(max_examples=300)
+@given(big_bipolys)
+@example(BiPoly.zero())
+@example(L**12 * X**7 * frac(-10**30, 7) + X**10)
+def test_render_needs_no_csv_quoting(p):
+    # The CLI writes CSV fields unquoted; a csv writer quotes only these four.
+    assert not set(p.render()) & set(',"\r\n')
+
+
 # -- agreement with the Fraction-dict reference --------------------------------------
 
 

@@ -103,8 +103,9 @@ def test_weight_is_the_appell_sum_over_the_order_r_numbers():
                    for i in range(6)]
         scaled = [b * L**i for i, b in enumerate(numbers)]
         powers = [(X * 2 - L * r) ** j for j in range(6)]
-        for j in range(6):
-            assert identities._convolve(scaled, powers, j) == eq21_rhs_term(j, r)
+        assert identities._convolved(scaled, powers, range(6)) == [
+            eq21_rhs_term(j, r) for j in range(6)
+        ]
 
 
 def test_eq21_oracle_is_independent_of_the_checkers():
@@ -117,6 +118,30 @@ def test_eq21_oracle_is_independent_of_the_checkers():
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert not [name for name in names if name.startswith("degenpoly.identities")]
+
+
+def test_cases_alone_builds_a_case():
+    # Every checker turns its two sides into cases through _cases, so the rule
+    # for a case (its residual, its index order) lives in one place.
+    tree = ast.parse(inspect.getsource(identities))
+    outside = []
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name == "_cases":
+            continue
+        outside += [
+            f"{getattr(func, 'name', type(func).__name__)}:{node.lineno}"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Case"
+        ]
+    assert outside == []
+
+
+@pytest.mark.parametrize("indices", [{"k": 1}, {"n": range(2), "m": range(2)}],
+                         ids=["no-range", "two-ranges"])
+def test_cases_needs_exactly_one_range_index(indices):
+    one = BiPoly.const(1)
+    with pytest.raises(ValueError):
+        identities._cases([one, one], [one, one], **indices)
 
 
 def test_eq21_weight_needs_the_order_superscript():
