@@ -18,10 +18,12 @@ fixed layout: the compute header and rows, a verification report and the
 suite envelope are each written by f-strings, with every scalar encoded by
 ``_scalar`` and every polynomial by ``_poly_text`` straight from its
 integer terms, building no per-term or per-case dict, and each text is
-joined once.  Strings are escaped by ``_json.encode_basestring_ascii``, the
-C function that ``json.dumps`` uses, so the CLI imports no ``json``.  The
-parser is built once per process, on the first ``run``, and reused by every
-later request.
+joined once.  ``_render_compute`` and ``_render_reports`` each create one
+head table per response, from which ``_poly_text`` takes a term record's
+text up to its coefficient, formatted on the key's first use.  Strings are
+escaped by ``_json.encode_basestring_ascii``, the C function that
+``json.dumps`` uses, so the CLI imports no ``json``.  The parser is built
+once per process, on the first ``run``, and reused by every later request.
 
 Every request runs in a fresh process, and most are ``compute`` tables, so
 this module does not import ``identities``: the verify branch imports
@@ -45,9 +47,10 @@ import functools
 import sys
 from _json import encode_basestring_ascii
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Callable
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _pair
 from .families import (
     CATALOG,
     FamilyId,
@@ -209,6 +212,7 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
         x = "symbolic" if args.x_arg == "symbolic" else str(args.x_arg)
         # Rows start at n = 0, which has entry 0, so "values" is never empty.
         item, field = "\n    ", "\n      "
+        heads: dict[int, str] = {}
         pieces = [
             f'{{\n  "family": {_scalar(args.family)},\n  "kind": {_scalar(kind)},'
             f'\n  "order": {_scalar(str(args.order))},\n  "lambda": {_scalar(lam)},'
@@ -217,14 +221,14 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
         if kind == "triangle":
             pieces += [
                 f'{"," if n or k else ""}{item}{{{field}"n": {n},{field}"k": {k},'
-                f'{field}"value": {_poly_text(value, field)}{item}}}'
+                f'{field}"value": {_poly_text(value, field, heads)}{item}}}'
                 for n, row in rows
                 for k, value in enumerate(row)
             ]
         else:
             pieces += [
                 f'{"," if n else ""}{item}{{{field}"n": {n},'
-                f'{field}"value": {_poly_text(value, field)}{item}}}'
+                f'{field}"value": {_poly_text(value, field, heads)}{item}}}'
                 for n, value in rows
             ]
         pieces.append("\n  ]\n}\n")
@@ -258,28 +262,40 @@ def _scalar(value: str | int | bool | None | float) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
-def _poly_text(poly: BiPoly, newline: str) -> str:
-    """``json.dumps(poly.to_records(), indent=2)`` with its lines indented by ``newline``."""
-    terms = poly._reduced_terms()
+def _poly_text(poly: BiPoly, newline: str, heads: dict[int, str]) -> str:
+    """``json.dumps(poly.to_records(), indent=2)`` with its lines indented by ``newline``.
+
+    ``heads`` maps a term key to its record's text before the coefficient,
+    ``{<field>"dl": dl,<field>"dx": dx,<field>"c": "``, and is filled on the
+    key's first use.  That text depends on ``newline``, so a table may serve
+    only polynomials written at one indentation: each response writes all of
+    its polynomials at one, and creates one table for them.
+    """
+    terms, den = poly._terms, poly._den
     if not terms:
         return "[]"
     item = newline + "  "
     field = item + "  "
-    body = ("," + item).join(
-        [
-            f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}/{q}"{item}}}'
-            if q != 1
-            else f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "{p}"{item}}}'
-            for dl, dx, p, q in terms
-        ]
-    )
-    return f"[{item}{body}{newline}]"
+    tail = f'"{item}}}'
+    records = []
+    for key in sorted(terms):
+        head = heads.get(key)
+        if head is None:
+            dl, dx = _pair(key)
+            head = heads[key] = f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "'
+        v = terms[key]
+        g = gcd(v, den)
+        q = den // g
+        records.append(f"{head}{v // g}/{q}{tail}" if q != 1 else f"{head}{v // g}{tail}")
+    return f"[{item}" + ("," + item).join(records) + f"{newline}]"
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def _report_text(report: VerificationReport, timings: bool, newline: str) -> str:
+def _report_text(
+    report: VerificationReport, timings: bool, newline: str, heads: dict[int, str]
+) -> str:
     """One report as the JSON object ``verify`` writes, its lines indented by ``newline``.
 
     The wall time is written only with ``timings``.  ``verify`` returns at
@@ -291,7 +307,7 @@ def _report_text(report: VerificationReport, timings: bool, newline: str) -> str
         f'{item}{{{key}"indices": {{{entry}'
         + ("," + entry).join([f"{_scalar(k)}: {_scalar(v)}" for k, v in case.indices.items()])
         + f'{key}}},{key}"status": {_scalar("pass" if case.passed else "fail")},'
-        f'{key}"residual": {_poly_text(case.residual, key)}{item}}}'
+        f'{key}"residual": {_poly_text(case.residual, key, heads)}{item}}}'
         for case in report.cases
     ]
     tail = f',{field}"wall_time_ms": {_scalar(round(report.wall_time_ms, 3))}' if timings else ""
@@ -309,12 +325,13 @@ def _render_reports(
     reports: list[VerificationReport], fmt: str, profile: str | None, timings: bool
 ) -> str:
     if fmt == "json":
+        heads: dict[int, str] = {}
         if profile is None:
-            return _report_text(reports[0], timings, "\n") + "\n"
+            return _report_text(reports[0], timings, "\n", heads) + "\n"
         return (
             f'{{\n  "profile": {_scalar(profile)},'
             f'\n  "all_pass": {_scalar(all(r.all_pass for r in reports))},\n  "reports": [\n    '
-            + ",\n    ".join([_report_text(r, timings, "\n    ") for r in reports])
+            + ",\n    ".join([_report_text(r, timings, "\n    ", heads) for r in reports])
             + "\n  ]\n}\n"
         )
 

@@ -543,7 +543,19 @@ POLY = BiPoly.x() * 3 - BiPoly.lam() * BiPoly.x() * Fraction(5, 6) + Fraction(-7
 @example(BiPoly.const(Fraction(-2, 3)))
 @example(POLY)
 def test_poly_text_equals_stdlib_records(poly):
-    assert cli._poly_text(poly, "\n") == json.dumps(poly.to_records(), indent=2)
+    assert cli._poly_text(poly, "\n", {}) == json.dumps(poly.to_records(), indent=2)
+
+
+@settings(max_examples=100)
+@given(st.lists(big_bipolys, max_size=8))
+def test_poly_text_shares_one_head_table(polys):
+    # One table serves a whole response: a key's text, made on its first use,
+    # must fit every later polynomial that holds the key, in either order.
+    polys = polys + [POLY, BiPoly.const(Fraction(-2, 3))]
+    for order in (polys, polys[::-1]):
+        heads = {}
+        for poly in order:
+            assert cli._poly_text(poly, "\n", heads) == json.dumps(poly.to_records(), indent=2)
 
 
 def report_payload(report, timings):
@@ -606,6 +618,46 @@ def test_report_json_equals_stdlib_indent_2(capsys, monkeypatch, argv):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def failing_report(identity, residuals):
+    return VerificationReport(
+        identity=identity,
+        max_n=len(residuals) - 1,
+        max_order=None,
+        trunc=16,
+        profile=None,
+        cases=tuple(Case({"n": n}, r) for n, r in enumerate(residuals)),
+        wall_time_ms=0.0,
+    )
+
+
+# Nonzero residuals that share term keys, with different coefficients at them.
+SHARED_KEY_RESIDUALS = [
+    POLY,
+    POLY * Fraction(-3, 5) + BiPoly.x() ** 2,
+    BiPoly.zero(),
+    BiPoly.x() ** 2 - BiPoly.lam() * BiPoly.x() * 4 + 1,
+]
+
+
+@pytest.mark.parametrize("suite", [False, True], ids=["single", "suite"])
+def test_failing_report_json_equals_stdlib_indent_2(capsys, monkeypatch, suite):
+    first = failing_report(IdentityId.EQ23, SHARED_KEY_RESIDUALS)
+    second = failing_report(IdentityId.EQ25, SHARED_KEY_RESIDUALS[::-1])
+    if suite:
+        monkeypatch.setattr(identities, "verify_all", lambda profile: [first, second])
+        argv = ["verify", "--identity", "all", "--profile", "quick"]
+        payload = {
+            "profile": "quick",
+            "all_pass": False,
+            "reports": [report_payload(first, False), report_payload(second, False)],
+        }
+    else:
+        monkeypatch.setattr(identities, "verify", lambda *a, **k: first)
+        argv = ["verify", "--identity", "eq23", "--max-n", "3"]
+        payload = report_payload(first, False)
+    assert run_capture(capsys, argv) == (1, json.dumps(payload, indent=2) + "\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, header",
     [
@@ -632,6 +684,44 @@ def test_compute_header_equals_stdlib_indent_2(capsys, argv, header):
     assert list(payload) == keys + ["values"]
     expected = dict(zip(keys, header), values=payload["values"])
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, header, spec",
+    [
+        (["--family", "deg-bernoulli2", "--max-n", "24", "--order", "1/2"],
+         ["deg-bernoulli2", "sequence", "1/2", "symbolic", "symbolic", 24],
+         families.FamilySpec(families.FamilyId.DEG_BERNOULLI2, Fraction(1, 2))),
+        (["--family", "deg-stirling1", "--max-n", "16", "--lambda=-44/39"],
+         ["deg-stirling1", "triangle", "1", "-44/39", "symbolic", 16],
+         families.Param.numeric(Fraction(-44, 39))),
+        (["--family", "deg-euler", "--max-n", "16", "--lambda=-27/82", "--x=-68/47"],
+         ["deg-euler", "sequence", "1", "-27/82", "-68/47", 16],
+         families.FamilySpec(families.FamilyId.DEG_EULER, 1,
+                             families.Param.numeric(Fraction(-68, 47)),
+                             families.Param.numeric(Fraction(-27, 82)))),
+    ],
+    ids=["sequence-symbolic", "triangle-numeric", "sequence-numeric"],
+)
+def test_compute_json_equals_stdlib_from_library_values(capsys, argv, header, spec):
+    # The values come from the library, not from the CLI's parsed output, so a
+    # wrong term text fails here.
+    payload = dict(zip(["family", "kind", "order", "lambda", "x", "max_n"], header))
+    family, max_n = families.FamilyId(payload["family"]), payload["max_n"]
+    if payload["kind"] == "triangle":
+        payload["values"] = [
+            {"n": n, "k": k, "value": value.to_records()}
+            for n in range(max_n + 1)
+            for k, value in enumerate(families.triangle_row(family, n, spec))
+        ]
+    else:
+        series = families.build_egf(spec, max_n)
+        payload["values"] = [
+            {"n": n, "value": series.value(n).to_records()} for n in range(max_n + 1)
+        ]
+    code, out, _ = run_capture(capsys, ["compute", *argv, "--format", "json"])
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 # -- CSV layouts --------------------------------------------------------------------
