@@ -210,7 +210,8 @@ class BiPoly:
             return BiPoly.const(value)
         return None
 
-    def __add__(self, other: object) -> "BiPoly":
+    def __add__(self, other: object, sign: int = 1) -> "BiPoly":
+        # ``sign`` -1 subtracts: it joins b's rescale factor, so no -o is built.
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -218,15 +219,15 @@ class BiPoly:
         if not b:
             return self
         if not a:
-            return o
+            return o if sign == 1 else -o
         # Over the lcm of the denominators: scale a by ma and b by mb.
         da, db = self._den, o._den
         if da == db:
-            ma = mb = 1
+            ma, mb = 1, sign
             out = dict(a)
         else:
             g = _gcd(da, db)
-            ma, mb = db // g, da // g
+            ma, mb = db // g, da // g * sign
             out = {key: v * ma for key, v in a.items()}
         get = out.get
         for key, v in b.items():
@@ -243,10 +244,7 @@ class BiPoly:
         return _raw({key: -v for key, v in self._terms.items()}, self._den)
 
     def __sub__(self, other: object) -> "BiPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: object) -> "BiPoly":
         return (-self) + other
@@ -305,7 +303,8 @@ class BiPoly:
             q_pow.append(q_pow[-1] * q)
         out: dict[int, int] = {}
         for d, rest, v in split:
-            out[rest] = out.get(rest, 0) + v * p_pow[d] * q_pow[top - d]
+            if p_pow[d]:  # at value 0, every term with v^d, d > 0, vanishes
+                out[rest] = out.get(rest, 0) + v * p_pow[d] * q_pow[top - d]
         return _make({key: v for key, v in out.items() if v}, self._den * q_pow[top])
 
     def subs_lam(self, value: Scalar) -> "BiPoly":

@@ -536,9 +536,11 @@ def _table_mode(family: FamilyId, mode: Param) -> Param:
     """Reject a non-triangle family or an l it ignores; return the table's cache key."""
     if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"{family.value} is not a triangle family")
-    _deformation(family, mode)
+    if CATALOG[family].degenerate:
+        return mode
+    _deformation(family, mode)  # refuses a mode that is neither l nor 0
     # Every classical mode, l or 0, reads one table, built at l = 0.
-    return mode if CATALOG[family].degenerate else _SYMBOLIC
+    return _SYMBOLIC
 
 
 @lru_cache(maxsize=64)

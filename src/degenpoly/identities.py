@@ -192,13 +192,17 @@ def _check_eq25(max_n: int, order: None) -> list[Case]:
 def _check_thm2(max_n: int, k: int) -> list[Case]:
     # sum_l b2*_{l,l}^(k)(x) S2_l(n,l)
     #   = sum_l C(n,l) 2^(l+k)/C(l+k,k) S2_{l/2}(l+k,k) (x-k)_{n-l,l}
+    # The right side is the EGF product W e_l^(x-k), W the weights' EGF, taken
+    # as (W e_l^(-k)) e_l^x by
+    #   (x-k)_{j,l} = sum_i C(j,i) (-k)_{j-i,l} (x)_{i,l},
+    # so no product holds the dense bivariate (x-k)_{j,l}.
     bstar = _series(FamilyId.TYPE2_DEG_BERNOULLI2, max_n, order=k)
-    ff = step_products(_X - k, _L, max_n)  # (x-k)_{j,l}
     s2_col = _column(FamilyId.DEG_STIRLING2, k, range(k, max_n + k + 1), _HALF_L)
     weights = [s2 * (_TWO ** (m + k) / math.comb(m + k, k)) for m, s2 in enumerate(s2_col)]
     ns = range(max_n + 1)
-    return _cases(_transformed(bstar, FamilyId.DEG_STIRLING2, ns), _convolved(weights, ff, ns),
-                  n=ns, k=k)
+    shifted = _convolved(weights, step_products(BiPoly.const(-k), _L, max_n), ns)
+    return _cases(_transformed(bstar, FamilyId.DEG_STIRLING2, ns),
+                  _convolved(shifted, step_products(_X, _L, max_n), ns), n=ns, k=k)
 
 
 def _check_thm2_corollary(max_n: int, k: int) -> list[Case]:

@@ -107,22 +107,28 @@ class EgfSeries:
         return EgfSeries(self._coeffs[1:])
 
     def compose(self, inner: "EgfSeries") -> "EgfSeries":
-        """f(inner(t)) by Horner's scheme; the inner constant term must vanish.
+        """f(inner(t)) from a table of powers; the inner constant term must vanish.
 
-        The accumulator after step k is multiplied by inner^k, which is
-        divisible by t^k, so step k only needs order N - k.  With
-        inner = t*h, each step is f_k + t*(h * acc) at one order more.
+        inner^k is divisible by t^k, so its row keeps only coefficients
+        k..N, each one ``dot`` over the row of inner^(k-1).  Coefficient n
+        of the result is f_0 at n = 0 and otherwise one ``dot`` of f_1..f_n
+        with coefficient n of inner^1..inner^n: the table half of Brent and
+        Kung's algorithm (J. ACM 25, 1978).  Every ``dot`` makes a
+        coefficient of some inner^k or of the result, so no intermediate
+        carries terms that cancel later.
         """
-        if inner._coeffs[0]:
-            raise SeriesError(f"inner series has nonzero constant term {inner._coeffs[0]!r}")
+        g = inner._coeffs
+        if g[0]:
+            raise SeriesError(f"inner series has nonzero constant term {g[0]!r}")
         order = min(self.order, inner.order)
-        acc = EgfSeries([self._coeffs[order]])
-        if order == 0:
-            return acc
-        h = inner.shift_div_t()
-        for k in range(order - 1, -1, -1):
-            acc = EgfSeries([self._coeffs[k], *(h * acc)._coeffs])
-        return acc
+        row = g[1 : order + 1]  # coefficients k..N of inner^k, from k = 1
+        columns = [[c] for c in row]  # columns[n - 1]: coefficient n of inner^1..inner^n
+        for k in range(2, order + 1):
+            row = [dot(row[:j], g[j:0:-1]) for j in range(1, order - k + 2)]
+            for column, c in zip(columns[k - 1 :], row):
+                column.append(c)
+        f = self._coeffs
+        return EgfSeries([f[0], *(dot(f[1 : n + 1], col) for n, col in enumerate(columns, 1))])
 
     def pow(self, alpha: Fraction | int) -> "EgfSeries":
         """Raise to a rational power by J.C.P. Miller's recurrence (Knuth,

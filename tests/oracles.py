@@ -2,8 +2,9 @@
 
 The series operations use nothing of ``EgfSeries`` beyond its public
 constructor and coefficients, so a test can compare a package route
-(Miller's power recurrence, the closed product forms, Horner composition)
-with the long-division and exp/log routes written here.  ``classical_value``
+(Miller's power recurrence, the closed product forms, composition by a
+table of powers) with the long-division, exp/log and Horner routes
+written here.  ``classical_value``
 and ``eq21_rhs_term`` compute one value or one eq. (21) weight at a time.
 """
 
@@ -56,6 +57,26 @@ def series_divide(f: EgfSeries, g: EgfSeries) -> EgfSeries:
             acc = acc - g.coefficients[k] * out[n - k]
         out.append(acc * (1 / g0))
     return EgfSeries(out)
+
+
+def compose_horner(f: EgfSeries, g: EgfSeries) -> EgfSeries:
+    """f(g(t)) at the smaller order by Horner's scheme; g's constant term must vanish.
+
+    The accumulator after step k is later multiplied by g^k, which is
+    divisible by t^k, so step k only needs order N - k.  With g = t*h, each
+    step is f_k + t*(h * acc) at one order more.
+    """
+    fc, gc = f.coefficients, g.coefficients
+    if gc[0]:
+        raise SeriesError(f"inner series has nonzero constant term {gc[0]!r}")
+    order = min(f.order, g.order)
+    h = gc[1:]
+    acc = [fc[order]]
+    for k in range(order - 1, -1, -1):
+        product = [sum((h[i] * acc[m - i] for i in range(m + 1)), BiPoly.zero())
+                   for m in range(len(acc))]
+        acc = [fc[k], *product]
+    return EgfSeries(acc)
 
 
 def series_exp(f: EgfSeries) -> EgfSeries:

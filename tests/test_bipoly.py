@@ -265,6 +265,20 @@ def test_add_cancellation():
     assert (L + X) + (L - X) == L * 2
 
 
+def test_subtraction_over_unequal_denominators():
+    a = X * frac(1, 6) + L * frac(5, 4)
+    b = X * frac(-1, 10) + L * frac(1, 4) + 3
+    difference = a - b
+    assert agrees(difference, RefPoly.of(a) - RefPoly.of(b))
+    assert difference == BiPoly({(0, 1): frac(4, 15), (1, 0): 1, (0, 0): -3})
+
+
+@given(big_bipolys)
+def test_self_difference_is_canonical_zero(p):
+    difference = p - p
+    assert (difference._terms, difference._den) == ({}, 1)
+
+
 def test_product_expansion():
     assert X * (X - L) == BiPoly({(0, 2): 1, (1, 1): -1})
 
@@ -333,8 +347,11 @@ def test_hash_of_zero_and_integer_constants():
 # -- substitutions ---------------------------------------------------------------
 
 
-def test_subs_lambda_at_zero():
+@settings(max_examples=60)
+@given(big_bipolys)
+def test_subs_lambda_at_zero(p):
     assert (X * X - L * X).subs_lam(0) == X * X
+    assert agrees(p.subs_lam(0), RefPoly.of(p).subs_lam(0))
 
 
 def test_subs_x():

@@ -421,6 +421,21 @@ def _step_oracle(arg, step, trunc, lag):
     )
 
 
+def test_shifted_step_products_are_a_binomial_convolution():
+    # (x - k)_{n,l} = sum_i C(n,i) (-k)_{n-i,l} (x)_{i,l}: e_l^(x-k)(t) = e_l^(-k)(t) e_l^x(t).
+    # thm2 forms its right side by this convolution.
+    size = 16
+    at_x = step_products(X, L, size)
+    for k in range(7):
+        shifted = step_products(X - k, L, size)
+        at_minus_k = step_products(BiPoly.const(-k), L, size)
+        for n in range(size + 1):
+            expected = BiPoly.zero()
+            for i in range(n + 1):
+                expected = expected + at_minus_k[n - i] * at_x[i] * math.comb(n, i)
+            assert shifted[n] == expected, (k, n)
+
+
 _STEP_ARGS = [X, BiPoly.const(Fraction(-3, 2)), X + Fraction(5, 3), BiPoly.const(3)]
 _STEP_ARG_IDS = ["symbolic", "numeric", "shifted", "integer"]
 

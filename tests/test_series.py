@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from degenpoly.bipoly import BiPoly
 from degenpoly.series import EgfSeries, SeriesError
-from oracles import series_divide, series_exp, series_log, series_t, series_zero, truncate
+from oracles import (
+    compose_horner, series_divide, series_exp, series_log, series_t, series_zero, truncate,
+)
 
 L = BiPoly.lam()
 X = BiPoly.x()
@@ -149,6 +151,13 @@ def test_compose_rejects_nonzero_inner_constant():
         EgfSeries([1, 1]).compose(EgfSeries([1, 1]))
 
 
+LONG_INNER = EgfSeries([0, 1, L, X, 2, Fraction(1, 3), L * X])
+SHORT_INNER = EgfSeries([0, X, 1, L])
+OUTER = EgfSeries([1, 2, L, Fraction(-1, 2), X, 3, 1])
+SHORT_OUTER = truncate(OUTER, 2)
+UNEQUAL_PAIRS = [(OUTER, SHORT_INNER), (SHORT_OUTER, LONG_INNER), (OUTER, LONG_INNER)]
+
+
 def test_compose_with_unequal_orders():
     # Oracle: sum_k f_k g^k by repeated multiplication, at the smaller order.
     def naive(f, g):
@@ -160,15 +169,31 @@ def test_compose_with_unequal_orders():
             power = power * g
         return acc
 
-    long_inner = EgfSeries([0, 1, L, X, 2, Fraction(1, 3), L * X])
-    short_inner = EgfSeries([0, X, 1, L])
-    outer = EgfSeries([1, 2, L, Fraction(-1, 2), X, 3, 1])
-    short_outer = truncate(outer, 2)
-    for f, g in ((outer, short_inner), (short_outer, long_inner), (outer, long_inner)):
+    for f, g in UNEQUAL_PAIRS:
         result = f.compose(g)
         assert result.order == min(f.order, g.order)
         assert result == naive(f, g)
-    assert EgfSeries([5]).compose(long_inner) == EgfSeries([5])
+    assert EgfSeries([5]).compose(LONG_INNER) == EgfSeries([5])
+
+
+# One operand cut to order m < 5, so the orders differ.
+unequal_pairs = st.builds(
+    lambda f, g, m, cut_inner: (f, truncate(g, m)) if cut_inner else (truncate(f, m), g),
+    series_of(BiPoly.const(2)),
+    series_of(BiPoly.zero()),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40)
+@given(unequal_pairs)
+@example(UNEQUAL_PAIRS[0])
+@example(UNEQUAL_PAIRS[1])
+@example(UNEQUAL_PAIRS[2])
+def test_compose_matches_horner(pair):
+    f, g = pair
+    assert f.compose(g) == compose_horner(f, g)
 
 
 @settings(max_examples=20)
