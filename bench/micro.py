@@ -64,7 +64,7 @@ def _cases():
     from fractions import Fraction
 
     from degenpoly import cli, families
-    from degenpoly.families import FamilyId, FamilySpec, build_egf, triangle_row
+    from degenpoly.families import FamilyId, FamilySpec, build_egf
 
     def compute_json(n):
         out = io.StringIO()
@@ -95,7 +95,9 @@ def _cases():
 
     def cold_table():
         families.clear_caches()
-        return triangle_row(FamilyId.DEG_CENTRAL_FACTORIAL, TABLE_ROWS)
+        return families.triangular_numbers(
+            FamilyId.DEG_CENTRAL_FACTORIAL, TABLE_ROWS, TABLE_ROWS // 2
+        )
 
     cases.append((f"families.triangle.deg-central-factorial.rows{TABLE_ROWS}", cold_table))
     return cases

@@ -22,7 +22,7 @@ from .families import (
     build_egf,
     central_factorial_power,
     deg_bernoulli2_alt_egf,
-    triangle_row,
+    triangle_rows,
     triangular_numbers,
 )
 
@@ -36,7 +36,7 @@ __all__ = [
     "FamilySpec",
     "Param",
     "build_egf",
-    "triangle_row",
+    "triangle_rows",
     "triangular_numbers",
     "central_factorial_power",
     "deg_bernoulli2_alt_egf",

@@ -339,31 +339,44 @@ class BiPoly:
 
     # -- serialization and printing --------------------------------------
 
-    def _reduced_terms(self) -> list[tuple[int, int, int, int]]:
-        """``(dl, dx, p, q)`` per term in graded-lex order, coefficient p/q reduced, q > 0."""
+    def _reduced_terms(self) -> list[tuple[int, int, int]]:
+        """``(key, p, q)`` per term in graded-lex order, coefficient p/q reduced, q > 0."""
         terms, den = self._terms, self._den
         out = []
         for key in sorted(terms):
             v = terms[key]
-            dl = key & _DL_MASK
             g = _gcd(v, den)
-            out.append((dl, (key >> _SHIFT) - dl, v // g, den // g))
+            out.append((key, v // g, den // g))
         return out
 
     def to_records(self) -> list[dict[str, object]]:
         """JSON-ready term list: [{"dl": int, "dx": int, "c": "p/q"}, ...]."""
-        return [
-            {"dl": dl, "dx": dx, "c": f"{p}/{q}" if q != 1 else str(p)}
-            for dl, dx, p, q in self._reduced_terms()
-        ]
+        records = []
+        for key, p, q in self._reduced_terms():
+            dl, dx = _pair(key)
+            records.append({"dl": dl, "dx": dx, "c": f"{p}/{q}" if q != 1 else str(p)})
+        return records
 
-    def render(self) -> str:
-        """Plain-text form, e.g. ``x^2 - l*x``; the zero polynomial prints ``0``."""
+    def render(self, monos: dict[int, str] | None = None) -> str:
+        """Plain-text form, e.g. ``x^2 - l*x``; the zero polynomial prints ``0``.
+
+        ``monos`` maps a term key to its monomial's text (``l^2*x``, empty
+        for the constant term) and is filled on the key's first use, so a
+        caller that renders many polynomials formats each monomial once by
+        passing them one table.
+        """
         if not self._terms:
             return "0"
+        if monos is None:
+            monos = {}
         text = ""
-        for dl, dx, p, q in self._reduced_terms():
-            mono = "*".join(s for s in (_pow_str("l", dl), _pow_str("x", dx)) if s)
+        for key, p, q in self._reduced_terms():
+            mono = monos.get(key)
+            if mono is None:
+                dl, dx = _pair(key)
+                mono = monos[key] = "*".join(
+                    s for s in (_pow_str("l", dl), _pow_str("x", dx)) if s
+                )
             mag = f"{abs(p)}/{q}" if q != 1 else str(abs(p))
             if not mono:
                 body = mag

@@ -16,14 +16,18 @@ JSON is byte-identical to ``json.dumps(payload, indent=2)`` with each
 ``BiPoly`` value replaced by its ``to_records()``.  Every JSON text is a
 fixed layout: the compute header and rows, a verification report and the
 suite envelope are each written by f-strings, with every scalar encoded by
-``_scalar`` and every polynomial by ``_poly_text`` straight from its
+``_scalar`` and every polynomial by a ``_poly_writer`` straight from its
 integer terms, building no per-term or per-case dict, and each text is
 joined once.  ``_render_compute`` and ``_render_reports`` each create one
-head table per response, from which ``_poly_text`` takes a term record's
-text up to its coefficient, formatted on the key's first use.  Strings are
-escaped by ``_json.encode_basestring_ascii``, the C function that
-``json.dumps`` uses, so the CLI imports no ``json``.  The parser is built
-once per process, on the first ``run``, and reused by every later request.
+writer per response.  It owns a head table, from which it takes a term
+record's text up to its coefficient, formatted on the key's first use, and
+its indentation's separators.  A triangle table comes from one
+``triangle_rows`` read, and each row's ``"n"`` lead is written once.
+Strings are escaped by ``_json.encode_basestring_ascii``, the C function
+that ``json.dumps`` uses, so the CLI imports no ``json``.  CSV cells come
+from ``BiPoly.render`` with one monomial table per response.  The parser is
+built once per process, on the first ``run``, and reused by every later
+request.
 
 Every request runs in a fresh process, and most are ``compute`` tables, so
 this module does not import ``identities``: the verify branch imports
@@ -58,7 +62,7 @@ from .families import (
     Param,
     build_egf,
     central_factorial_power,
-    triangle_row,
+    triangle_rows,
 )
 
 if TYPE_CHECKING:
@@ -200,7 +204,7 @@ def _compute_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
         return "polynomial", [(n, central_factorial_power(n)) for n in range(max_n + 1)]
 
     if info.kind == "triangle":
-        return "triangle", [(n, triangle_row(family, n, lam_mode)) for n in range(max_n + 1)]
+        return "triangle", list(enumerate(triangle_rows(family, max_n, lam_mode)))
 
     series = build_egf(FamilySpec(family, args.order, argument, lam_mode), max_n)
     return "sequence", [(n, series.value(n)) for n in range(max_n + 1)]
@@ -210,39 +214,43 @@ def _render_compute(args: argparse.Namespace, kind: str, rows: list[tuple]) -> s
     if args.format == "json":
         lam = "symbolic" if args.lam == "symbolic" else str(args.lam)
         x = "symbolic" if args.x_arg == "symbolic" else str(args.x_arg)
-        # Rows start at n = 0, which has entry 0, so "values" is never empty.
         item, field = "\n    ", "\n      "
-        heads: dict[int, str] = {}
-        pieces = [
+        write = _poly_writer(field)
+        if kind == "triangle":
+            entries = []
+            for n, row in rows:
+                lead = f'{item}{{{field}"n": {n},{field}"k": '
+                entries += [
+                    f'{lead}{k},{field}"value": {write(value)}{item}}}'
+                    for k, value in enumerate(row)
+                ]
+        else:
+            entries = [
+                f'{item}{{{field}"n": {n},{field}"value": {write(value)}{item}}}'
+                for n, value in rows
+            ]
+        # Rows start at n = 0, which has entry 0, so "values" is never empty.  The
+        # header leads the first entry and the brackets close the last, so the
+        # response is copied once, by the join.
+        entries[0] = (
             f'{{\n  "family": {_scalar(args.family)},\n  "kind": {_scalar(kind)},'
             f'\n  "order": {_scalar(str(args.order))},\n  "lambda": {_scalar(lam)},'
             f'\n  "x": {_scalar(x)},\n  "max_n": {_scalar(args.max_n)},\n  "values": ['
-        ]
-        if kind == "triangle":
-            pieces += [
-                f'{"," if n or k else ""}{item}{{{field}"n": {n},{field}"k": {k},'
-                f'{field}"value": {_poly_text(value, field, heads)}{item}}}'
-                for n, row in rows
-                for k, value in enumerate(row)
-            ]
-        else:
-            pieces += [
-                f'{"," if n else ""}{item}{{{field}"n": {n},'
-                f'{field}"value": {_poly_text(value, field, heads)}{item}}}'
-                for n, value in rows
-            ]
-        pieces.append("\n  ]\n}\n")
-        return "".join(pieces)
+            + entries[0]
+        )
+        entries[-1] += "\n  ]\n}\n"
+        return ",".join(entries)
 
+    monos: dict[int, str] = {}
     if kind == "triangle":
         max_n = args.max_n
         lines = ["n," + ",".join([f"k={k}" for k in range(max_n + 1)])]
         lines += [
-            f"{n}," + ",".join([value.render() for value in row]) + "," * (max_n - n)
+            f"{n}," + ",".join([value.render(monos) for value in row]) + "," * (max_n - n)
             for n, row in rows
         ]
     else:
-        lines = ["n,value"] + [f"{n},{value.render()}" for n, value in rows]
+        lines = ["n,value"] + [f"{n},{value.render(monos)}" for n, value in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -262,52 +270,67 @@ def _scalar(value: str | int | bool | None | float) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
-def _poly_text(poly: BiPoly, newline: str, heads: dict[int, str]) -> str:
-    """``json.dumps(poly.to_records(), indent=2)`` with its lines indented by ``newline``.
+def _poly_writer(newline: str) -> Callable[[BiPoly], str]:
+    """A function that writes ``json.dumps(poly.to_records(), indent=2)`` for
+    one polynomial, with its lines indented by ``newline``.
 
-    ``heads`` maps a term key to its record's text before the coefficient,
-    ``{<field>"dl": dl,<field>"dx": dx,<field>"c": "``, and is filled on the
-    key's first use.  That text depends on ``newline``, so a table may serve
-    only polynomials written at one indentation: each response writes all of
-    its polynomials at one, and creates one table for them.
+    The writer owns a head table that maps a term key to its record's text
+    before the coefficient, ``{<field>"dl": dl,<field>"dx": dx,<field>"c": "``,
+    filled on the key's first use, and the separators, derived once from
+    ``newline``.  That text depends on ``newline``, so a writer serves only
+    polynomials written at one indentation: each response writes all of its
+    polynomials at one, and creates one writer for them.
     """
-    terms, den = poly._terms, poly._den
-    if not terms:
-        return "[]"
     item = newline + "  "
     field = item + "  "
     tail = f'"{item}}}'
-    records = []
-    for key in sorted(terms):
-        head = heads.get(key)
-        if head is None:
-            dl, dx = _pair(key)
-            head = heads[key] = f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "'
-        v = terms[key]
-        g = gcd(v, den)
-        q = den // g
-        records.append(f"{head}{v // g}/{q}{tail}" if q != 1 else f"{head}{v // g}{tail}")
-    return f"[{item}" + ("," + item).join(records) + f"{newline}]"
+    sep, opening, closing = "," + item, "[" + item, newline + "]"
+    heads: dict[int, str] = {}
+
+    def write(poly: BiPoly) -> str:
+        terms, den = poly._terms, poly._den
+        if not terms:
+            return "[]"
+        records = []
+        for key in sorted(terms):
+            head = heads.get(key)
+            if head is None:
+                dl, dx = _pair(key)
+                head = heads[key] = f'{{{field}"dl": {dl},{field}"dx": {dx},{field}"c": "'
+            v = terms[key]
+            g = gcd(v, den)
+            q = den // g
+            records.append(f"{head}{v // g}/{q}{tail}" if q != 1 else f"{head}{v // g}{tail}")
+        return opening + sep.join(records) + closing
+
+    return write
 
 
 # -- verify -------------------------------------------------------------------
 
 
+# A report's case fields, residuals among them, sit this far inside its own lines.
+_CASE_INDENT = " " * 6
+
+
 def _report_text(
-    report: VerificationReport, timings: bool, newline: str, heads: dict[int, str]
+    report: VerificationReport, timings: bool, newline: str, write: Callable[[BiPoly], str]
 ) -> str:
     """One report as the JSON object ``verify`` writes, its lines indented by ``newline``.
 
-    The wall time is written only with ``timings``.  ``verify`` returns at
-    least one case, each with at least one index, so neither list is empty.
+    Residuals go through ``write``, a ``_poly_writer`` at
+    ``newline + _CASE_INDENT``, the indentation of a case's fields.  The wall
+    time is written only with ``timings``.  ``verify`` returns at least one
+    case, each with at least one index, so neither list is empty.
     """
     field, item = newline + "  ", newline + "    "
-    key, entry = item + "  ", item + "    "
+    key = newline + _CASE_INDENT
+    entry = key + "  "
     cases = [
         f'{item}{{{key}"indices": {{{entry}'
         + ("," + entry).join([f"{_scalar(k)}: {_scalar(v)}" for k, v in case.indices.items()])
         + f'{key}}},{key}"status": {_scalar("pass" if case.passed else "fail")},'
-        f'{key}"residual": {_poly_text(case.residual, key, heads)}{item}}}'
+        f'{key}"residual": {write(case.residual)}{item}}}'
         for case in report.cases
     ]
     tail = f',{field}"wall_time_ms": {_scalar(round(report.wall_time_ms, 3))}' if timings else ""
@@ -325,20 +348,22 @@ def _render_reports(
     reports: list[VerificationReport], fmt: str, profile: str | None, timings: bool
 ) -> str:
     if fmt == "json":
-        heads: dict[int, str] = {}
+        newline = "\n" if profile is None else "\n    "
+        write = _poly_writer(newline + _CASE_INDENT)
         if profile is None:
-            return _report_text(reports[0], timings, "\n", heads) + "\n"
+            return _report_text(reports[0], timings, newline, write) + "\n"
         return (
             f'{{\n  "profile": {_scalar(profile)},'
             f'\n  "all_pass": {_scalar(all(r.all_pass for r in reports))},\n  "reports": [\n    '
-            + ",\n    ".join([_report_text(r, timings, "\n    ", heads) for r in reports])
+            + ",\n    ".join([_report_text(r, timings, newline, write) for r in reports])
             + "\n  ]\n}\n"
         )
 
+    monos: dict[int, str] = {}
     lines = ["identity,indices,status,residual"] + [
         f"{report.identity.value},"
         + ";".join([f"{key}={value}" for key, value in case.indices.items()])
-        + f",{'pass' if case.passed else 'fail'},{case.residual.render()}"
+        + f",{'pass' if case.passed else 'fail'},{case.residual.render(monos)}"
         for report in reports
         for case in report.cases
     ]

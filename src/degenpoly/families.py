@@ -32,7 +32,9 @@ Both recurrences are memoized the same way.  Each ``(a, s, lag)`` has one
 step table, its coefficients, and each triangle family and l one triangle
 table, its rows; each table holds the longest run built so far.  A longer
 request continues it from its last items, in a loop, and a shorter one
-reads a prefix.
+reads a prefix.  ``triangle_rows(family, n, l)`` returns rows 0..n in one
+table lookup, so a reader of many rows, a whole table or a column, pays
+for the cache key once.
 
 A request the catalog cannot honour (an order outside a family's domain,
 an x or l the family ignores, a negative size) raises ``ValueError``.  The
@@ -456,7 +458,7 @@ def build_egf(spec: FamilySpec, trunc: int) -> EgfSeries:
 
     The value of the result at index n (``.value(n)``) is the n-th family
     member; coefficients are polynomial in ``l`` and ``x``.  Triangle
-    entries come from ``triangle_row`` and central factorial powers
+    entries come from ``triangle_rows`` and central factorial powers
     from ``central_factorial_power``.  An order outside the family's
     domain, or an x or l it ignores, is refused with ``ValueError`` before
     any work starts.
@@ -500,13 +502,16 @@ def _egf(family: FamilyId, order: Fraction, arg: BiPoly, lam: BiPoly, trunc: int
 # -- triangle rows -----------------------------------------------------------
 
 
-def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tuple[BiPoly, ...]:
-    """Row n >= 0 of a connection-coefficient triangle: entries k = 0..n.
+def triangle_rows(
+    family: FamilyId, n: int, lambda_mode: Param = Param()
+) -> tuple[tuple[BiPoly, ...], ...]:
+    """Rows 0..n of a connection-coefficient triangle, row m holding entries k = 0..m.
 
-    Read from the triangle table of ``(family, l)``, which the family's step
-    rule grows from its last two rows.  Rows are immutable and safe to share
-    across threads.  A classical family reads one table at l symbolic and
-    at l = 0.
+    Read in one lookup of the triangle table of ``(family, l)``, which the
+    family's step rule grows from its last two rows, so a reader of several
+    rows or entries asks once, for its last row.  Rows are immutable and
+    safe to share across threads.  A classical family reads one table at l
+    symbolic and at l = 0.
     """
     mode = _table_mode(family, lambda_mode)
     if as_size(n, "n") < 0:
@@ -516,20 +521,20 @@ def triangle_row(family: FamilyId, n: int, lambda_mode: Param = Param()) -> tupl
         older, row = rows[i - 2] + (_ZERO, _ZERO), rows[i - 1] + (_ZERO,)
         return (_ZERO, *CATALOG[family].build(_deformation(family, mode), i - 1, older, row))
 
-    return _grown(_triangle_table(family, mode), n + 1, next_row)[n]
+    return _grown(_triangle_table(family, mode), n + 1, next_row)[: n + 1]
 
 
 def triangular_numbers(
     family: FamilyId, n: int, k: int, lambda_mode: Param = Param()
 ) -> BiPoly:
-    """Entry (n, k) of a connection-coefficient triangle, ``triangle_row(...)[k]``.
+    """Entry (n, k) of a connection-coefficient triangle, ``triangle_rows(...)[n][k]``.
 
     Outside the triangle 0 <= k <= n the value is the zero polynomial.
     """
     if n < 0 or k < 0 or k > n:
         _table_mode(family, lambda_mode)
         return _ZERO
-    return triangle_row(family, n, lambda_mode)[k]
+    return triangle_rows(family, n, lambda_mode)[n][k]
 
 
 def _table_mode(family: FamilyId, mode: Param) -> Param:

@@ -41,7 +41,7 @@ from .families import (
     central_factorial_power,
     deg_bernoulli2_alt_egf,
     step_products,
-    triangle_row,
+    triangle_rows,
 )
 from enum import Enum
 
@@ -124,14 +124,15 @@ def _series(family: FamilyId, n: int, order: Fraction | int = 1,
 
 
 def _column(family: FamilyId, k: int, ns: range, lambda_mode: Param = _SYM) -> "list[BiPoly]":
-    """Entries T(n, k) for n in ``ns``, each read from its whole row; zero above the diagonal."""
-    rows = (triangle_row(family, n, lambda_mode) for n in ns)
-    return [row[k] if k < len(row) else _ZERO for row in rows]
+    """Entries T(n, k) for n in ``ns``, from one table read; zero above the diagonal."""
+    rows = triangle_rows(family, ns[-1], lambda_mode) if ns else ()
+    return [rows[n][k] if k <= n else _ZERO for n in ns]
 
 
 def _transformed(values: "list[BiPoly]", family: FamilyId, ns: range) -> "list[BiPoly]":
     """The triangle transforms sum_{m<=n} values[m] * T(n, m) of one value list, n in ``ns``."""
-    return [dot(values[: n + 1], triangle_row(family, n)) for n in ns]
+    rows = triangle_rows(family, ns[-1]) if ns else ()
+    return [dot(values[: n + 1], rows[n]) for n in ns]
 
 
 def _convolved(a: "list[BiPoly]", b: "list[BiPoly]", ns: range) -> "list[BiPoly]":
@@ -305,10 +306,10 @@ def _check_limits(max_n: int, order: None) -> list[Case]:
         at_zero = [v.subs_lam(0) for v in _series(deg, max_n, order)]
         cases += _cases(at_zero, _series(classical, max_n, order, lambda_mode=_LAM0), **extra, n=ns)
     for deg, classical in _LIMIT_TRIANGLES:
+        deg_rows, classical_rows = triangle_rows(deg, max_n), triangle_rows(classical, max_n)
         for n in ns:
-            at_zero = [entry.subs_lam(0) for entry in triangle_row(deg, n)]
-            cases += _cases(at_zero, triangle_row(classical, n), family=deg.value, n=n,
-                            k=range(n + 1))
+            at_zero = [entry.subs_lam(0) for entry in deg_rows[n]]
+            cases += _cases(at_zero, classical_rows[n], family=deg.value, n=n, k=range(n + 1))
     return cases
 
 

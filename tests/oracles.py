@@ -21,7 +21,7 @@ _X = BiPoly.x()
 
 def sorted_terms(p: BiPoly) -> list[tuple[Term, Fraction]]:
     """Terms of p in graded-lex order (total degree, then l-degree) as ``Fraction``s."""
-    return [((dl, dx), Fraction(n, d)) for dl, dx, n, d in p._reduced_terms()]
+    return [((r["dl"], r["dx"]), Fraction(r["c"])) for r in p.to_records()]
 
 
 def series_zero(order: int) -> EgfSeries:

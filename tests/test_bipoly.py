@@ -224,7 +224,7 @@ _bounded_bipolys = st.dictionaries(_bounded_pairs, rationals, max_size=8).map(Bi
 @example(BiPoly({(MAX_DEGREE, 0): 1, (0, MAX_DEGREE): 2, (8191, 8192): 3, (0, 0): 4}))
 def test_packed_keys_round_trip_in_graded_lex_order(p):
     assert BiPoly(p.terms()) == p
-    pairs = [(dl, dx) for dl, dx, _, _ in p._reduced_terms()]
+    pairs = [(r["dl"], r["dx"]) for r in p.to_records()]
     assert pairs == sorted(p.terms(), key=lambda pair: (pair[0] + pair[1], pair[0]))
 
 
@@ -421,6 +421,18 @@ def test_serialization_matches_fraction_reference(p):
     assert sorted_terms(p) == ordered
     assert p.to_records() == [{"dl": dl, "dx": dx, "c": str(c)} for (dl, dx), c in ordered]
     assert p.render() == render_reference(ordered)
+
+
+@settings(max_examples=100)
+@given(st.lists(big_bipolys, max_size=8))
+def test_render_shares_one_monomial_table(polys):
+    # One table serves a whole CSV response: a monomial's text, made on its
+    # key's first use, must fit every later polynomial that holds the key.
+    polys = polys + [X * X - L * X * frac(5, 6) + frac(-7, 4), BiPoly.const(1), L]
+    for order in (polys, polys[::-1]):
+        monos = {}
+        for p in order:
+            assert p.render(monos) == p.render()
 
 
 @settings(max_examples=300)

@@ -537,25 +537,34 @@ def test_scalar_equals_stdlib(value):
 POLY = BiPoly.x() * 3 - BiPoly.lam() * BiPoly.x() * Fraction(5, 6) + Fraction(-7, 4)
 
 
+# The top level, and the residuals of a single report and of the suite.
+NEWLINES = pytest.mark.parametrize("newline", ["\n", "\n      ", "\n          "],
+                                   ids=["top", "report", "suite"])
+
+
+@NEWLINES
 @settings(max_examples=300)
 @given(big_bipolys)
 @example(BiPoly.zero())
 @example(BiPoly.const(Fraction(-2, 3)))
 @example(POLY)
-def test_poly_text_equals_stdlib_records(poly):
-    assert cli._poly_text(poly, "\n", {}) == json.dumps(poly.to_records(), indent=2)
+def test_poly_writer_equals_stdlib_records(newline, poly):
+    expected = json.dumps(poly.to_records(), indent=2).replace("\n", newline)
+    assert cli._poly_writer(newline)(poly) == expected
 
 
+@NEWLINES
 @settings(max_examples=100)
 @given(st.lists(big_bipolys, max_size=8))
-def test_poly_text_shares_one_head_table(polys):
-    # One table serves a whole response: a key's text, made on its first use,
+def test_poly_writer_shares_one_head_table(newline, polys):
+    # One writer serves a whole response: a key's text, made on its first use,
     # must fit every later polynomial that holds the key, in either order.
     polys = polys + [POLY, BiPoly.const(Fraction(-2, 3))]
     for order in (polys, polys[::-1]):
-        heads = {}
+        write = cli._poly_writer(newline)
         for poly in order:
-            assert cli._poly_text(poly, "\n", heads) == json.dumps(poly.to_records(), indent=2)
+            expected = json.dumps(poly.to_records(), indent=2).replace("\n", newline)
+            assert write(poly) == expected
 
 
 def report_payload(report, timings):
@@ -712,7 +721,7 @@ def test_compute_json_equals_stdlib_from_library_values(capsys, argv, header, sp
         payload["values"] = [
             {"n": n, "k": k, "value": value.to_records()}
             for n in range(max_n + 1)
-            for k, value in enumerate(families.triangle_row(family, n, spec))
+            for k, value in enumerate(families.triangle_rows(family, n, spec)[n])
         ]
     else:
         series = families.build_egf(spec, max_n)
@@ -761,7 +770,7 @@ def test_sequence_csv_equals_stdlib_writer(capsys, argv, spec):
 def test_triangle_csv_equals_stdlib_writer(capsys, lam, mode, max_n):
     family = families.FamilyId.DEG_STIRLING1
     rows = [["n"] + [f"k={k}" for k in range(max_n + 1)]] + [
-        [n] + [v.render() for v in families.triangle_row(family, n, mode)] + [""] * (max_n - n)
+        [n] + [v.render() for v in families.triangle_rows(family, n, mode)[n]] + [""] * (max_n - n)
         for n in range(max_n + 1)
     ]
     argv = ["compute", "--family", family.value, "--max-n", str(max_n), f"--lambda={lam}",

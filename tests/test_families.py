@@ -29,7 +29,7 @@ from degenpoly.families import (
     deg_bernoulli2_alt_egf,
     step_egf,
     step_products,
-    triangle_row,
+    triangle_rows,
     triangular_numbers,
 )
 from degenpoly import identities
@@ -321,7 +321,7 @@ def test_triangle_tables_match_egf_powers(family, mode):
         return
     lam = mode.to_poly(L) if degenerate else BiPoly.zero()
     expected = triangle_by_egf_powers(kernel(lam, size), size)
-    assert [triangle_row(family, n, mode) for n in range(size + 1)] == [
+    assert [triangle_rows(family, n, mode)[n] for n in range(size + 1)] == [
         row[: n + 1] for n, row in enumerate(expected)
     ]
 
@@ -337,7 +337,7 @@ def test_triangle_table_extends_and_serves_prefixes(family, numeric):
     expected = triangle_by_egf_powers(kernel(lam, 12), 12)
     clear_caches()
     for n in (3, 9, 5, 0, 12):
-        assert triangle_row(family, n, mode) == expected[n][: n + 1], n
+        assert triangle_rows(family, n, mode)[n] == expected[n][: n + 1], n
     assert _triangle_table.cache_info()[:2] == (4, 1)  # (hits, misses)
 
 
@@ -513,7 +513,7 @@ def test_triangle_table_is_shared_across_threads():
     results = {}
 
     def read(n):
-        results[n] = triangle_row(family, n, mode)
+        results[n] = triangle_rows(family, n, mode)[n]
 
     threads = [threading.Thread(target=read, args=(n,)) for n in ns]
     interval = sys.getswitchinterval()
@@ -528,7 +528,7 @@ def test_triangle_table_is_shared_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     for n in ns:
         assert results[n] == expected[n][: n + 1], n
-    assert triangle_row(family, 16, mode) == results[16]
+    assert triangle_rows(family, 16, mode)[16] == results[16]
     assert _triangle_table.cache_info().currsize == 1
 
 
@@ -595,7 +595,40 @@ def test_triangle_row_holds_the_entries(family):
     for mode in TRIANGLE_ROW_MODES[CATALOG[family].degenerate]:
         for n in range(21):
             expected = tuple(triangular_numbers(family, n, k, mode) for k in range(n + 1))
-            assert triangle_row(family, n, mode) == expected, (mode, n)
+            assert triangle_rows(family, n, mode)[n] == expected, (mode, n)
+
+
+@pytest.mark.parametrize("family", sorted(TRIANGLE_FAMILIES, key=lambda f: f.value),
+                         ids=lambda f: f.value)
+def test_triangle_rows_hold_rows_zero_to_n(family):
+    # One read returns exactly rows 0..n, each the row that a table grown one
+    # row at a time holds, whatever longer table the cache already has.
+    for mode in TRIANGLE_ROW_MODES[CATALOG[family].degenerate]:
+        clear_caches()
+        one_at_a_time = [triangle_rows(family, m, mode)[m] for m in range(17)]
+        clear_caches()
+        triangle_rows(family, 16, mode)
+        for n in range(17):
+            rows = triangle_rows(family, n, mode)
+            assert len(rows) == n + 1, (mode, n)
+            assert list(rows) == one_at_a_time[: n + 1], (mode, n)
+
+
+@pytest.mark.parametrize("family", [FamilyId.STIRLING1, FamilyId.STIRLING2,
+                                    FamilyId.CENTRAL_FACTORIAL], ids=lambda f: f.value)
+def test_classical_rows_are_one_table_at_l_and_0(family):
+    clear_caches()
+    assert triangle_rows(family, 9, SYM) == triangle_rows(family, 9, AT0)
+    assert _triangle_table.cache_info().currsize == 1
+
+
+def test_triangle_request_reads_its_table_once(capsys):
+    clear_caches()
+    argv = ["compute", "--family", "deg-stirling2", "--max-n", "15", "--lambda=42/25"]
+    for fmt in ("json", "csv"):
+        assert cli.run(argv + ["--format", fmt]) == 0
+    capsys.readouterr()
+    assert _triangle_table.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize(
@@ -610,7 +643,7 @@ def test_triangle_row_holds_the_entries(family):
 def test_triangle_row_refuses_what_entries_refuse(family, n, mode, match):
     clear_caches()
     with pytest.raises(ValueError, match=match):
-        triangle_row(family, n, mode)
+        triangle_rows(family, n, mode)
     if n >= 0:
         with pytest.raises(ValueError, match=match):
             triangular_numbers(family, n, 1, mode)
@@ -897,7 +930,7 @@ SIZE_REFUSALS = {
     "step-egf-trunc": ("trunc", lambda size: step_egf(X, L, size)),
     "step-egf-lag": ("lag", lambda size: step_egf(X, L, 3, lag=size)),
     "alt-egf-trunc": ("trunc", lambda size: deg_bernoulli2_alt_egf(1, size)),
-    "triangle-row-n": ("n", lambda size: triangle_row(FamilyId.DEG_STIRLING2, size)),
+    "triangle-row-n": ("n", lambda size: triangle_rows(FamilyId.DEG_STIRLING2, size)),
     "step-products-n": ("n", lambda size: step_products(X, L, size)),
     "central-factorial-power-n": ("n", lambda size: central_factorial_power(size)),
 }
@@ -1005,15 +1038,15 @@ def test_equal_params_share_one_cache_entry():
     assert first == second and hash(first) == hash(second)
     assert first != Param.shifted(5)
     clear_caches()
-    triangle_row(FamilyId.DEG_STIRLING2, 4, first)
-    triangle_row(FamilyId.DEG_STIRLING2, 4, second)
+    triangle_rows(FamilyId.DEG_STIRLING2, 4, first)
+    triangle_rows(FamilyId.DEG_STIRLING2, 4, second)
     assert _triangle_table.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_param_repr_names_kind_and_value():
     assert repr(Param.numeric(5)) == "Param(kind='numeric', value=Fraction(5, 1))"
     with pytest.raises(ValueError) as refused:
-        triangle_row(FamilyId.STIRLING2, 4, Param.numeric(5))
+        triangle_rows(FamilyId.STIRLING2, 4, Param.numeric(5))
     assert str(refused.value).endswith("got Param(kind='numeric', value=Fraction(5, 1))")
 
 

@@ -204,17 +204,20 @@ COEFFICIENT_SHIFTS = {"half-l": L * Fraction(1, 2), "half": BiPoly.const(Fractio
 
 @pytest.mark.parametrize("identity,family,entry,kwargs", TRIANGLE_MUTANTS)
 def test_perturbed_triangle_entry_fails(monkeypatch, identity, family, entry, kwargs):
-    # Checkers read every triangle entry from whole rows, so one accessor carries the fault.
-    original_row = identities.triangle_row
+    # Checkers read every triangle entry from one read of rows 0..n, so one
+    # accessor carries the fault, in every read that reaches row row_n.
+    original_rows = identities.triangle_rows
     row_n, k_perturbed = entry
 
-    def perturbed_row(fam, n, *args, **kw):
-        row = original_row(fam, n, *args, **kw)
-        if (fam, n) != (family, row_n):
-            return row
-        return row[:k_perturbed] + (row[k_perturbed] + L,) + row[k_perturbed + 1:]
+    def perturbed_rows(fam, n, *args, **kw):
+        rows = original_rows(fam, n, *args, **kw)
+        if fam != family or n < row_n:
+            return rows
+        row = rows[row_n]
+        row = row[:k_perturbed] + (row[k_perturbed] + L,) + row[k_perturbed + 1:]
+        return rows[:row_n] + (row,) + rows[row_n + 1:]
 
-    monkeypatch.setattr(identities, "triangle_row", perturbed_row)
+    monkeypatch.setattr(identities, "triangle_rows", perturbed_rows)
     report = verify(identity, **kwargs)
     assert not report.all_pass
 
